@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys as _sys
 
 from .config import read_config
@@ -47,6 +48,20 @@ from .skew_tent import DEFAULT_CURVE_TOL, classify
 __all__ = ["build_parser", "main", "entry_point"]
 
 _ITINERARY_PREFIX = 32
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal as a value.
+
+    argparse's stock pattern covers -4 and -4.5 but not -4.6e+21, which
+    it takes for an option flag. Subparsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
 
 
 def _bits_word(text: str) -> str:
@@ -246,7 +261,7 @@ def _cmd_plrnn(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pwlcycles",
         description="Cycles and bifurcations of piecewise-linear maps",
     )

@@ -1,12 +1,14 @@
 """Orbit simulation, cycle detection, itineraries and attractor-band counts.
 
 The x coordinate of the canonical system evolves autonomously, so the
-bifurcation scan and cobweb helpers work on the 1D map while trajectory
-and cycle detection handle the full (m+1)-dimensional state.
+bifurcation scan and cobweb helpers work on the 1D map, and trajectory
+runs x first and then the Y block as a linear recurrence driven by x.
+Cycle detection handles the full (m+1)-dimensional state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,11 @@ DEFAULT_MAX_PERIOD = 64
 DEFAULT_CYCLE_TOL = 1e-7
 DEFAULT_GAP_FACTOR = 10.0
 
+# Divergence is checked once per block: _Y_BLOCK steps of the Y recurrence,
+# or _SWEEP_BLOCK_VALUES values (steps times d values) of the d sweep.
+_Y_BLOCK = 256
+_SWEEP_BLOCK_VALUES = 1 << 15
+
 
 @dataclass(frozen=True)
 class Orbit:
@@ -60,7 +67,7 @@ class Orbit:
 class DetectedCycle:
     """A numerically detected periodic attractor.
 
-    points has shape (period, m + 1); method is 'convergence' or 'floyd'.
+    points has shape (period, m + 1); method is 'convergence'.
     """
 
     period: int
@@ -79,9 +86,13 @@ def trajectory(
     """Iterate the canonical map and record states transient..steps-1.
 
     z0 defaults to (mu_hat / 2, 0, ..., 0), which sits inside the
-    absorbing interval whenever an attractor exists. Raises
+    absorbing interval whenever an attractor exists. The map is
+    triangular: x runs on its own as a scalar loop, then Y follows as
+    the linear recurrence Y' = A_block Y + u_k with inputs
+    u_k = (b_vec or e_vec) x_k + h_Y; m = 0 simply has no Y. Raises
     DivergenceError (carrying the application count and the offending
-    state) as soon as any coordinate exceeds divergence_threshold.
+    state) at the first step where any coordinate exceeds
+    divergence_threshold.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -99,35 +110,84 @@ def trajectory(
             raise ValueError("z0 must be finite")
 
     out = np.empty((steps - transient, m + 1))
+    # Y is driven by every x from step 0; without Y only the tail is kept
     if m == 0:
-        # scalar fast path; the ndarray loop costs ~20x more per step
-        a, d, mu = sys.a, sys.d, sys.mu_hat
-        x = float(z0[0])
-        if transient == 0:
-            out[0, 0] = x
-        for k in range(1, steps):
-            x = a * x + mu if x <= 0.0 else d * x + mu
-            if abs(x) > divergence_threshold:
-                raise DivergenceError(k, np.array([x]))
-            if k >= transient:
-                out[k - transient, 0] = x
-        return Orbit(states=out, transient=transient)
-
-    A, b, e, h = sys.A_block, sys.b_vec, sys.e_vec, sys.h_Y
-    z = z0.copy()
-    if transient == 0:
-        out[0] = z
-    for k in range(1, steps):
-        x = z[0]
-        if x <= 0.0:
-            z = np.concatenate(([sys.a * x + sys.mu_hat], b * x + A @ z[1:] + h))
-        else:
-            z = np.concatenate(([sys.d * x + sys.mu_hat], e * x + A @ z[1:] + h))
-        if np.max(np.abs(z)) > divergence_threshold:
-            raise DivergenceError(k, z)
-        if k >= transient:
-            out[k - transient] = z
+        xs, start = out[:, 0], transient
+    else:
+        xs, start = np.empty(steps), 0
+    hit = _x_orbit(sys, float(z0[0]), steps, start, xs, divergence_threshold)
+    y = z0[1:]
+    if m > 0:
+        last = steps - 1 if hit is None else hit[0]
+        y = _y_orbit(sys, xs, y, last, transient, out[:, 1:],
+                     divergence_threshold)
+        out[:, 0] = xs[transient:]
+    if hit is not None:
+        raise DivergenceError(hit[0], np.concatenate(([hit[1]], y)))
     return Orbit(states=out, transient=transient)
+
+
+def _x_orbit(sys, x, steps, start, rec, threshold):
+    """Run the skew tent map from x for steps - 1 applications.
+
+    Writes x_k for k >= start to rec[k - start]. Returns (k, x_k) for the
+    first k with |x_k| > threshold, or None when the orbit stays bounded.
+    """
+    a, d, mu = sys.a, sys.d, sys.mu_hat
+    # `x > threshold or x < lo` is abs(x) > threshold, NaN included, and
+    # memoryview item assignment costs about half of ndarray's
+    lo = -threshold
+    for k in range(1, start):
+        x = a * x + mu if x <= 0.0 else d * x + mu
+        if x > threshold or x < lo:
+            return k, x
+    rec = memoryview(rec)
+    if start == 0:
+        rec[0] = x
+    for i in range(max(start, 1) - start, steps - start):
+        x = a * x + mu if x <= 0.0 else d * x + mu
+        rec[i] = x
+        if x > threshold or x < lo:
+            return i + start, x
+    return None
+
+
+def _y_orbit(sys, xs, y, last, transient, rec, threshold):
+    """Run Y_k = A_block Y_(k-1) + u_(k-1) for k = 1..last from Y_0 = y.
+
+    xs holds x_0..x_last. Writes Y_k for k >= transient to
+    rec[k - transient] and returns Y_last. Raises DivergenceError at the
+    first k whose Y_k leaves the threshold; x_k is inside it for k < last.
+    """
+    A, b, e, h = sys.A_block, sys.b_vec, sys.e_vec, sys.h_Y
+    if transient == 0:
+        rec[0] = y
+    scratch = np.empty((min(_Y_BLOCK, transient), y.size))
+    k0 = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k0 <= last:
+            if k0 < transient:
+                k1 = min(k0 + _Y_BLOCK, transient, last + 1)
+                blk = scratch[: k1 - k0]
+            else:
+                k1 = min(k0 + _Y_BLOCK, last + 1)
+                blk = rec[k0 - transient : k1 - transient]
+            xk = xs[k0 - 1 : k1 - 1, None]
+            np.multiply(np.where(xk <= 0.0, b, e), xk, out=blk)
+            blk += h
+            for row in blk:
+                row += np.dot(A, y)
+                y = row
+            # np.max propagates NaN exactly as the per-state check does
+            over = np.abs(blk).max(axis=1) > threshold
+            if over.any():
+                j = int(over.argmax())
+                raise DivergenceError(
+                    k0 + j, np.concatenate(([xs[k0 + j]], blk[j]))
+                )
+            y = y.copy()  # the next block may overwrite the scratch row
+            k0 = k1
+    return y
 
 
 def detect_cycle(
@@ -138,49 +198,27 @@ def detect_cycle(
 ) -> DetectedCycle | None:
     """Detect a periodic attractor in the orbit tail, or return None.
 
-    'convergence' compares the last p states against the p before them
-    for p = 1..max_period and reports the smallest p that matches within
-    tol. 'floyd' runs the tortoise-and-hare scheme over the recorded
-    states and then extracts the minimal period at the meeting point.
-    Chaotic orbits and periods above max_period yield None.
+    Compares the last p states against the p before them for
+    p = 1..max_period and reports the smallest p that matches within
+    tol. Chaotic orbits and periods above max_period yield None. method
+    must be 'convergence', the only detector.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if method != "convergence":
+        raise ValueError(f"method must be 'convergence', got {method!r}")
     states = orbit.states
-    n_rec = states.shape[0]
-
-    if method == "convergence":
-        for p in range(1, max_period + 1):
-            if 2 * p > n_rec:
-                break
-            if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
-                return DetectedCycle(
-                    period=p, points=states[-p:].copy(), tol_used=tol,
-                    method="convergence",
-                )
-        return None
-
-    if method == "floyd":
-        meet = None
-        for k in range(1, n_rec // 2):
-            if np.max(np.abs(states[k] - states[2 * k])) <= tol:
-                meet = k
-                break
-        if meet is None:
-            return None
-        for p in range(1, max_period + 1):
-            if meet + p >= n_rec:
-                break
-            if np.max(np.abs(states[meet] - states[meet + p])) <= tol:
-                return DetectedCycle(
-                    period=p, points=states[meet : meet + p].copy(),
-                    tol_used=tol, method="floyd",
-                )
-        return None
-
-    raise ValueError(f"method must be 'convergence' or 'floyd', got {method!r}")
+    for p in range(1, max_period + 1):
+        if 2 * p > states.shape[0]:
+            break
+        if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
+            return DetectedCycle(
+                period=p, points=states[-p:].copy(), tol_used=tol,
+                method="convergence",
+            )
+    return None
 
 
 def itinerary(orbit: Orbit, zero_tol: float = 1e-9) -> str:
@@ -256,43 +294,63 @@ def bifurcation_scan(
 ) -> list:
     """Sweep d over an inclusive grid and record the x attractor per value.
 
+    Every d value is stepped together as one array, with the same
+    arithmetic as trajectory on the 1D system, so each row matches that
+    trajectory bit for bit. x0 defaults to mu_hat / 2.
+
     Returns one dict per d with keys 'd', 'xs' (recorded tail values,
     empty when diverged), 'diverged', and 'diverged_at' (application
-    count, None when bounded). Divergence is reported per row instead of
-    raised so a sweep across an exploding region still completes.
+    count, None when bounded). The bounded rows' 'xs' are row views of
+    one (d_steps, steps - transient) array. Divergence is reported per
+    row instead of raised so a sweep across an exploding region still
+    completes.
     """
     if d_steps < 1:
         raise ValueError("d_steps must be >= 1")
-    rows = []
-    for d in np.linspace(d_min, d_max, d_steps):
-        sys = CanonicalSystem.from_skew_tent(
-            SkewTentParams(a=a, d=float(d), mu_hat=mu_hat)
-        )
-        z0 = None if x0 is None else np.array([x0])
-        try:
-            orb = trajectory(
-                sys,
-                steps=steps,
-                transient=transient,
-                z0=z0,
-                divergence_threshold=divergence_threshold,
-            )
-        except DivergenceError as err:
-            rows.append(
-                {
-                    "d": float(d),
-                    "xs": np.empty(0),
-                    "diverged": True,
-                    "diverged_at": err.step,
-                }
-            )
-            continue
-        rows.append(
-            {
-                "d": float(d),
-                "xs": orb.x_values.copy(),
-                "diverged": False,
-                "diverged_at": None,
-            }
-        )
-    return rows
+    ds = np.linspace(d_min, d_max, d_steps)
+    # the checks and messages of SkewTentParams and trajectory, in their order
+    SkewTentParams(a=a, d=ds[0], mu_hat=mu_hat)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not 0 <= transient < steps:
+        raise ValueError("need 0 <= transient < steps")
+    x0 = float(mu_hat) / 2.0 if x0 is None else float(x0)
+    if not math.isfinite(x0):
+        raise ValueError("z0 must be finite")
+    if not np.all(np.isfinite(ds)):
+        raise ValueError("d must be finite")
+
+    a, mu = float(a), float(mu_hat)
+    out = np.empty((d_steps, steps - transient))
+    diverged_at = np.zeros(d_steps, dtype=np.int64)
+    x = np.full(d_steps, x0)
+    if transient == 0:
+        out[:, 0] = x
+    block = np.empty((max(1, _SWEEP_BLOCK_VALUES // d_steps), d_steps))
+    k0 = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k0 < steps:
+            blk = block[: min(block.shape[0], steps - k0)]
+            for row in blk:
+                np.multiply(np.where(x <= 0.0, a, ds), x, out=row)
+                row += mu
+                x = row
+            over = (blk > divergence_threshold) | (blk < -divergence_threshold)
+            for i in np.flatnonzero(over.any(axis=0)):
+                diverged_at[i] = k0 + int(over[:, i].argmax())
+            lo = max(k0, transient)
+            if lo < k0 + len(blk):
+                out[:, lo - transient : k0 + len(blk) - transient] = blk[lo - k0 :].T
+            # a diverged row is parked at NaN: it stays NaN and never
+            # compares above the threshold again
+            x = np.where(diverged_at > 0, np.nan, x)
+            k0 += len(blk)
+    return [
+        {
+            "d": float(d),
+            "xs": np.empty(0) if at else out[i],
+            "diverged": bool(at),
+            "diverged_at": int(at) if at else None,
+        }
+        for i, (d, at) in enumerate(zip(ds, diverged_at))
+    ]

@@ -74,6 +74,16 @@ def test_classify_json(capsys):
     assert "existence_margin" in doc["details"]
 
 
+def test_classify_negative_exponent_value(capsys):
+    # argparse's stock pattern reads -4.6e+21 as an option flag
+    rc = main(["classify", "--a", "0.4", "--d", "-4.6e+21", "--n", "3",
+               "--tol", "1E-9", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "ExistsUnstable"
+    assert doc["details"]["existence_margin"] == pytest.approx(4.6e21)
+
+
 def test_classify_missing_flag_is_usage_error(capsys):
     rc = main(["classify", "--a", "0.4", "--d", "-4.0"])
     assert rc == 2
@@ -162,6 +172,16 @@ def test_scan_stdout(capsys):
     assert lines[0] == "a,d,n,verdict"
     assert len(lines) == 1 + 2 * 2 * 2
     assert lines[1] == "0.35,-4.5,3,ExistsStable"
+
+
+def test_scan_negative_exponent_bounds(capsys):
+    rc = main(["scan", "--a-min", "0.3", "--a-max", "0.5", "--a-steps", "2",
+               "--d-min", "-4e+1", "--d-max", "-3e0", "--d-steps", "2",
+               "--n", "3"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4
+    assert [row.split(",")[1] for row in rows[:2]] == ["-30.75", "-12.25"]
 
 
 def test_scan_to_file_and_io_error(tmp_path, capsys):
