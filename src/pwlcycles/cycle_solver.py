@@ -164,6 +164,18 @@ def _sorted_complex_tuple(values) -> tuple:
     return tuple(complex(v) for v in arr)
 
 
+def _slope_product(sys: CanonicalSystem, sequence: str) -> float:
+    slope_product = 1.0
+    for letter in sequence:
+        if letter == "R":
+            slope_product *= sys.d
+        elif letter in ("L", "0"):
+            slope_product *= sys.a
+        else:
+            raise ValueError(f"invalid sequence letter {letter!r}")
+    return slope_product
+
+
 def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     """Eigenvalues of the composed one-period Jacobian for the sequence.
 
@@ -174,24 +186,17 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
-    slope_product = 1.0
-    for letter in sequence:
-        if letter == "R":
-            slope_product *= sys.d
-        elif letter in ("L", "0"):
-            slope_product *= sys.a
-        else:
-            raise ValueError(f"invalid sequence letter {letter!r}")
     block_eigs = np.linalg.eigvals(
         np.linalg.matrix_power(sys.A_block, len(sequence))
     )
-    return _sorted_complex_tuple([slope_product, *block_eigs])
+    return _sorted_complex_tuple([_slope_product(sys, sequence), *block_eigs])
 
 
 def _residual(sys: CanonicalSystem, points, sequence: str) -> float:
+    maps = {letter: branch_affine(sys, letter) for letter in set(sequence)}
     z = np.array(points[0], dtype=float)
     for letter in sequence:
-        M, c = branch_affine(sys, letter)
+        M, c = maps[letter]
         z = M @ z + c
     return float(np.max(np.abs(z - points[0]))) if z.size else 0.0
 
@@ -204,50 +209,47 @@ def solve_cycle(
 ) -> CycleSolution:
     """Closed-form R L^(n-1) n-cycle of the canonical system.
 
-    The x-components come from the 1D closed form. Y_1 then solves
+    The x-components come from the 1D closed form. With u_1 = x_1 e_vec
+    + h_Y and u_i = x_i b_vec + h_Y the drive of the step leaving point i,
+    Y_1 then solves
 
-        (I - A^n) Y_1 = sum_{k=0}^{n-2} x_{n-k} A^k b_vec
-                        + x_1 A^(n-1) e_vec + (sum_{k=0}^{n-1} A^k) h_Y
+        (I - A^n) Y_1 = sum_{k=0}^{n-1} A^k u_{n-k}
 
-    and the remaining Y_i follow by forward recursion. Raises
-    EigenvalueOneError when A_block^n has an eigenvalue within eig_tol
-    of 1 (the Y_1 solve is singular), plus everything the 1D closed form
-    raises.
+    (the Y reached after one period started from Y = 0, summed by
+    Horner's rule), and the remaining Y_i follow by forward recursion.
+
+    A_block^n is decomposed once. Its eigenvalues decide the one
+    precondition check, EigenvalueOneError when one lies within eig_tol
+    of 1 (the Y_1 solve is singular; an eigenvalue of A_block at 1 is
+    caught here too), and together with the slope product they are the
+    cycle's multipliers. Raises everything the 1D closed form raises.
     """
     xc = cycle_x_components(sys.skew_params(), n, zero_tol=zero_tol)
     xs = xc.xs
     m = sys.m
     A = sys.A_block
 
-    if m == 0:
-        points = tuple(np.array([x]) for x in xs)
-    else:
-        if np.any(np.abs(np.linalg.eigvals(A) - 1.0) <= eig_tol):
-            raise EigenvalueOneError(
-                "A_block has an eigenvalue at 1; Y components are not unique"
-            )
-        powers = [np.eye(m)]
-        for _ in range(n - 1):
-            powers.append(powers[-1] @ A)
-        A_n = powers[-1] @ A
-        if np.any(np.abs(np.linalg.eigvals(A_n) - 1.0) <= eig_tol):
+    Z = np.empty((n, m + 1))
+    Z[:, 0] = xs
+    block_eigs = ()
+    if m:
+        A_n = np.linalg.matrix_power(A, n)
+        block_eigs = np.linalg.eigvals(A_n)
+        if np.any(np.abs(block_eigs - 1.0) <= eig_tol):
             raise EigenvalueOneError(
                 f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
             )
-        rhs = xs[0] * (powers[n - 1] @ sys.e_vec)
-        for k in range(n - 1):
-            rhs = rhs + xs[n - 1 - k] * (powers[k] @ sys.b_vec)
-        rhs = rhs + sum(powers) @ sys.h_Y
-        Y1 = np.linalg.solve(np.eye(m) - A_n, rhs)
+        U = np.outer(xs, sys.b_vec) + sys.h_Y
+        U[0] = xs[0] * sys.e_vec + sys.h_Y
+        rhs = U[0]
+        for u in U[1:]:
+            rhs = A @ rhs + u
+        Z[0, 1:] = np.linalg.solve(np.eye(m) - A_n, rhs)
+        for i in range(1, n):
+            Z[i, 1:] = A @ Z[i - 1, 1:] + U[i - 1]
+    points = tuple(Z)
 
-        ys = [Y1, sys.e_vec * xs[0] + A @ Y1 + sys.h_Y]
-        for i in range(1, n - 1):
-            ys.append(sys.b_vec * xs[i] + A @ ys[-1] + sys.h_Y)
-        points = tuple(
-            np.concatenate(([x], y)) for x, y in zip(xs, ys)
-        )
-
-    mults = multipliers(sys, xc.sequence)
+    mults = _sorted_complex_tuple([_slope_product(sys, xc.sequence), *block_eigs])
     stable = all(abs(v) < 1.0 for v in mults)
     return CycleSolution(
         n=n,

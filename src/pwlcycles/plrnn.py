@@ -299,7 +299,9 @@ def local_cycle_analysis(
         NotAdmissibleError,
         EigenvalueOneError,
     ) as err:
-        solve_error = err
+        # without its traceback: the traceback holds this frame, whose
+        # solve_error would close a reference cycle around every failed solve
+        solve_error = err.with_traceback(None)
 
     violations = []
     warnings = []

@@ -97,7 +97,7 @@ def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
         raise ValueError("tol must be positive")
     AA, DD = _oriented_mesh(spec)
     cells = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in spec.n_list:
             bound = existence_bound(AA, n)
             positive = AA > 0.0

@@ -307,7 +307,9 @@ def bifurcation_scan(
     """
     if d_steps < 1:
         raise ValueError("d_steps must be >= 1")
-    ds = np.linspace(d_min, d_max, d_steps)
+    # a non-finite or overflowing span is reported by the checks below
+    with np.errstate(invalid="ignore", over="ignore"):
+        ds = np.linspace(d_min, d_max, d_steps)
     # the checks and messages of SkewTentParams and trajectory, in their order
     SkewTentParams(a=a, d=ds[0], mu_hat=mu_hat)
     if steps < 1:

@@ -182,13 +182,15 @@ def cycle_x_components(
     if zero_tol is None:
         zero_tol = zero_tolerance(mu)
 
-    xs = [geometric_sum(a, n) * mu / den]
+    # sums[k - 1] = S_k, accumulated in geometric_sum's order
+    power = a * 0.0 + 1.0
+    sums = [power]
+    for _ in range(n - 1):
+        power = power * a
+        sums.append(sums[-1] + power)
+    xs = [sums[n - 1] * mu / den]
     for i in range(2, n + 1):
-        xs.append(
-            (geometric_sum(a, i - 1) + a ** (i - 2) * d * geometric_sum(a, n - i + 1))
-            * mu
-            / den
-        )
+        xs.append((sums[i - 2] + a ** (i - 2) * d * sums[n - i]) * mu / den)
 
     letters = []
     for x in xs:
@@ -218,6 +220,16 @@ def _orient(a: float, d: float, mu_sign: str):
     raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
 
 
+def _bound(a, n: int):
+    """-S_{n-1}(a) / a^(n-2) for a float or a float array a.
+
+    The power is taken on an array in both cases: numpy's array power and
+    the C library's pow can differ in the last bit, and a scalar must
+    round exactly as the same value does inside a grid.
+    """
+    return -geometric_sum(a, n - 1) / np.asarray(a) ** (n - 2)
+
+
 def existence_bound(a, n: int):
     """Upper bound on d for existence of the R L^(n-1) cycle (mu_hat > 0).
 
@@ -226,11 +238,68 @@ def existence_bound(a, n: int):
     """
     _require_region_n(n)
     arr = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = -geometric_sum(arr, n - 1) / arr ** (n - 2)
-    if np.ndim(a) == 0:
-        return float(bound)
-    return bound
+    scalar = arr.ndim == 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = _bound(float(arr) if scalar else arr, n)
+    return float(bound) if scalar else bound
+
+
+def _margins(a: float, d: float, n: int) -> dict:
+    """Margin of every region inequality at (a, d) for mu_hat > 0.
+
+    Positive means the strict inequality holds, except curve_distance,
+    the absolute distance |d - bound| to the border-collision curve. The
+    bound is evaluated once and rounds exactly as existence_bound. A power
+    that over- or underflows gives an infinite or zero margin, not a
+    warning or an exception.
+    """
+    a64 = np.float64(a)
+    d64 = np.float64(d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = _bound(float(a), n)
+        power = a64 ** (n - 1)
+        cubic = a64 ** (2 * (n - 1)) * d64**3 + a64 - d64
+        quad = power * d64**2 + d64 - a64
+        return {
+            "slope_sign_margin": float(a),
+            "existence_margin": float(bound - d64),
+            "curve_distance": float(abs(d64 - bound)),
+            "stability_lower_margin": float(d64 + 1.0 / power),
+            "nband_cubic_margin": float(-cubic),
+            "nband_quadratic_margin": float(-quad),
+            "twonband_flip_margin": float(-1.0 / power - d64),
+            "twonband_cubic_margin": float(cubic),
+        }
+
+
+_BAND_KEYS = (
+    "existence_margin",
+    "nband_cubic_margin",
+    "nband_quadratic_margin",
+    "twonband_flip_margin",
+    "twonband_cubic_margin",
+)
+
+
+def _exists(m: dict) -> bool:
+    return m["slope_sign_margin"] > 0 and m["existence_margin"] > 0
+
+
+def _on_curve(m: dict, tol: float) -> bool:
+    return m["slope_sign_margin"] > 0 and m["curve_distance"] <= tol
+
+
+def _stable(m: dict) -> bool:
+    return _exists(m) and m["stability_lower_margin"] > 0
+
+
+def _band(m: dict) -> BandRegion:
+    if _exists(m):
+        if m["nband_cubic_margin"] > 0 and m["nband_quadratic_margin"] > 0:
+            return BandRegion.NBAND
+        if m["twonband_flip_margin"] > 0 and m["twonband_cubic_margin"] > 0:
+            return BandRegion.TWO_NBAND
+    return BandRegion.NEITHER
 
 
 def region_exists(a: float, d: float, n: int, mu_sign: str = "+") -> bool:
@@ -242,7 +311,7 @@ def region_exists(a: float, d: float, n: int, mu_sign: str = "+") -> bool:
     """
     aa, dd = _orient(a, d, mu_sign)
     _require_region_n(n)
-    return aa > 0.0 and dd < existence_bound(aa, n)
+    return _exists(_margins(aa, dd, n))
 
 
 def on_bifurcation_curve(
@@ -253,7 +322,7 @@ def on_bifurcation_curve(
         raise ValueError("tol must be positive")
     aa, dd = _orient(a, d, mu_sign)
     _require_region_n(n)
-    return aa > 0.0 and abs(dd - existence_bound(aa, n)) <= tol
+    return _on_curve(_margins(aa, dd, n), tol)
 
 
 def region_stable(a: float, d: float, n: int) -> bool:
@@ -262,46 +331,22 @@ def region_stable(a: float, d: float, n: int) -> bool:
     Equivalent to interior existence together with |a^(n-1) d| < 1.
     """
     _require_region_n(n)
-    if a <= 0.0:
-        return False
-    return -1.0 / a ** (n - 1) < d < existence_bound(a, n)
-
-
-def _band_margins(a: float, d: float, n: int) -> dict:
-    a64 = np.float64(a)
-    d64 = np.float64(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        existence = np.float64(existence_bound(a, n)) - d64
-        cubic = a64 ** (2 * (n - 1)) * d64**3 + a64 - d64
-        quad = a64 ** (n - 1) * d64**2 + d64 - a64
-        flip = -1.0 / a64 ** (n - 1) - d64
-    return {
-        "existence_margin": float(existence),
-        "nband_cubic_margin": float(-cubic),
-        "nband_quadratic_margin": float(-quad),
-        "twonband_flip_margin": float(flip),
-        "twonband_cubic_margin": float(cubic),
-    }
+    return _stable(_margins(a, d, n))
 
 
 def chaotic_band_region(a: float, d: float, n: int) -> BandRegionResult:
     """Chaotic-band region test for the parameter point.
 
-    NBand: d below the existence bound, a^(2(n-1)) d^3 + a - d < 0 and
-    a^(n-1) d^2 + d - a < 0 (an n-band chaotic attractor). TwoNBand:
-    d below the existence bound, d < -1/a^(n-1) and the cubic expression
-    positive (a 2n-band attractor). Neither otherwise. All margins are
-    reported in the result's details.
+    NBand: the cycle exists (a > 0 and d below the existence bound),
+    a^(2(n-1)) d^3 + a - d < 0 and a^(n-1) d^2 + d - a < 0 (an n-band
+    chaotic attractor). TwoNBand: the cycle exists, d < -1/a^(n-1) and
+    the cubic expression is positive (a 2n-band attractor). Neither
+    otherwise. The margins of the band inequalities are reported in the
+    result's details.
     """
     _require_region_n(n)
-    m = _band_margins(a, d, n)
-    if m["existence_margin"] > 0 and m["nband_cubic_margin"] > 0 and m["nband_quadratic_margin"] > 0:
-        region = BandRegion.NBAND
-    elif m["existence_margin"] > 0 and m["twonband_flip_margin"] > 0 and m["twonband_cubic_margin"] > 0:
-        region = BandRegion.TWO_NBAND
-    else:
-        region = BandRegion.NEITHER
-    return BandRegionResult(region=region, details=m)
+    m = _margins(a, d, n)
+    return BandRegionResult(region=_band(m), details={k: m[k] for k in _BAND_KEYS})
 
 
 def li_yorke_chaos_flag(p: SkewTentParams) -> bool:
@@ -331,29 +376,18 @@ def classify(
     aa, dd = _orient(a, d, mu_sign)
     _require_region_n(n)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = existence_bound(aa, n)
-        details = {
-            "slope_sign_margin": float(aa),
-            "existence_margin": float(np.float64(bound) - np.float64(dd)),
-            "curve_distance": float(abs(np.float64(dd) - np.float64(bound))),
-            "stability_lower_margin": float(
-                np.float64(dd) + 1.0 / np.float64(aa) ** (n - 1)
-            ),
-        }
-    details.update(_band_margins(aa, dd, n))
-
-    band = chaotic_band_region(aa, dd, n).region
-    if on_bifurcation_curve(aa, dd, n, "+", tol):
+    m = _margins(aa, dd, n)
+    band = _band(m)
+    if _on_curve(m, tol):
         verdict = Verdict.ON_BIFURCATION_CURVE
-    elif region_stable(aa, dd, n):
+    elif _stable(m):
         verdict = Verdict.EXISTS_STABLE
     elif band is BandRegion.NBAND:
         verdict = Verdict.NBAND_CHAOS
     elif band is BandRegion.TWO_NBAND:
         verdict = Verdict.TWONBAND_CHAOS
-    elif region_exists(aa, dd, n, "+"):
+    elif _exists(m):
         verdict = Verdict.EXISTS_UNSTABLE
     else:
         verdict = Verdict.OUTSIDE_REGION
-    return ParamClassification(verdict=verdict, n=n, details=details)
+    return ParamClassification(verdict=verdict, n=n, details=m)

@@ -299,3 +299,10 @@ def test_plrnn_flag_errors_exit_2(write_doc, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_classify_underflowing_slope_power(capsys):
+    rc = main(["classify", "--a", "1e-200", "--d", "-1e300", "--n", "3",
+               "--format", "json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ExistsStable"

@@ -322,3 +322,44 @@ def test_solve_cycle_rejects_bad_sequences():
         cs.solve_symbolic_cycle(sys, "")
     with pytest.raises(ValueError):
         cs.solve_cycle(sys, 0)
+
+
+def test_solve_cycle_multipliers_match_public_multipliers():
+    rng = np.random.default_rng(23)
+    solved = 0
+    for m in (1, 3, 16):
+        for _ in range(15):
+            A = rng.normal(size=(m, m))
+            A *= rng.uniform(0.3, 1.2) / np.max(np.abs(np.linalg.eigvals(A)))
+            n = int(rng.integers(3, 12))
+            a = float(rng.uniform(0.1, 1.5))
+            sys = cs.CanonicalSystem(
+                a, st.existence_bound(a, n) * float(rng.uniform(1.01, 2.0)),
+                rng.uniform(-1, 1, m), rng.uniform(-1, 1, m), A,
+                rng.uniform(-1, 1, m), float(rng.uniform(0.2, 2.0)),
+            )
+            sol = cs.solve_cycle(sys, n)
+            want = np.asarray(cs.multipliers(sys, sol.sequence))
+            got = np.asarray(sol.multipliers)
+            assert got.shape == want.shape == (m + 1,)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert sol.stable == all(abs(v) < 1.0 for v in want)
+            solved += 1
+    assert solved == 45
+
+
+def test_eigenvalue_check_on_block_power():
+    # a quarter turn: no eigenvalue of A at 1, but A^4 = I
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for n, raises in ((3, False), (4, True)):
+        sys = cs.CanonicalSystem(
+            0.4, 1.2 * st.existence_bound(0.4, n), [1.0, 0.5], [0.5, 1.0], rot,
+            [0.1, 0.2], 0.8,
+        )
+        if raises:
+            with pytest.raises(EigenvalueOneError):
+                cs.solve_cycle(sys, n)
+        else:
+            sol = cs.solve_cycle(sys, n)
+            assert orbit_closure_error(sys, sol.points) < 1e-12
+            assert sorted(abs(v) for v in sol.multipliers)[-2:] == pytest.approx([1.0, 1.0])

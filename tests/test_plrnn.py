@@ -1,5 +1,7 @@
 """Tests for ReLU network reduction to the canonical piecewise form."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,29 @@ def test_local_cycle_analysis_degenerate_offset():
     assert report.solution is None
     assert isinstance(report.solve_error, DegenerateOffsetError)
     assert report.locality_ok is None
+
+
+def test_failed_solve_leaves_no_reference_cycle():
+    # an error kept with its traceback would hold the analysis frame, and
+    # through it the report, alive until the cyclic collector ran
+    net = demo_network()
+    zeroed = pl.PLRNNSystem(
+        net.A_diag, net.W, [0.0, 1.0, 0.0, 1.0], relaxed_diagonal=True
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        report = pl.local_cycle_analysis(
+            zeroed,
+            pl.RegionIndex.from_ordinal(0, 4),
+            pl.RegionIndex.from_ordinal(1, 4),
+            n=3,
+        )
+        assert isinstance(report.solve_error, DegenerateOffsetError)
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_local_cycle_analysis_propagates_adjacency_errors():

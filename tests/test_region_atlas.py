@@ -1,5 +1,7 @@
 """Tests for parameter-plane scanning and region nesting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,21 @@ def test_nesting_report_counts_real_violations():
     report = ra.nesting_report(spec)
     assert report["pairs"] == [(3, 5), (5, 9)]
     assert report["violations"] == []
+
+
+def test_classify_matches_one_cell_scan_at_extremes():
+    # slopes whose powers over- and underflow; a negative a
+    # never has the cycle, whatever the band inequalities say
+    a_pos = np.logspace(-200, 200, 11)
+    a_values = np.concatenate([a_pos, -a_pos])
+    d_values = -np.logspace(300, -3, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (3, 9, 30):
+            for mu_sign in ("+", "-"):
+                for a in map(float, a_values):
+                    for d in map(float, d_values):
+                        spec = ra.GridSpec(a, a, 1, d, d, 1, (n,), mu_sign)
+                        cell = ra.scan(spec).cells[n][0, 0]
+                        verdict = st.classify(a, d, n, mu_sign=mu_sign).verdict
+                        assert verdict.value == cell, (a, d, n, mu_sign)

@@ -1,5 +1,7 @@
 """Tests for the 1D skew tent map analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,59 @@ def test_tolerances_scale_with_offset():
     assert st.zero_tolerance(10.0) == 1e-8
     assert st.verify_tolerance(0.5) == 1e-8
     assert st.verify_tolerance(-10.0) == 1e-7
+
+
+def test_classify_when_slope_power_underflows():
+    # a^(n-1) underflows to 0: the stability bound -1/a^(n-1) is -inf, and
+    # the true multiplier a^2 d = -1e-100 makes the cycle attracting
+    a, d = 1e-200, -1e300
+    result = st.classify(a, d, 3)
+    assert result.verdict is st.Verdict.EXISTS_STABLE
+    assert result.details["stability_lower_margin"] == np.inf
+    assert st.region_stable(a, d, 3)
+    xc = st.cycle_x_components(st.SkewTentParams(a, d, 0.8), 3)
+    assert xc.sequence == "RLL"
+
+
+def test_classify_emits_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a^(2(n-1)) d^3 overflows, or a^(n-1) underflows
+        assert st.classify(1e200, -1.0, 3).verdict is st.Verdict.ON_BIFURCATION_CURVE
+        assert st.classify(1e200, -2.0, 3).verdict is st.Verdict.EXISTS_UNSTABLE
+        assert st.classify(1e-200, -1e300, 30).verdict is st.Verdict.OUTSIDE_REGION
+        assert st.classify(0.0, -4.0, 3).verdict is st.Verdict.OUTSIDE_REGION
+        assert st.existence_bound(0.0, 3) == -np.inf
+        assert np.isnan(st.existence_bound(np.array([1e200, 0.4]), 30)[0])
+
+
+def test_band_regions_need_positive_slope():
+    # the band inequalities alone hold at a < 0, where no R L^(n-1)
+    # cycle exists; scan has always answered OutsideRegion there
+    res = st.chaotic_band_region(-0.5, -10.0, 4)
+    assert res.details["existence_margin"] > 0
+    assert res.details["nband_cubic_margin"] > 0
+    assert res.details["nband_quadratic_margin"] > 0
+    assert res.region is st.BandRegion.NEITHER
+    assert st.classify(-0.5, -10.0, 4).verdict is st.Verdict.OUTSIDE_REGION
+
+
+def test_cycle_x_components_match_per_point_sums():
+    # each x_i from its own geometric sums, as the closed form reads
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 31))
+        a, d = float(rng.uniform(0.05, 1.5)), float(rng.uniform(-60.0, -0.5))
+        mu = float(rng.uniform(0.2, 2.0))
+        den = 1.0 - a ** (n - 1) * d
+        want = [st.geometric_sum(a, n) * mu / den] + [
+            (st.geometric_sum(a, i - 1) + a ** (i - 2) * d * st.geometric_sum(a, n - i + 1))
+            * mu / den
+            for i in range(2, n + 1)
+        ]
+        try:
+            xc = st.cycle_x_components(st.SkewTentParams(a, d, mu), n)
+        except NotAdmissibleError as err:
+            assert list(err.xs) == want
+            continue
+        assert list(xc.xs) == want
