@@ -176,6 +176,24 @@ def _slope_product(sys: CanonicalSystem, sequence: str) -> float:
     return slope_product
 
 
+def _period_spectrum(sys: CanonicalSystem, sequence: str, eig_tol):
+    """A_block^n and the sorted multipliers of the sequence (n = its length).
+
+    A_block^n is decomposed once. Raises EigenvalueOneError when one of
+    its eigenvalues lies within eig_tol of 1; eig_tol None skips the check.
+    """
+    n = len(sequence)
+    A_n, block_eigs = sys.A_block, ()
+    if sys.m:
+        A_n = np.linalg.matrix_power(sys.A_block, n)
+        block_eigs = np.linalg.eigvals(A_n)
+        if eig_tol is not None and np.any(np.abs(block_eigs - 1.0) <= eig_tol):
+            raise EigenvalueOneError(
+                f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
+            )
+    return A_n, _sorted_complex_tuple([_slope_product(sys, sequence), *block_eigs])
+
+
 def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     """Eigenvalues of the composed one-period Jacobian for the sequence.
 
@@ -186,10 +204,7 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
-    block_eigs = np.linalg.eigvals(
-        np.linalg.matrix_power(sys.A_block, len(sequence))
-    )
-    return _sorted_complex_tuple([_slope_product(sys, sequence), *block_eigs])
+    return _period_spectrum(sys, sequence, None)[1]
 
 
 def _residual(sys: CanonicalSystem, points, sequence: str) -> float:
@@ -229,16 +244,10 @@ def solve_cycle(
     m = sys.m
     A = sys.A_block
 
+    A_n, mults = _period_spectrum(sys, xc.sequence, eig_tol)
     Z = np.empty((n, m + 1))
     Z[:, 0] = xs
-    block_eigs = ()
     if m:
-        A_n = np.linalg.matrix_power(A, n)
-        block_eigs = np.linalg.eigvals(A_n)
-        if np.any(np.abs(block_eigs - 1.0) <= eig_tol):
-            raise EigenvalueOneError(
-                f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
-            )
         U = np.outer(xs, sys.b_vec) + sys.h_Y
         U[0] = xs[0] * sys.e_vec + sys.h_Y
         rhs = U[0]
@@ -248,8 +257,6 @@ def solve_cycle(
         for i in range(1, n):
             Z[i, 1:] = A @ Z[i - 1, 1:] + U[i - 1]
     points = tuple(Z)
-
-    mults = _sorted_complex_tuple([_slope_product(sys, xc.sequence), *block_eigs])
     stable = all(abs(v) < 1.0 for v in mults)
     return CycleSolution(
         n=n,
@@ -346,12 +353,13 @@ def solve_symbolic_cycle(
         c_total = M @ c_total + c
 
     slope_product = float(M_total[0, 0])
-    if m == 0 and abs(1.0 - slope_product) <= eig_tol:
-        raise SingularDenominatorError(sys.a, sys.d, n, 1.0 - slope_product)
-    if np.any(np.abs(np.linalg.eigvals(M_total) - 1.0) <= eig_tol):
+    if abs(1.0 - slope_product) <= eig_tol:
+        if m == 0:
+            raise SingularDenominatorError(sys.a, sys.d, n, 1.0 - slope_product)
         raise EigenvalueOneError(
             "composed linear part has an eigenvalue at 1; cycle is not isolated"
         )
+    mults = _period_spectrum(sys, sequence, eig_tol)[1]
 
     z = np.linalg.solve(np.eye(m + 1) - M_total, c_total)
     points = [z]
@@ -373,7 +381,6 @@ def solve_symbolic_cycle(
             admissible = False
             break
 
-    mults = multipliers(sys, sequence)
     stable = all(abs(v) < 1.0 for v in mults)
     return CycleSolution(
         n=n,

@@ -1,8 +1,8 @@
 """Parameter-plane atlas: grid classification, curve sampling, nesting checks.
 
-The per-point logic lives in skew_tent.classify; this module evaluates
-the same inequalities as array expressions so full grids stay cheap, and
-a unit test pins the two routes against each other.
+The region inequalities and the verdict precedence live in skew_tent's
+region kernel, which classify runs on one point and this module runs on
+a whole mesh at once.
 """
 
 from __future__ import annotations
@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skew_tent import DEFAULT_CURVE_TOL, Verdict, existence_bound
+from .skew_tent import (
+    DEFAULT_CURVE_TOL,
+    _VERDICT_OF_FLAGS,
+    _existence_margins,
+    _exists,
+    _flags,
+    _margins,
+    existence_bound,
+)
 
 __all__ = [
     "GridSpec",
@@ -20,6 +28,8 @@ __all__ = [
     "curve_samples",
     "nesting_report",
 ]
+
+_VERDICT_NAMES = np.array([v.value for v in _VERDICT_OF_FLAGS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -82,41 +92,17 @@ def _oriented_mesh(spec: GridSpec):
     return A, D
 
 
-def _existence_mask(AA: np.ndarray, DD: np.ndarray, n: int) -> np.ndarray:
-    bound = existence_bound(AA, n)
-    return (AA > 0.0) & (DD < bound)
-
-
 def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     """Classify every grid cell for every n in spec.n_list.
 
-    Applies the same verdict precedence as skew_tent.classify by
-    overwriting the verdict grid from lowest precedence to highest.
+    Runs skew_tent's region kernel on the whole mesh, so every cell gets
+    the verdict classify gives at that point, up to the last-bit
+    rounding of numpy's array powers.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     AA, DD = _oriented_mesh(spec)
-    cells = {}
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in spec.n_list:
-            bound = existence_bound(AA, n)
-            positive = AA > 0.0
-            exists = positive & (DD < bound)
-            curve = positive & (np.abs(DD - bound) <= tol)
-            lower = -1.0 / AA ** (n - 1)
-            stable = exists & (DD > lower)
-            cubic = AA ** (2 * (n - 1)) * DD**3 + AA - DD
-            quad = AA ** (n - 1) * DD**2 + DD - AA
-            nband = exists & (cubic < 0.0) & (quad < 0.0)
-            twonband = exists & (DD < lower) & (cubic > 0.0)
-
-            verdicts = np.full(AA.shape, Verdict.OUTSIDE_REGION.value, dtype=object)
-            verdicts[exists] = Verdict.EXISTS_UNSTABLE.value
-            verdicts[twonband] = Verdict.TWONBAND_CHAOS.value
-            verdicts[nband] = Verdict.NBAND_CHAOS.value
-            verdicts[stable] = Verdict.EXISTS_STABLE.value
-            verdicts[curve] = Verdict.ON_BIFURCATION_CURVE.value
-            cells[n] = verdicts
+    cells = {n: _VERDICT_NAMES[_flags(_margins(AA, DD, n), tol)] for n in spec.n_list}
     return RegionGrid(
         spec=spec, a_values=spec.a_centers(), d_values=spec.d_centers(), cells=cells
     )
@@ -156,9 +142,9 @@ def nesting_report(spec: GridSpec) -> dict:
     """
     ns = sorted(set(spec.n_list))
     AA, DD = _oriented_mesh(spec)
-    A_plain, D_plain = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        masks = {n: _existence_mask(AA, DD, n) for n in ns}
+    a_values, d_values = spec.a_centers(), spec.d_centers()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        masks = {n: _exists(_existence_margins(AA, DD, n)) for n in ns}
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:
@@ -166,8 +152,8 @@ def nesting_report(spec: GridSpec) -> dict:
         for i, j in zip(*np.nonzero(bad)):
             violations.append(
                 {
-                    "a": float(A_plain[i, j]),
-                    "d": float(D_plain[i, j]),
+                    "a": float(a_values[i]),
+                    "d": float(d_values[j]),
                     "n_outer": n_small,
                     "n_inner": n_large,
                 }

@@ -169,14 +169,17 @@ def cycle_x_components(
     Raises SingularDenominatorError when 1 - a^(n-1) d vanishes,
     DegenerateOffsetError for mu_hat = 0, and NotAdmissibleError when the
     computed signs do not realize the R L^(n-1) pattern (the error carries
-    the raw values).
+    the raw values) or when a^(n-1) overflows, so that no point is computed.
     """
     if n < 2:
         raise ValueError("cycle length n must be >= 2")
     if p.mu_hat == 0.0:
         raise DegenerateOffsetError("mu_hat = 0 collapses the cycle formulas")
     a, d, mu = p.a, p.d, p.mu_hat
-    den = 1.0 - a ** (n - 1) * d
+    try:
+        den = 1.0 - a ** (n - 1) * d
+    except OverflowError:
+        raise NotAdmissibleError((), "", f"a^{n - 1} overflows for a={a!r}") from None
     if abs(den) <= singular_tol:
         raise SingularDenominatorError(a, d, n, den)
     if zero_tol is None:
@@ -211,15 +214,6 @@ def _require_region_n(n: int) -> None:
         raise ValueError("region tests are defined for n >= 3")
 
 
-def _orient(a: float, d: float, mu_sign: str):
-    """Map a mu_hat < 0 query onto the mu_hat > 0 form by swapping (a, d)."""
-    if mu_sign == "+":
-        return a, d
-    if mu_sign == "-":
-        return d, a
-    raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
-
-
 def _bound(a, n: int):
     """-S_{n-1}(a) / a^(n-2) for a float or a float array a.
 
@@ -244,34 +238,62 @@ def existence_bound(a, n: int):
     return float(bound) if scalar else bound
 
 
-def _margins(a: float, d: float, n: int) -> dict:
+def _existence_margins(a, d, n: int) -> dict:
+    """The existence part of _margins: slope sign, existence, curve distance.
+
+    The caller silences floating-point warnings.
+    """
+    bound = _bound(a, n)
+    return {
+        "slope_sign_margin": a,
+        "existence_margin": bound - d,
+        "curve_distance": abs(d - bound),
+    }
+
+
+def _margins(a, d, n: int) -> dict:
     """Margin of every region inequality at (a, d) for mu_hat > 0.
 
     Positive means the strict inequality holds, except curve_distance,
     the absolute distance |d - bound| to the border-collision curve. The
-    bound is evaluated once and rounds exactly as existence_bound. A power
-    that over- or underflows gives an infinite or zero margin, not a
-    warning or an exception.
+    same code runs on floats (single points) and on arrays (grids); each
+    keeps its own power rounding, since numpy's scalar and array powers
+    can differ in the last bit. The bound rounds exactly as
+    existence_bound. A power that over- or underflows gives an infinite
+    or zero margin, not a warning or an exception.
     """
-    a64 = np.float64(a)
-    d64 = np.float64(d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = _bound(float(a), n)
-        power = a64 ** (n - 1)
-        cubic = a64 ** (2 * (n - 1)) * d64**3 + a64 - d64
-        quad = power * d64**2 + d64 - a64
-        return {
-            "slope_sign_margin": float(a),
-            "existence_margin": float(bound - d64),
-            "curve_distance": float(abs(d64 - bound)),
-            "stability_lower_margin": float(d64 + 1.0 / power),
-            "nband_cubic_margin": float(-cubic),
-            "nband_quadratic_margin": float(-quad),
-            "twonband_flip_margin": float(-1.0 / power - d64),
-            "twonband_cubic_margin": float(cubic),
-        }
+        m = _existence_margins(a, d, n)
+        # a float becomes a numpy scalar, whose power overflows to inf
+        # instead of raising; an array stays an array
+        a, d = np.float64(a), np.float64(d)
+        power = a ** (n - 1)
+        cubic = a ** (2 * (n - 1)) * d**3 + a - d
+        quad = power * d**2 + d - a
+        m["stability_lower_margin"] = d + 1.0 / power
+        m["nband_cubic_margin"] = -cubic
+        m["nband_quadratic_margin"] = -quad
+        m["twonband_flip_margin"] = -1.0 / power - d
+        m["twonband_cubic_margin"] = cubic
+    return m
 
 
+# Region flags: one bit per verdict above OutsideRegion, in rising
+# precedence, so the highest set bit names the verdict.
+_VERDICTS = (
+    Verdict.OUTSIDE_REGION,
+    Verdict.EXISTS_UNSTABLE,
+    Verdict.TWONBAND_CHAOS,
+    Verdict.NBAND_CHAOS,
+    Verdict.EXISTS_STABLE,
+    Verdict.ON_BIFURCATION_CURVE,
+)
+_EXISTS, _TWONBAND, _NBAND, _STABLE, _CURVE = 1, 2, 4, 8, 16
+_VERDICT_OF_FLAGS = tuple(_VERDICTS[flags.bit_length()] for flags in range(32))
+# The two bands never overlap: they need opposite signs of one cubic.
+_BANDS = {
+    0: BandRegion.NEITHER, _NBAND: BandRegion.NBAND, _TWONBAND: BandRegion.TWO_NBAND
+}
 _BAND_KEYS = (
     "existence_margin",
     "nband_cubic_margin",
@@ -281,25 +303,36 @@ _BAND_KEYS = (
 )
 
 
-def _exists(m: dict) -> bool:
-    return m["slope_sign_margin"] > 0 and m["existence_margin"] > 0
+def _exists(m: dict):
+    return (m["slope_sign_margin"] > 0) & (m["existence_margin"] > 0)
 
 
-def _on_curve(m: dict, tol: float) -> bool:
-    return m["slope_sign_margin"] > 0 and m["curve_distance"] <= tol
+def _flags(m: dict, tol: float):
+    """Region flags of the margins m: an int for floats, an int array for arrays.
+
+    Stability and both bands lie inside the existence region; the curve
+    needs a positive slope and |d - bound| <= tol.
+    """
+    exists = _exists(m)
+    nband = (m["nband_cubic_margin"] > 0) & (m["nband_quadratic_margin"] > 0)
+    twonband = (m["twonband_flip_margin"] > 0) & (m["twonband_cubic_margin"] > 0)
+    return (
+        _EXISTS * exists
+        | _TWONBAND * (exists & twonband)
+        | _NBAND * (exists & nband)
+        | _STABLE * (exists & (m["stability_lower_margin"] > 0))
+        | _CURVE * ((m["slope_sign_margin"] > 0) & (m["curve_distance"] <= tol))
+    )
 
 
-def _stable(m: dict) -> bool:
-    return _exists(m) and m["stability_lower_margin"] > 0
-
-
-def _band(m: dict) -> BandRegion:
-    if _exists(m):
-        if m["nband_cubic_margin"] > 0 and m["nband_quadratic_margin"] > 0:
-            return BandRegion.NBAND
-        if m["twonband_flip_margin"] > 0 and m["twonband_cubic_margin"] > 0:
-            return BandRegion.TWO_NBAND
-    return BandRegion.NEITHER
+def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL):
+    """Margins, as floats, and flags at one point; mu_sign '-' swaps (a, d)."""
+    if mu_sign not in ("+", "-"):
+        raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
+    aa, dd = (a, d) if mu_sign == "+" else (d, a)
+    _require_region_n(n)
+    m = {k: float(v) for k, v in _margins(float(aa), float(dd), n).items()}
+    return m, _flags(m, tol)
 
 
 def region_exists(a: float, d: float, n: int, mu_sign: str = "+") -> bool:
@@ -309,9 +342,7 @@ def region_exists(a: float, d: float, n: int, mu_sign: str = "+") -> bool:
     on_bifurcation_curve for the boundary. mu_sign '-' evaluates the
     mirrored region via the swapped pair (d, a).
     """
-    aa, dd = _orient(a, d, mu_sign)
-    _require_region_n(n)
-    return _exists(_margins(aa, dd, n))
+    return bool(_point(a, d, n, mu_sign)[1] & _EXISTS)
 
 
 def on_bifurcation_curve(
@@ -320,9 +351,7 @@ def on_bifurcation_curve(
     """True when (a, d) lies on the border-collision curve within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    aa, dd = _orient(a, d, mu_sign)
-    _require_region_n(n)
-    return _on_curve(_margins(aa, dd, n), tol)
+    return bool(_point(a, d, n, mu_sign, tol)[1] & _CURVE)
 
 
 def region_stable(a: float, d: float, n: int) -> bool:
@@ -330,8 +359,7 @@ def region_stable(a: float, d: float, n: int) -> bool:
 
     Equivalent to interior existence together with |a^(n-1) d| < 1.
     """
-    _require_region_n(n)
-    return _stable(_margins(a, d, n))
+    return bool(_point(a, d, n)[1] & _STABLE)
 
 
 def chaotic_band_region(a: float, d: float, n: int) -> BandRegionResult:
@@ -344,9 +372,9 @@ def chaotic_band_region(a: float, d: float, n: int) -> BandRegionResult:
     otherwise. The margins of the band inequalities are reported in the
     result's details.
     """
-    _require_region_n(n)
-    m = _margins(a, d, n)
-    return BandRegionResult(region=_band(m), details={k: m[k] for k in _BAND_KEYS})
+    m, flags = _point(a, d, n)
+    region = _BANDS[flags & (_NBAND | _TWONBAND)]
+    return BandRegionResult(region=region, details={k: m[k] for k in _BAND_KEYS})
 
 
 def li_yorke_chaos_flag(p: SkewTentParams) -> bool:
@@ -373,21 +401,5 @@ def classify(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    aa, dd = _orient(a, d, mu_sign)
-    _require_region_n(n)
-
-    m = _margins(aa, dd, n)
-    band = _band(m)
-    if _on_curve(m, tol):
-        verdict = Verdict.ON_BIFURCATION_CURVE
-    elif _stable(m):
-        verdict = Verdict.EXISTS_STABLE
-    elif band is BandRegion.NBAND:
-        verdict = Verdict.NBAND_CHAOS
-    elif band is BandRegion.TWO_NBAND:
-        verdict = Verdict.TWONBAND_CHAOS
-    elif _exists(m):
-        verdict = Verdict.EXISTS_UNSTABLE
-    else:
-        verdict = Verdict.OUTSIDE_REGION
-    return ParamClassification(verdict=verdict, n=n, details=m)
+    m, flags = _point(a, d, n, mu_sign, tol)
+    return ParamClassification(verdict=_VERDICT_OF_FLAGS[flags], n=n, details=m)

@@ -160,6 +160,12 @@ def test_cycle_solver_preconditions_exit_3(write_doc, capsys):
     assert main(["cycle", "--config", write_doc(zero_mu, "z.json"),
                  "--n", "3"]) == 3
     capsys.readouterr()
+    # a^(n-1) overflows a float: one error line, no traceback or warning
+    huge = SCALAR_DOC.replace('"a": 0.4', '"a": 1e200')
+    huge = huge.replace('"d": -4.0', '"d": -1.0')
+    assert main(["cycle", "--config", write_doc(huge, "h.json"), "--n", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotAdmissibleError: ") and err.count("\n") == 1
 
 
 def test_scan_stdout(capsys):

@@ -356,10 +356,17 @@ def test_eigenvalue_check_on_block_power():
             0.4, 1.2 * st.existence_bound(0.4, n), [1.0, 0.5], [0.5, 1.0], rot,
             [0.1, 0.2], 0.8,
         )
+        word = "R" + "L" * (n - 1)
         if raises:
             with pytest.raises(EigenvalueOneError):
                 cs.solve_cycle(sys, n)
+            with pytest.raises(EigenvalueOneError):
+                cs.solve_symbolic_cycle(sys, word)
         else:
             sol = cs.solve_cycle(sys, n)
             assert orbit_closure_error(sys, sol.points) < 1e-12
             assert sorted(abs(v) for v in sol.multipliers)[-2:] == pytest.approx([1.0, 1.0])
+            sym = cs.solve_symbolic_cycle(sys, word)
+            assert sym.admissible
+            assert sym.multipliers == sol.multipliers
+            assert orbit_closure_error(sys, sym.points) < 1e-12

@@ -109,12 +109,22 @@ def test_nesting_report_no_violations():
 
 
 def test_nesting_report_counts_real_violations():
-    # sanity: a deliberately corrupted mask comparison would flag cells;
-    # here we just confirm the clean grid reports every checked pair
     spec = small_spec(n_list=(3, 5, 9))
     report = ra.nesting_report(spec)
     assert report["pairs"] == [(3, 5), (5, 9)]
     assert report["violations"] == []
+    # on the n = 9 curve at this a, rounding puts the n = 10 bound one
+    # ulp above the n = 9 bound, so the cell exists for 10 but not for 9
+    a = 216.820504
+    d = st.existence_bound(a, 9)
+    assert st.existence_bound(a, 10) == np.nextafter(d, np.inf)
+    for mu_sign, (x, y) in (("+", (a, d)), ("-", (d, a))):
+        spec = ra.GridSpec(x, x, 1, y, y, 1, (9, 10), mu_sign)
+        report = ra.nesting_report(spec)
+        assert report["cells_checked"] == 1
+        assert report["violations"] == [
+            {"a": x, "d": y, "n_outer": 9, "n_inner": 10}
+        ]
 
 
 def test_classify_matches_one_cell_scan_at_extremes():

@@ -124,6 +124,10 @@ def test_cycle_x_error_conditions():
     assert len(info.value.xs) == 3
     with pytest.raises(ValueError):
         st.cycle_x_components(st.SkewTentParams(0.4, -4.0, 0.8), 1)
+    # a^(n-1) overflows a float
+    for a, n in ((1e200, 3), (-1e200, 4), (1e11, 30)):
+        with pytest.raises(NotAdmissibleError, match="overflows"):
+            st.cycle_x_components(st.SkewTentParams(a, -1.0, 0.8), n)
 
 
 def test_existence_bound_values():
