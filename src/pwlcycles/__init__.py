@@ -14,7 +14,6 @@ from .cycle_solver import (
     solve_cycle,
     solve_symbolic_cycle,
     step,
-    y_components_diagonal,
 )
 from .errors import (
     ConfigError,
@@ -111,7 +110,6 @@ __all__ = [
     "step",
     "multipliers",
     "solve_cycle",
-    "y_components_diagonal",
     "solve_symbolic_cycle",
     # simulation
     "Orbit",

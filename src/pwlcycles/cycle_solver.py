@@ -6,10 +6,12 @@ remaining block Y is driven linearly by x,
     x <= 0:  x' = a x + mu_hat,  Y' = b_vec x + A_block Y + h_Y
     x >= 0:  x' = d x + mu_hat,  Y' = e_vec x + A_block Y + h_Y.
 
-Given the x-components of an R L^(n-1) cycle, the Y-components follow
-from one dense linear solve for Y_1 plus a forward recursion; a separate
-per-coordinate route exists for diagonal A_block so the two can be
-cross-checked.
+The system is triangular, so every cycle is solved in two halves. The
+x-components come from the 1D map alone: the closed form for the
+canonical R L^(n-1) word (solve_cycle), the scalar composition of the
+word for any R/L word (solve_symbolic_cycle). The Y-components then
+follow from one linear solve for Y_1 plus forward recursion, a step both
+entry points share.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenvalueOneError, SingularDenominatorError
+from .errors import EigenvalueOneError, NotAdmissibleError, SingularDenominatorError
 from .skew_tent import (
+    SINGULAR_TOL,
     SkewTentParams,
-    XCycle,
+    _sign_word,
     cycle_x_components,
-    geometric_sum,
     zero_tolerance,
 )
 
@@ -36,7 +38,6 @@ __all__ = [
     "step",
     "multipliers",
     "solve_cycle",
-    "y_components_diagonal",
     "solve_symbolic_cycle",
 ]
 
@@ -216,6 +217,53 @@ def _residual(sys: CanonicalSystem, points, sequence: str) -> float:
     return float(np.max(np.abs(z - points[0]))) if z.size else 0.0
 
 
+def _solution(
+    sys: CanonicalSystem, xs, sequence: str, eig_tol, admissible: bool
+) -> CycleSolution:
+    """The cycle through the x-values xs along sequence, with its Y block.
+
+    With u_k the drive of the step leaving point k (x_k e_vec + h_Y on an
+    'R' letter, x_k b_vec + h_Y otherwise), Y_1 solves
+
+        (I - A^n) Y_1 = sum_{k=0}^{n-1} A^k u_{n-k}
+
+    (the Y reached after one period started from Y = 0, summed by
+    Horner's rule), and the remaining Y_k follow by forward recursion.
+    Raises EigenvalueOneError from the A^n decomposition, and
+    NotAdmissibleError when a point is not finite.
+    """
+    n = len(sequence)
+    m = sys.m
+    A = sys.A_block
+
+    A_n, mults = _period_spectrum(sys, sequence, eig_tol)
+    Z = np.empty((n, m + 1))
+    Z[:, 0] = xs
+    if m:
+        U = np.outer(xs, sys.b_vec) + sys.h_Y
+        for k, letter in enumerate(sequence):
+            if letter == "R":
+                U[k] = xs[k] * sys.e_vec + sys.h_Y
+        rhs = U[0]
+        for u in U[1:]:
+            rhs = A @ rhs + u
+        Z[0, 1:] = np.linalg.solve(np.eye(m) - A_n, rhs)
+        for i in range(1, n):
+            Z[i, 1:] = A @ Z[i - 1, 1:] + U[i - 1]
+    if not np.isfinite(Z).all():
+        raise NotAdmissibleError(xs, sequence, f"the {n}-cycle overflows")
+    points = tuple(Z)
+    return CycleSolution(
+        n=n,
+        points=points,
+        sequence=sequence,
+        multipliers=mults,
+        stable=all(abs(v) < 1.0 for v in mults),
+        residual=_residual(sys, points, sequence),
+        admissible=admissible,
+    )
+
+
 def solve_cycle(
     sys: CanonicalSystem,
     n: int,
@@ -224,99 +272,16 @@ def solve_cycle(
 ) -> CycleSolution:
     """Closed-form R L^(n-1) n-cycle of the canonical system.
 
-    The x-components come from the 1D closed form. With u_1 = x_1 e_vec
-    + h_Y and u_i = x_i b_vec + h_Y the drive of the step leaving point i,
-    Y_1 then solves
-
-        (I - A^n) Y_1 = sum_{k=0}^{n-1} A^k u_{n-k}
-
-    (the Y reached after one period started from Y = 0, summed by
-    Horner's rule), and the remaining Y_i follow by forward recursion.
-
-    A_block^n is decomposed once. Its eigenvalues decide the one
-    precondition check, EigenvalueOneError when one lies within eig_tol
-    of 1 (the Y_1 solve is singular; an eigenvalue of A_block at 1 is
-    caught here too), and together with the slope product they are the
-    cycle's multipliers. Raises everything the 1D closed form raises.
+    The x-components come from the 1D closed form, the Y-components from
+    one linear solve for Y_1 plus forward recursion. A_block^n is
+    decomposed once. Its eigenvalues decide the one precondition check,
+    EigenvalueOneError when one lies within eig_tol of 1 (the Y_1 solve
+    is singular; an eigenvalue of A_block at 1 is caught here too), and
+    together with the slope product they are the cycle's multipliers.
+    Raises everything the 1D closed form raises.
     """
     xc = cycle_x_components(sys.skew_params(), n, zero_tol=zero_tol)
-    xs = xc.xs
-    m = sys.m
-    A = sys.A_block
-
-    A_n, mults = _period_spectrum(sys, xc.sequence, eig_tol)
-    Z = np.empty((n, m + 1))
-    Z[:, 0] = xs
-    if m:
-        U = np.outer(xs, sys.b_vec) + sys.h_Y
-        U[0] = xs[0] * sys.e_vec + sys.h_Y
-        rhs = U[0]
-        for u in U[1:]:
-            rhs = A @ rhs + u
-        Z[0, 1:] = np.linalg.solve(np.eye(m) - A_n, rhs)
-        for i in range(1, n):
-            Z[i, 1:] = A @ Z[i - 1, 1:] + U[i - 1]
-    points = tuple(Z)
-    stable = all(abs(v) < 1.0 for v in mults)
-    return CycleSolution(
-        n=n,
-        points=points,
-        sequence=xc.sequence,
-        multipliers=mults,
-        stable=stable,
-        residual=_residual(sys, points, xc.sequence),
-    )
-
-
-def y_components_diagonal(
-    sys: CanonicalSystem, xs, eig_tol: float = EIG_TOL
-) -> list:
-    """Y-components of the R L^(n-1) cycle for exactly diagonal A_block.
-
-    Each coordinate decouples, so Y_1 is a scalar formula per entry:
-
-        Y1_i = ((x_n + x_{n-1} A_ii + ... + x_2 A_ii^(n-2)) b_i
-                + x_1 A_ii^(n-1) e_i + S_n(A_ii) h_i) / (1 - A_ii^n).
-
-    Returns all n Y vectors via the forward recursion. This is an
-    independent route used to cross-check the dense solve; it demands a
-    literally diagonal A_block and raises ValueError otherwise, and
-    EigenvalueOneError when some A_ii^n is within eig_tol of 1.
-    xs may be an XCycle or any sequence of x-values in cycle order.
-    """
-    if isinstance(xs, XCycle):
-        xs = xs.xs
-    xs = [float(x) for x in xs]
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least 2 cycle points")
-    m = sys.m
-    A = sys.A_block
-    diag = np.diag(A).copy()
-    if np.count_nonzero(A - np.diag(diag)):
-        raise ValueError("A_block must be exactly diagonal for this route")
-
-    Y1 = np.empty(m)
-    for i in range(m):
-        ai = diag[i]
-        den = 1.0 - ai**n
-        if abs(den) <= eig_tol:
-            raise EigenvalueOneError(
-                f"diagonal entry {ai!r} has {ai!r}^{n} within {eig_tol} of 1"
-            )
-        coupled = 0.0
-        for k in range(n - 1):
-            coupled += xs[n - 1 - k] * ai**k
-        Y1[i] = (
-            coupled * sys.b_vec[i]
-            + xs[0] * ai ** (n - 1) * sys.e_vec[i]
-            + geometric_sum(ai, n) * sys.h_Y[i]
-        ) / den
-
-    ys = [Y1, sys.e_vec * xs[0] + diag * Y1 + sys.h_Y]
-    for i in range(1, n - 1):
-        ys.append(sys.b_vec * xs[i] + diag * ys[-1] + sys.h_Y)
-    return ys
+    return _solution(sys, xc.xs, xc.sequence, eig_tol, True)
 
 
 def solve_symbolic_cycle(
@@ -327,67 +292,40 @@ def solve_symbolic_cycle(
 ) -> CycleSolution:
     """Cycle whose branch choices are dictated by an explicit sequence.
 
-    Composes the branch affine maps in sequence order and solves the
-    fixed-point equation of the composition, without assuming the
-    R L^(n-1) pattern. The solution's admissible flag records whether the
-    solved points actually realize the sequence's signs within zero_tol;
-    inadmissible solutions are returned, not raised, since they mark
-    where a symbolic cycle ceases to exist.
+    x runs the skew tent map on its own, so x_1 is the fixed point of the
+    word's scalar composition x -> P x + c (P the slope product, c summed
+    by Horner's rule), x_1 = c / (1 - P), and the other x_k follow by
+    forward recursion; Y is then solved as in solve_cycle. The solution's
+    admissible flag records whether the points' sign word, within
+    zero_tol, equals the sequence; inadmissible solutions are returned,
+    not raised, since they mark where a symbolic cycle ceases to exist.
 
-    Raises SingularDenominatorError when m = 0 and the slope product is 1
-    within eig_tol, EigenvalueOneError when the composed linear part has
-    an eigenvalue there for m > 0.
+    Raises SingularDenominatorError when 1 - P is zero within
+    SINGULAR_TOL, NotAdmissibleError when the composition overflows, so
+    that P or a point is not finite, and EigenvalueOneError as
+    solve_cycle does.
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
     n = len(sequence)
     if zero_tol is None:
         zero_tol = zero_tolerance(sys.mu_hat)
-
-    m = sys.m
-    M_total = np.eye(m + 1)
-    c_total = np.zeros(m + 1)
-    for letter in sequence:
-        M, c = branch_affine(sys, letter)
-        M_total = M @ M_total
-        c_total = M @ c_total + c
-
-    slope_product = float(M_total[0, 0])
-    if abs(1.0 - slope_product) <= eig_tol:
-        if m == 0:
-            raise SingularDenominatorError(sys.a, sys.d, n, 1.0 - slope_product)
-        raise EigenvalueOneError(
-            "composed linear part has an eigenvalue at 1; cycle is not isolated"
+    product = _slope_product(sys, sequence)
+    slopes = [sys.d if letter == "R" else sys.a for letter in sequence]
+    offset = 0.0
+    for slope in slopes:
+        offset = slope * offset + sys.mu_hat
+    den = 1.0 - product
+    if abs(den) <= SINGULAR_TOL:
+        raise SingularDenominatorError(sys.a, sys.d, n, den)
+    xs = [offset / den]
+    for slope in slopes[:-1]:
+        xs.append(slope * xs[-1] + sys.mu_hat)
+    # an overflowed product leaves x_1 = c / inf finite, so check it too
+    if not all(map(math.isfinite, (product, *xs))):
+        raise NotAdmissibleError(
+            xs, sequence,
+            f"the {n}-letter word overflows for a={sys.a!r}, d={sys.d!r}",
         )
-    mults = _period_spectrum(sys, sequence, eig_tol)[1]
-
-    z = np.linalg.solve(np.eye(m + 1) - M_total, c_total)
-    points = [z]
-    for letter in sequence[:-1]:
-        M, c = branch_affine(sys, letter)
-        points.append(M @ points[-1] + c)
-    points = tuple(points)
-
-    admissible = True
-    for z_k, letter in zip(points, sequence):
-        x = z_k[0]
-        if letter == "R":
-            ok = x > zero_tol
-        elif letter == "L":
-            ok = x < -zero_tol
-        else:
-            ok = abs(x) <= zero_tol
-        if not ok:
-            admissible = False
-            break
-
-    stable = all(abs(v) < 1.0 for v in mults)
-    return CycleSolution(
-        n=n,
-        points=points,
-        sequence=sequence,
-        multipliers=mults,
-        stable=stable,
-        residual=_residual(sys, points, sequence),
-        admissible=admissible,
-    )
+    admissible = _sign_word(xs, zero_tol) == sequence
+    return _solution(sys, xs, sequence, eig_tol, admissible)

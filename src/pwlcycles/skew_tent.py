@@ -154,6 +154,13 @@ def iterate_1d(p: SkewTentParams, x: float) -> float:
     return p.d * x + p.mu_hat
 
 
+def _sign_word(xs, zero_tol: float) -> str:
+    """One letter per x-value: 'R' above zero_tol, 'L' below -zero_tol, else '0'."""
+    return "".join(
+        ["R" if x > zero_tol else "L" if x < -zero_tol else "0" for x in xs]
+    )
+
+
 def cycle_x_components(
     p: SkewTentParams,
     n: int,
@@ -195,15 +202,7 @@ def cycle_x_components(
     for i in range(2, n + 1):
         xs.append((sums[i - 2] + a ** (i - 2) * d * sums[n - i]) * mu / den)
 
-    letters = []
-    for x in xs:
-        if x > zero_tol:
-            letters.append("R")
-        elif x < -zero_tol:
-            letters.append("L")
-        else:
-            letters.append("0")
-    sequence = "".join(letters)
+    sequence = _sign_word(xs, zero_tol)
     if sequence[0] != "R" or any(c == "R" for c in sequence[1:]):
         raise NotAdmissibleError(xs, sequence)
     return XCycle(n=n, xs=tuple(xs), sequence=sequence)

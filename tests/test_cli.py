@@ -166,6 +166,15 @@ def test_cycle_solver_preconditions_exit_3(write_doc, capsys):
     assert main(["cycle", "--config", write_doc(huge, "h.json"), "--n", "3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: NotAdmissibleError: ") and err.count("\n") == 1
+    # the composed map of the word overflows
+    wide = SCALAR_DOC.replace('"a": 0.4', '"a": -3e4').replace('"d": -4.0', '"d": 2e4')
+    wide = wide.replace('"mu_hat": 0.8', '"mu_hat": 1.0')
+    assert main(["cycle", "--config", write_doc(wide, "w.json"),
+                 "--sequence", "RL" * 40]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NotAdmissibleError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_scan_stdout(capsys):

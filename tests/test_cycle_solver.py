@@ -34,6 +34,47 @@ REFERENCE_POINTS = np.array(
 )
 
 
+def y_components_diagonal(sys, xs, eig_tol=cs.EIG_TOL):
+    """Y-components of the R L^(n-1) cycle for exactly diagonal A_block.
+
+    The per-coordinate oracle for the dense Y solve: each coordinate
+    decouples, so Y_1 is a scalar formula per entry,
+
+        Y1_i = ((x_n + x_{n-1} A_ii + ... + x_2 A_ii^(n-2)) b_i
+                + x_1 A_ii^(n-1) e_i + S_n(A_ii) h_i) / (1 - A_ii^n),
+
+    and the other Y vectors follow by forward recursion. Raises ValueError
+    for a block that is not literally diagonal and EigenvalueOneError when
+    some A_ii^n is within eig_tol of 1. xs is an XCycle or the x-values
+    in cycle order.
+    """
+    if isinstance(xs, st.XCycle):
+        xs = xs.xs
+    xs = [float(x) for x in xs]
+    n = len(xs)
+    A = sys.A_block
+    diag = np.diag(A).copy()
+    if np.count_nonzero(A - np.diag(diag)):
+        raise ValueError("A_block must be exactly diagonal for this route")
+
+    Y1 = np.empty(sys.m)
+    for i, ai in enumerate(diag):
+        den = 1.0 - ai**n
+        if abs(den) <= eig_tol:
+            raise EigenvalueOneError(f"{ai!r}^{n} is within {eig_tol} of 1")
+        coupled = sum(xs[n - 1 - k] * ai**k for k in range(n - 1))
+        Y1[i] = (
+            coupled * sys.b_vec[i]
+            + xs[0] * ai ** (n - 1) * sys.e_vec[i]
+            + st.geometric_sum(ai, n) * sys.h_Y[i]
+        ) / den
+
+    ys = [Y1, sys.e_vec * xs[0] + diag * Y1 + sys.h_Y]
+    for i in range(1, n - 1):
+        ys.append(sys.b_vec * xs[i] + diag * ys[-1] + sys.h_Y)
+    return ys
+
+
 def orbit_closure_error(sys, points):
     n = len(points)
     worst = 0.0
@@ -191,7 +232,7 @@ def test_y_components_diagonal_agrees_with_dense():
         except NotAdmissibleError:
             continue
         xc = st.cycle_x_components(sys.skew_params(), 3)
-        ys = cs.y_components_diagonal(sys, xc)
+        ys = y_components_diagonal(sys, xc)
         dense = np.asarray(sol.points)[:, 1:]
         assert np.max(np.abs(np.asarray(ys) - dense)) < 1e-10
 
@@ -205,7 +246,7 @@ def test_y_components_diagonal_rejects_dense_block():
     )
     xc = st.cycle_x_components(sys.skew_params(), 3)
     with pytest.raises(ValueError):
-        cs.y_components_diagonal(dense, xc)
+        y_components_diagonal(dense, xc)
 
 
 def test_eigenvalue_one_rejected():
@@ -218,7 +259,7 @@ def test_eigenvalue_one_rejected():
         cs.solve_cycle(bad, 3)
     xc = st.cycle_x_components(sys.skew_params(), 3)
     with pytest.raises(EigenvalueOneError):
-        cs.y_components_diagonal(bad, xc)
+        y_components_diagonal(bad, xc)
     # A itself clean but A^n hits 1: eigenvalue -1, even n
     spin = cs.CanonicalSystem(
         0.4, -12.0, [1.0, 0.0], [0.0, 1.0], np.diag([-1.0, 0.5]), [0.1, 0.1], 0.8,
@@ -227,12 +268,76 @@ def test_eigenvalue_one_rejected():
         cs.solve_cycle(spin, 4)
 
 
+def random_system(rng, m, a, d, radius):
+    """Random canonical system whose A_block has spectral radius `radius`."""
+    A = rng.normal(size=(m, m))
+    if m:
+        A *= radius / np.max(np.abs(np.linalg.eigvals(A)))
+    return cs.CanonicalSystem(
+        a, d, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m), A,
+        rng.uniform(-1, 1, m), float(rng.uniform(0.2, 2.0)),
+    )
+
+
 def test_symbolic_matches_positional_solver():
     sys = reference_system()
     sol_n = cs.solve_cycle(sys, 3)
     sol_s = cs.solve_symbolic_cycle(sys, "RLL")
     assert np.max(np.abs(np.asarray(sol_n.points) - np.asarray(sol_s.points))) < 1e-10
     assert sol_s.admissible
+
+    rng = np.random.default_rng(29)
+    for m in (0, 1, 3, 16):
+        solved = 0
+        while solved < 15:
+            n = int(rng.integers(3, 31))
+            a = float(rng.uniform(0.1, 1.5))
+            d = st.existence_bound(a, n) * float(np.exp(rng.uniform(-0.7, 0.7)))
+            sys = random_system(rng, m, a, d, float(rng.uniform(0.3, 1.2)))
+            try:
+                sol_n = cs.solve_cycle(sys, n)
+            except (NotAdmissibleError, SingularDenominatorError, EigenvalueOneError):
+                continue
+            sol_s = cs.solve_symbolic_cycle(sys, sol_n.sequence)
+            pts_n = np.asarray(sol_n.points)
+            scale = max(1.0, float(np.max(np.abs(pts_n))))
+            tol = st.verify_tolerance(sys.mu_hat) * scale
+            assert np.max(np.abs(np.asarray(sol_s.points) - pts_n)) <= tol
+            assert sol_s.sequence == sol_n.sequence
+            assert sol_s.multipliers == sol_n.multipliers
+            assert sol_s.stable == sol_n.stable
+            assert sol_s.admissible
+            solved += 1
+
+
+def test_symbolic_solutions_close_under_map():
+    """Every admissible solution of a random word is a cycle of the map.
+
+    Direct stepping shares no code with the solver. The L slope and the
+    block contract: on strongly expanding words the forward recursion
+    amplifies the rounding of x_1 by the slope product, past any fixed
+    closure tolerance.
+    """
+    rng = np.random.default_rng(31)
+    admissible = 0
+    for _ in range(1000):
+        word = "".join(rng.choice(["R", "L"], int(rng.integers(1, 41))))
+        m = int(rng.integers(0, 4))
+        sys = random_system(
+            rng, m, float(rng.uniform(0.2, 0.95)), float(rng.uniform(-3.0, -1.05)),
+            float(rng.uniform(0.1, 0.9)),
+        )
+        try:
+            sol = cs.solve_symbolic_cycle(sys, word)
+        except SingularDenominatorError:
+            continue
+        if not sol.admissible:
+            continue
+        pts = np.asarray(sol.points)
+        scale = max(1.0, float(np.max(np.abs(pts))))
+        assert orbit_closure_error(sys, pts) < st.verify_tolerance(sys.mu_hat) * scale
+        admissible += 1
+    assert admissible >= 30
 
 
 def test_symbolic_inadmissible_flagged_not_raised():
@@ -247,6 +352,23 @@ def test_symbolic_singular_composition():
     sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(2.0, 0.5, 1.0))
     with pytest.raises(SingularDenominatorError):
         cs.solve_symbolic_cycle(sys, "RL")
+    # m > 0 too: the word's denominator is the scalar 1 - slope product
+    sys = cs.CanonicalSystem(2.0, 0.5, [1.0], [0.5], [[0.5]], [0.1], 1.0)
+    with pytest.raises(SingularDenominatorError):
+        cs.solve_symbolic_cycle(sys, "RL")
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize(
+    "a, d, word",
+    [(-3e4, 2e4, "RL" * 40), (50.0, -3.0, "R" + "L" * 200), (1e5, -2e5, "R" + "L" * 61)],
+    ids=["RL*40", "R+L*200", "R+L*61"],
+)
+def test_symbolic_overflow_raises_typed_error(m, a, d, word):
+    # the last word overflows only the slope product: x_1 = c / inf is finite
+    sys = cs.CanonicalSystem(a, d, [1.0] * m, [0.5] * m, np.eye(m) * 0.5, [0.1] * m, 1.0)
+    with pytest.raises(NotAdmissibleError, match="overflows"):
+        cs.solve_symbolic_cycle(sys, word)
 
 
 def test_mirror_conjugacy_reference_pair():
