@@ -180,13 +180,17 @@ def _slope_product(sys: CanonicalSystem, sequence: str) -> float:
 def _period_spectrum(sys: CanonicalSystem, sequence: str, eig_tol):
     """A_block^n and the sorted multipliers of the sequence (n = its length).
 
-    A_block^n is decomposed once. Raises EigenvalueOneError when one of
-    its eigenvalues lies within eig_tol of 1; eig_tol None skips the check.
+    A_block^n is decomposed once. Raises NotAdmissibleError when it
+    overflows, and EigenvalueOneError when one of its eigenvalues lies
+    within eig_tol of 1; eig_tol None skips the eigenvalue check.
     """
     n = len(sequence)
     A_n, block_eigs = sys.A_block, ()
     if sys.m:
-        A_n = np.linalg.matrix_power(sys.A_block, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A_n = np.linalg.matrix_power(sys.A_block, n)
+        if not np.isfinite(A_n).all():
+            raise NotAdmissibleError((), sequence, f"A_block^{n} overflows")
         block_eigs = np.linalg.eigvals(A_n)
         if eig_tol is not None and np.any(np.abs(block_eigs - 1.0) <= eig_tol):
             raise EigenvalueOneError(
@@ -201,7 +205,8 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     The branch Jacobians are block lower-triangular with a zero row above
     the Y block, so the composed spectrum splits exactly into the scalar
     slope product (a per 'L'/'0', d per 'R') and the eigenvalues of
-    A_block^n. Sorted by real part, then imaginary part.
+    A_block^n. Sorted by real part, then imaginary part. Raises
+    NotAdmissibleError when A_block^n overflows.
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
@@ -229,8 +234,8 @@ def _solution(
 
     (the Y reached after one period started from Y = 0, summed by
     Horner's rule), and the remaining Y_k follow by forward recursion.
-    Raises EigenvalueOneError from the A^n decomposition, and
-    NotAdmissibleError when a point is not finite.
+    Raises what the A^n decomposition raises, and NotAdmissibleError
+    when a point is not finite.
     """
     n = len(sequence)
     m = sys.m
@@ -278,7 +283,8 @@ def solve_cycle(
     EigenvalueOneError when one lies within eig_tol of 1 (the Y_1 solve
     is singular; an eigenvalue of A_block at 1 is caught here too), and
     together with the slope product they are the cycle's multipliers.
-    Raises everything the 1D closed form raises.
+    Raises everything the 1D closed form raises, and NotAdmissibleError
+    when A_block^n overflows.
     """
     xc = cycle_x_components(sys.skew_params(), n, zero_tol=zero_tol)
     return _solution(sys, xc.xs, xc.sequence, eig_tol, True)
@@ -302,8 +308,8 @@ def solve_symbolic_cycle(
 
     Raises SingularDenominatorError when 1 - P is zero within
     SINGULAR_TOL, NotAdmissibleError when the composition overflows, so
-    that P or a point is not finite, and EigenvalueOneError as
-    solve_cycle does.
+    that P or a point is not finite, and EigenvalueOneError and the
+    A_block^n overflow as solve_cycle does.
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")

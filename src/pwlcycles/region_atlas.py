@@ -96,8 +96,7 @@ def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     """Classify every grid cell for every n in spec.n_list.
 
     Runs skew_tent's region kernel on the whole mesh, so every cell gets
-    the verdict classify gives at that point, up to the last-bit
-    rounding of numpy's array powers.
+    the margins, bit for bit, and the verdict classify gives at that point.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -144,7 +143,7 @@ def nesting_report(spec: GridSpec) -> dict:
     AA, DD = _oriented_mesh(spec)
     a_values, d_values = spec.a_centers(), spec.d_centers()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        masks = {n: _exists(_existence_margins(AA, DD, n)) for n in ns}
+        masks = {n: _exists(_existence_margins(AA, DD, n)[0]) for n in ns}
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:

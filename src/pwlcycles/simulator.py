@@ -67,13 +67,12 @@ class Orbit:
 class DetectedCycle:
     """A numerically detected periodic attractor.
 
-    points has shape (period, m + 1); method is 'convergence'.
+    points has shape (period, m + 1).
     """
 
     period: int
     points: np.ndarray
     tol_used: float
-    method: str
 
 
 def trajectory(
@@ -194,30 +193,23 @@ def detect_cycle(
     orbit: Orbit,
     max_period: int = DEFAULT_MAX_PERIOD,
     tol: float = DEFAULT_CYCLE_TOL,
-    method: str = "convergence",
 ) -> DetectedCycle | None:
     """Detect a periodic attractor in the orbit tail, or return None.
 
     Compares the last p states against the p before them for
     p = 1..max_period and reports the smallest p that matches within
-    tol. Chaotic orbits and periods above max_period yield None. method
-    must be 'convergence', the only detector.
+    tol. Chaotic orbits and periods above max_period yield None.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method != "convergence":
-        raise ValueError(f"method must be 'convergence', got {method!r}")
     states = orbit.states
     for p in range(1, max_period + 1):
         if 2 * p > states.shape[0]:
             break
         if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
-            return DetectedCycle(
-                period=p, points=states[-p:].copy(), tol_used=tol,
-                method="convergence",
-            )
+            return DetectedCycle(period=p, points=states[-p:].copy(), tol_used=tol)
     return None
 
 

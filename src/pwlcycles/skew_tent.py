@@ -132,6 +132,17 @@ class ParamClassification:
     details: dict
 
 
+def _power_sum(ratio, terms: int):
+    """S_terms(ratio) and ratio^(terms - 1), terms >= 1, from one chain of
+    multiplications, which round alike on numpy scalars and arrays."""
+    power = ratio * 0.0 + 1.0
+    total = power
+    for _ in range(terms - 1):
+        power = power * ratio
+        total = total + power
+    return total, power
+
+
 def geometric_sum(ratio, terms: int):
     """Sum of the first `terms` powers of ratio: 1 + ratio + ... + ratio^(terms-1).
 
@@ -139,12 +150,7 @@ def geometric_sum(ratio, terms: int):
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
-    total = ratio * 0.0 + 1.0 if terms > 0 else ratio * 0.0
-    power = ratio * 0.0 + 1.0
-    for _ in range(terms - 1):
-        power = power * ratio
-        total = total + power
-    return total
+    return _power_sum(ratio, terms)[0] if terms > 0 else ratio * 0.0
 
 
 def iterate_1d(p: SkewTentParams, x: float) -> float:
@@ -214,13 +220,13 @@ def _require_region_n(n: int) -> None:
 
 
 def _bound(a, n: int):
-    """-S_{n-1}(a) / a^(n-2) for a float or a float array a.
+    """-S_{n-1}(a) / a^(n-2) and a^(n-2), for a numpy scalar or array a.
 
-    The power is taken on an array in both cases: numpy's array power and
-    the C library's pow can differ in the last bit, and a scalar must
-    round exactly as the same value does inside a grid.
+    Both come from one multiplication chain, so a point and a grid cell
+    with the same a get the same bits.
     """
-    return -geometric_sum(a, n - 1) / np.asarray(a) ** (n - 2)
+    total, power = _power_sum(a, n - 1)
+    return -total / power, power
 
 
 def existence_bound(a, n: int):
@@ -230,24 +236,22 @@ def existence_bound(a, n: int):
     Elementwise on arrays; -inf at a = 0 (the region pinches off there).
     """
     _require_region_n(n)
-    arr = np.asarray(a, dtype=float)
-    scalar = arr.ndim == 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = _bound(float(arr) if scalar else arr, n)
-    return float(bound) if scalar else bound
+        return _bound(np.asarray(a, dtype=float), n)[0]
 
 
-def _existence_margins(a, d, n: int) -> dict:
-    """The existence part of _margins: slope sign, existence, curve distance.
+def _existence_margins(a, d, n: int):
+    """The existence part of _margins (slope sign, existence, curve
+    distance) and a^(n-2).
 
     The caller silences floating-point warnings.
     """
-    bound = _bound(a, n)
+    bound, power = _bound(a, n)
     return {
         "slope_sign_margin": a,
         "existence_margin": bound - d,
         "curve_distance": abs(d - bound),
-    }
+    }, power
 
 
 def _margins(a, d, n: int) -> dict:
@@ -255,20 +259,17 @@ def _margins(a, d, n: int) -> dict:
 
     Positive means the strict inequality holds, except curve_distance,
     the absolute distance |d - bound| to the border-collision curve. The
-    same code runs on floats (single points) and on arrays (grids); each
-    keeps its own power rounding, since numpy's scalar and array powers
-    can differ in the last bit. The bound rounds exactly as
-    existence_bound. A power that over- or underflows gives an infinite
-    or zero margin, not a warning or an exception.
+    same code runs on numpy scalars (single points) and on arrays
+    (grids), and every power is a product of the chain in _bound, so a
+    point and a grid cell agree bit for bit. A power that over- or
+    underflows gives an infinite or zero margin, not a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = _existence_margins(a, d, n)
-        # a float becomes a numpy scalar, whose power overflows to inf
-        # instead of raising; an array stays an array
-        a, d = np.float64(a), np.float64(d)
-        power = a ** (n - 1)
-        cubic = a ** (2 * (n - 1)) * d**3 + a - d
-        quad = power * d**2 + d - a
+        m, power = _existence_margins(a, d, n)
+        power = power * a
+        d2 = d * d
+        cubic = power * power * (d2 * d) + a - d
+        quad = power * d2 + d - a
         m["stability_lower_margin"] = d + 1.0 / power
         m["nband_cubic_margin"] = -cubic
         m["nband_quadratic_margin"] = -quad
@@ -330,7 +331,7 @@ def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL
         raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
     aa, dd = (a, d) if mu_sign == "+" else (d, a)
     _require_region_n(n)
-    m = {k: float(v) for k, v in _margins(float(aa), float(dd), n).items()}
+    m = {k: float(v) for k, v in _margins(np.float64(aa), np.float64(dd), n).items()}
     return m, _flags(m, tol)
 
 

@@ -175,6 +175,16 @@ def test_cycle_solver_preconditions_exit_3(write_doc, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: NotAdmissibleError: ")
     assert captured.err.count("\n") == 1
+    # A_block^n overflows while every x point is finite
+    blocked = EIG_ONE_DOC.replace('"d": -4.0', '"d": -12.0')
+    cases = (("1e120", ["--n", "3"]), ("1e20", ["--sequence", "R" + "L" * 29]))
+    for block, flags in cases:
+        doc = blocked.replace('"A_block": [[1.0]]', f'"A_block": [[{block}]]')
+        assert main(["cycle", "--config", write_doc(doc, "b.json"), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NotAdmissibleError: A_block")
+        assert captured.err.count("\n") == 1
 
 
 def test_scan_stdout(capsys):

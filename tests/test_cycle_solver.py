@@ -371,6 +371,23 @@ def test_symbolic_overflow_raises_typed_error(m, a, d, word):
         cs.solve_symbolic_cycle(sys, word)
 
 
+def test_block_power_overflow_raises_typed_error():
+    # every x point is finite; only A_block^n overflows
+    word = "R" + "L" * 29
+    sys = cs.CanonicalSystem(0.4, -12.0, [1.0], [0.5], [[1e20]], [0.1], 1.0)
+    with pytest.raises(NotAdmissibleError, match="A_block"):
+        cs.multipliers(sys, word)
+    with pytest.raises(NotAdmissibleError, match="A_block"):
+        cs.solve_symbolic_cycle(sys, word)
+    # the x-cycle is admissible at n = 3, and a 2x2 block also meets inf * 0
+    for block in ([[1e120]], [[1e200, 1.0], [1.0, 0.5]]):
+        m = len(block)
+        sys = cs.CanonicalSystem(0.4, -12.0, [1.0] * m, [0.5] * m, block, [0.1] * m, 1)
+        assert st.cycle_x_components(sys.skew_params(), 3).sequence == "RLL"
+        with pytest.raises(NotAdmissibleError, match="A_block"):
+            cs.solve_cycle(sys, 3)
+
+
 def test_mirror_conjugacy_reference_pair():
     plus = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(0.16, -7.29, 2.0))
     sol = cs.solve_cycle(plus, 3)

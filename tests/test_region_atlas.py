@@ -133,13 +133,36 @@ def test_classify_matches_one_cell_scan_at_extremes():
     a_pos = np.logspace(-200, 200, 11)
     a_values = np.concatenate([a_pos, -a_pos])
     d_values = -np.logspace(300, -3, 12)
+    cases = [
+        (a, d, n, mu_sign)
+        for n in (3, 9, 30)
+        for mu_sign in ("+", "-")
+        for a in map(float, a_values)
+        for d in map(float, d_values)
+    ]
+    # points on the existence and stability curves, where the last bit
+    # of a power decides the verdict
+    cases.append((0.530557794095363, -6.695791217542962, 4, "+"))
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 9, 17, 29):
+        for a in map(float, rng.uniform(0.05, 3.0, 200)):
+            cases.append((a, -st.geometric_sum(a, n - 1) / a ** (n - 2), n, "+"))
+            cases.append((a, -1.0 / a ** (n - 1), n, "+"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in (3, 9, 30):
-            for mu_sign in ("+", "-"):
-                for a in map(float, a_values):
-                    for d in map(float, d_values):
-                        spec = ra.GridSpec(a, a, 1, d, d, 1, (n,), mu_sign)
-                        cell = ra.scan(spec).cells[n][0, 0]
-                        verdict = st.classify(a, d, n, mu_sign=mu_sign).verdict
-                        assert verdict.value == cell, (a, d, n, mu_sign)
+        for a, d, n, mu_sign in cases:
+            spec = ra.GridSpec(a, a, 1, d, d, 1, (n,), mu_sign)
+            cell = ra.scan(spec).cells[n][0, 0]
+            verdict = st.classify(a, d, n, mu_sign=mu_sign).verdict
+            assert verdict.value == cell, (a, d, n, mu_sign)
+    # every margin of a point equals the mesh's margin bit for bit
+    spec = small_spec(n_list=(3, 4, 9, 17, 29))
+    AA, DD = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
+    for n in spec.n_list:
+        margins = st._margins(AA, DD, n)
+        for i, j in np.ndindex(AA.shape):
+            details = st.classify(float(AA[i, j]), float(DD[i, j]), n).details
+            for key, value in details.items():
+                assert np.float64(value).tobytes() == margins[key][i, j].tobytes(), (
+                    key, AA[i, j], DD[i, j], n,
+                )

@@ -57,24 +57,19 @@ def test_trajectory_divergence():
 def test_detect_cycle_fixed_point():
     sys = tent_system(0.4, -4.0, 0.0)  # x=0 fixed, contracting left branch
     orbit = sim.trajectory(sys, steps=200, transient=100, z0=[-0.5])
-    for method in ("convergence",):
-        det = sim.detect_cycle(orbit, method=method)
-        assert det.period == 1
-        assert abs(det.points[0][0]) < 1e-7
-    with pytest.raises(ValueError):
-        sim.detect_cycle(orbit, method="floyd")
+    det = sim.detect_cycle(orbit)
+    assert det.period == 1
+    assert abs(det.points[0][0]) < 1e-7
 
 
 def test_detect_cycle_three_cycle_both_methods():
     sys = tent_system(0.4, -4.0)
     orbit = sim.trajectory(sys, steps=3000, transient=2000, z0=[0.3])
     expected = sorted([0.7609756097560975, -2.2439024390243896, -0.09756097560975585])
-    for method in ("convergence",):
-        det = sim.detect_cycle(orbit, method=method)
-        assert det.period == 3
-        got = sorted(p[0] for p in det.points)
-        assert got == pytest.approx(expected, abs=1e-6)
-        assert det.method == method
+    det = sim.detect_cycle(orbit)
+    assert det.period == 3
+    got = sorted(p[0] for p in det.points)
+    assert got == pytest.approx(expected, abs=1e-6)
 
 
 def _stepped(sys, z0, steps, threshold=sim.DIVERGENCE_THRESHOLD):

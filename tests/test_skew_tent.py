@@ -1,7 +1,9 @@
 """Tests for the 1D skew tent map analysis."""
 
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -139,6 +141,23 @@ def test_existence_bound_values():
     assert arr == pytest.approx([-3.5, -2.0, -1.5], abs=1e-12)
     with pytest.raises(ValueError):
         st.existence_bound(0.4, 2)
+
+
+def test_region_kernel_powers_match_mpmath():
+    # 50-digit oracle for the bound and for the chain's a^(n-1); the
+    # chain's rounding grows with n, so allow n/2 ulps
+    rng = np.random.default_rng(13)
+    with mpmath.workdps(50):
+        for n in (3, 9, 17, 30, 40):
+            for a in [1.0, *map(float, rng.uniform(0.05, 3.0, 200))]:
+                x = mpmath.mpf(a)
+                bound = -mpmath.fsum(x**k for k in range(n - 1)) / x ** (n - 2)
+                power = x ** (n - 1)
+                got_bound = float(st.existence_bound(a, n))
+                got_power = float(st._power_sum(a, n)[1])
+                for got, want in ((got_bound, bound), (got_power, power)):
+                    ulps = abs(mpmath.mpf(got) - want) / math.ulp(float(want))
+                    assert ulps <= n / 2, (a, n, float(ulps))
 
 
 def test_region_exists_is_strict():
