@@ -16,6 +16,7 @@ import csv
 import json
 import re
 import sys as _sys
+from itertools import repeat
 
 from .config import read_config
 from .cycle_solver import CanonicalSystem, solve_cycle, solve_symbolic_cycle
@@ -162,14 +163,15 @@ def _cmd_scan(args) -> int:
     )
     grid = scan(spec, tol=args.tol)
 
+    a_reprs = [repr(v) for v in grid.a_values.tolist()]
+    d_reprs = [repr(v) for v in grid.d_values.tolist()]
+
     def _write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["a", "d", "n", "verdict"])
         for n in spec.n_list:
-            cells = grid.cells[n]
-            for i, a in enumerate(grid.a_values):
-                for j, d in enumerate(grid.d_values):
-                    writer.writerow([repr(float(a)), repr(float(d)), n, cells[i, j]])
+            for a, verdicts in zip(a_reprs, grid.cells[n].tolist()):
+                writer.writerows(zip(repeat(a), d_reprs, repeat(n), verdicts))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -210,10 +212,10 @@ def _cmd_simulate(args) -> int:
         with open(args.emit_csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["t", "x"] + [f"Y{k}" for k in range(1, system.m + 1)])
-            for offset, row in enumerate(orbit.states):
-                writer.writerow(
-                    [orbit.transient + offset] + [repr(float(v)) for v in row]
-                )
+            writer.writerows(
+                [t] + [repr(v) for v in row]
+                for t, row in enumerate(orbit.states.tolist(), start=orbit.transient)
+            )
     return 0
 
 

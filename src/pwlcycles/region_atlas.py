@@ -2,7 +2,7 @@
 
 The region inequalities and the verdict precedence live in skew_tent's
 region kernel, which classify runs on one point and this module runs on
-a whole mesh at once.
+the grid's two axes, broadcast against each other.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .skew_tent import (
     _exists,
     _flags,
     _margins,
+    _require_tol,
     existence_bound,
 )
 
@@ -53,6 +54,12 @@ class GridSpec:
     def __post_init__(self):
         if self.a_steps < 1 or self.d_steps < 1:
             raise ValueError("a_steps and d_steps must be >= 1")
+        # an infinite bound, or a span near the float range, gives inf or
+        # NaN cell centres
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = np.concatenate([self.a_centers(), self.d_centers()])
+        if not np.isfinite(centers).all():
+            raise ValueError("grid bounds and cell centres must be finite")
         if not (self.a_min <= self.a_max and self.d_min <= self.d_max):
             raise ValueError("grid bounds must be ordered")
         if self.mu_sign not in ("+", "-"):
@@ -85,23 +92,30 @@ class RegionGrid:
     cells: dict = field(default_factory=dict)
 
 
-def _oriented_mesh(spec: GridSpec):
-    A, D = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
+def _oriented_axes(spec: GridSpec):
+    """The kernel's (a, d) operands: a column of a values and a row of d
+    values, swapped for mu_sign '-'. They broadcast to the
+    (a_steps, d_steps) mesh, so work that depends on one axis alone is
+    done once per axis value, not once per cell.
+    """
+    a = spec.a_centers()[:, None]
+    d = spec.d_centers()[None, :]
     if spec.mu_sign == "-":
-        return D, A
-    return A, D
+        return d, a
+    return a, d
 
 
 def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     """Classify every grid cell for every n in spec.n_list.
 
-    Runs skew_tent's region kernel on the whole mesh, so every cell gets
-    the margins, bit for bit, and the verdict classify gives at that point.
+    Runs skew_tent's region kernel on the grid's axes, which broadcast to
+    the full mesh. Every elementwise operation sees the same operands in
+    the same order as on a single point, so every cell gets the margins,
+    bit for bit, and the verdict classify gives at that point.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    AA, DD = _oriented_mesh(spec)
-    cells = {n: _VERDICT_NAMES[_flags(_margins(AA, DD, n), tol)] for n in spec.n_list}
+    _require_tol(tol)
+    a, d = _oriented_axes(spec)
+    cells = {n: _VERDICT_NAMES[_flags(_margins(a, d, n), tol)] for n in spec.n_list}
     return RegionGrid(
         spec=spec, a_values=spec.a_centers(), d_values=spec.d_centers(), cells=cells
     )
@@ -140,10 +154,10 @@ def nesting_report(spec: GridSpec) -> dict:
     this grid.
     """
     ns = sorted(set(spec.n_list))
-    AA, DD = _oriented_mesh(spec)
+    a, d = _oriented_axes(spec)
     a_values, d_values = spec.a_centers(), spec.d_centers()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        masks = {n: _exists(_existence_margins(AA, DD, n)[0]) for n in ns}
+        masks = {n: _exists(_existence_margins(a, d, n)[0]) for n in ns}
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:
@@ -159,6 +173,6 @@ def nesting_report(spec: GridSpec) -> dict:
             )
     return {
         "pairs": pairs,
-        "cells_checked": int(AA.size) * len(pairs),
+        "cells_checked": spec.a_steps * spec.d_steps * len(pairs),
         "violations": violations,
     }

@@ -219,6 +219,12 @@ def _require_region_n(n: int) -> None:
         raise ValueError("region tests are defined for n >= 3")
 
 
+def _require_tol(tol: float) -> None:
+    # a NaN tol would pass `tol <= 0` and then fail every curve test
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def _bound(a, n: int):
     """-S_{n-1}(a) / a^(n-2) and a^(n-2), for a numpy scalar or array a.
 
@@ -259,9 +265,11 @@ def _margins(a, d, n: int) -> dict:
 
     Positive means the strict inequality holds, except curve_distance,
     the absolute distance |d - bound| to the border-collision curve. The
-    same code runs on numpy scalars (single points) and on arrays
-    (grids), and every power is a product of the chain in _bound, so a
-    point and a grid cell agree bit for bit. A power that over- or
+    same code runs on numpy scalars (single points), on arrays, and on a
+    column of a and a row of d that broadcast to a grid, so the chain
+    runs once per a value. Every power is a product of the chain in
+    _bound, and broadcasting keeps each operation's operands and order,
+    so a point and a grid cell agree bit for bit. A power that over- or
     underflows gives an infinite or zero margin, not a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -349,8 +357,7 @@ def on_bifurcation_curve(
     a: float, d: float, n: int, mu_sign: str = "+", tol: float = DEFAULT_CURVE_TOL
 ) -> bool:
     """True when (a, d) lies on the border-collision curve within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     return bool(_point(a, d, n, mu_sign, tol)[1] & _CURVE)
 
 
@@ -399,7 +406,6 @@ def classify(
     details carries the margin of every inequality evaluated (positive
     means satisfied) plus the absolute curve distance.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     m, flags = _point(a, d, n, mu_sign, tol)
     return ParamClassification(verdict=_VERDICT_OF_FLAGS[flags], n=n, details=m)

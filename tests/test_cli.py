@@ -5,6 +5,10 @@ import json
 import pytest
 
 from pwlcycles.cli import main
+from pwlcycles.config import read_config
+from pwlcycles.region_atlas import GridSpec
+from pwlcycles.simulator import trajectory
+from pwlcycles.skew_tent import classify
 
 CANONICAL_DOC = (
     '{"kind": "canonical", "m": 3, "a": 0.4, "d": -4.0, "mu_hat": 0.8,'
@@ -231,6 +235,59 @@ def test_scan_rejects_bad_grid(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--a", "0.4", "--d", "-3.5", "--n", "3", "--tol", "nan"],
+        ["classify", "--a", "0.4", "--d", "-3.5", "--n", "3", "--tol", "inf"],
+        ["scan", "--a-min", "0.3", "--a-max", "0.5", "--a-steps", "2",
+         "--d-min", "-5.0", "--d-max", "-3.0", "--d-steps", "2", "--n", "3",
+         "--tol", "nan"],
+        ["scan", "--a-min", "0.3", "--a-max", "inf", "--a-steps", "2",
+         "--d-min", "-5.0", "--d-max", "-3.0", "--d-steps", "2", "--n", "3"],
+        ["scan", "--a-min", "0.3", "--a-max", "0.5", "--a-steps", "2",
+         "--d-min=-inf", "--d-max", "-3.0", "--d-steps", "2", "--n", "3"],
+    ],
+)
+def test_non_finite_tol_and_bounds_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bounds, mu_sign",
+    [
+        (("1e-05", "3", "7", "-4.6e+21", "-1e-05", "5"), "+"),
+        (("-4.6e+21", "-1e-05", "5", "1e-05", "3", "7"), "-"),
+        (("1e-05", "2e-05", "3", "-4.6e+21", "-4.5e+21", "2"), "+"),
+        (("-4.6e+21", "-4.5e+21", "2", "1e-05", "2e-05", "3"), "-"),
+    ],
+)
+def test_scan_csv_matches_per_cell_oracle(bounds, mu_sign, tmp_path, capsys):
+    a_min, a_max, a_steps, d_min, d_max, d_steps = bounds
+    argv = ["scan", "--a-min", a_min, "--a-max", a_max, "--a-steps", a_steps,
+            "--d-min", d_min, "--d-max", d_max, "--d-steps", d_steps,
+            "--n", "3", "30", "--mu-sign", mu_sign]
+    spec = GridSpec(float(a_min), float(a_max), int(a_steps), float(d_min),
+                    float(d_max), int(d_steps), (3, 30), mu_sign)
+    lines = ["a,d,n,verdict"] + [
+        f"{float(a)!r},{float(d)!r},{n},"
+        + classify(float(a), float(d), n, mu_sign=mu_sign).verdict.value
+        for n in (3, 30)
+        for a in spec.a_centers()
+        for d in spec.d_centers()
+    ]
+    expected = "".join(line + "\n" for line in lines)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "grid.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+
+
 def test_simulate_summary_and_csv(write_doc, tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     rc = main(["simulate", "--config", write_doc(CANONICAL_DOC),
@@ -245,6 +302,14 @@ def test_simulate_summary_and_csv(write_doc, tmp_path, capsys):
     assert lines[0] == "t,x,Y1,Y2,Y3"
     assert len(lines) == 101
     assert lines[1].startswith("1900,")
+    system = read_config(write_doc(CANONICAL_DOC))
+    orbit = trajectory(system, steps=2000, transient=1900, z0=[0.3, 0.0, 0.0, 0.0])
+    rows = [
+        ",".join([str(1900 + k)] + [repr(float(v)) for v in orbit.states[k]])
+        for k in range(100)
+    ]
+    expected = "".join(line + "\n" for line in ["t,x,Y1,Y2,Y3"] + rows)
+    assert out.read_bytes() == expected.encode()
 
 
 def test_simulate_divergence_is_reported_not_fatal(write_doc, tmp_path, capsys):

@@ -29,6 +29,20 @@ def test_grid_spec_validation():
         small_spec(n_list=(2,))
     with pytest.raises(ValueError):
         small_spec(mu_sign="x")
+    # infinite bounds, or a span beyond the float range, give inf or NaN
+    # cell centres
+    for bounds in (
+        dict(a_max=np.inf),
+        dict(a_min=-np.inf),
+        dict(d_min=np.nan),
+        dict(d_min=-np.inf, d_max=np.inf),
+        dict(a_min=-8e307, a_max=8e307),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(**bounds)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            ra.scan(small_spec(), tol=tol)
 
 
 def test_grid_centers_are_cell_midpoints():
@@ -166,3 +180,57 @@ def test_classify_matches_one_cell_scan_at_extremes():
                 assert np.float64(value).tobytes() == margins[key][i, j].tobytes(), (
                     key, AA[i, j], DD[i, j], n,
                 )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ra.GridSpec(0.01, 3.0, 400, -40.0, -0.01, 400, tuple(range(3, 10))),
+        ra.GridSpec(-40.0, -0.01, 300, 0.01, 3.0, 250, (3, 4, 5, 9, 10), "-"),
+        # powers that over- and underflow, and negative slopes
+        ra.GridSpec(-5.0, 1e3, 101, -1e9, -1e-3, 103, (3, 4, 9, 17, 29, 30)),
+        ra.GridSpec(-1e9, -1e-3, 103, -5.0, 1e3, 101, (3, 9, 30), "-"),
+        ra.GridSpec(0.01, 3.0, 1, -40.0, -0.01, 57, (3, 4, 9)),
+        ra.GridSpec(0.01, 3.0, 57, -40.0, -0.01, 1, (3, 4, 9)),
+        ra.GridSpec(-40.0, -0.01, 1, 0.01, 3.0, 57, (3, 4, 9), "-"),
+    ],
+    ids=["atlas", "mirrored", "extreme", "extreme-mirrored", "row", "column",
+         "row-mirrored"],
+)
+def test_axis_evaluation_matches_mesh(spec):
+    # scan and nesting_report run the kernel on broadcast axes; the full
+    # mesh is the reference, and every margin must agree bit for bit
+    A, D = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
+    AA, DD = (A, D) if spec.mu_sign == "+" else (D, A)
+    a, d = ra._oriented_axes(spec)
+    shape = (spec.a_steps, spec.d_steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ra.scan(spec)
+        report = ra.nesting_report(spec)
+        exists = {}
+        for n in spec.n_list:
+            mesh = st._margins(AA, DD, n)
+            axes = st._margins(a, d, n)
+            assert mesh.keys() == axes.keys()
+            for key, value in mesh.items():
+                assert value.shape == shape
+                broadcast = np.broadcast_to(axes[key], shape)
+                assert broadcast.tobytes() == value.tobytes(), (key, n)
+            expected = ra._VERDICT_NAMES[st._flags(mesh, st.DEFAULT_CURVE_TOL)]
+            assert grid.cells[n].shape == shape
+            assert np.array_equal(grid.cells[n], expected), n
+            exists[n] = st._exists(mesh)
+    ns = sorted(spec.n_list)
+    pairs = list(zip(ns[:-1], ns[1:]))
+    violations = [
+        {"a": float(spec.a_centers()[i]), "d": float(spec.d_centers()[j]),
+         "n_outer": small, "n_inner": large}
+        for small, large in pairs
+        for i, j in zip(*np.nonzero(exists[large] & ~exists[small]))
+    ]
+    assert report == {
+        "pairs": pairs,
+        "cells_checked": spec.a_steps * spec.d_steps * len(pairs),
+        "violations": violations,
+    }

@@ -186,8 +186,12 @@ def test_on_bifurcation_curve_tolerance():
     assert st.on_bifurcation_curve(0.4, -3.5, 3, tol=1e-9)
     assert st.on_bifurcation_curve(0.4, -3.5 + 0.9e-9, 3, tol=1e-9)
     assert not st.on_bifurcation_curve(0.4, -3.5 + 1e-6, 3, tol=1e-9)
-    with pytest.raises(ValueError):
-        st.on_bifurcation_curve(0.4, -3.5, 3, tol=0.0)
+    # a NaN tol fails every curve test, so it would drop the verdict silently
+    for tol in (0.0, -1e-9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            st.on_bifurcation_curve(0.4, -3.5, 3, tol=tol)
+        with pytest.raises(ValueError, match="finite positive"):
+            st.classify(0.4, -3.5, 3, tol=tol)
 
 
 def test_region_stable_window():
