@@ -15,7 +15,7 @@ import numpy as np
 
 from .cycle_solver import CanonicalSystem
 from .errors import DivergenceError
-from .skew_tent import SkewTentParams, iterate_1d
+from .skew_tent import SkewTentParams, _require_tol, iterate_1d
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -41,10 +41,17 @@ DEFAULT_MAX_PERIOD = 64
 DEFAULT_CYCLE_TOL = 1e-7
 DEFAULT_GAP_FACTOR = 10.0
 
-# Divergence is checked once per block: _Y_BLOCK steps of the Y recurrence,
-# or _SWEEP_BLOCK_VALUES values (steps times d values) of the d sweep.
-_Y_BLOCK = 256
+# Divergence is checked once per chunk of about _Y_CHUNK_VALUES values
+# (steps times m) of the Y recurrence, or once per block of
+# _SWEEP_BLOCK_VALUES values (steps times d values) of the d sweep.
+_Y_CHUNK_VALUES = 1 << 14
 _SWEEP_BLOCK_VALUES = 1 << 15
+# A block of K steps of the Y recurrence spans K * m values, at most
+# _Y_BLOCK_WIDTH; _block_powers shortens it by the size and the
+# cancellation of the powers A^1..A^K.
+_Y_BLOCK_WIDTH = 160
+_POWER_LIMIT = 1e150
+_POWER_CANCELLATION = 5.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,8 @@ def trajectory(
     absorbing interval whenever an attractor exists. The map is
     triangular: x runs on its own as a scalar loop, then Y follows as
     the linear recurrence Y' = A_block Y + u_k with inputs
-    u_k = (b_vec or e_vec) x_k + h_Y; m = 0 simply has no Y. Raises
+    u_k = (b_vec or e_vec) x_k + h_Y, evaluated a block of steps per
+    matrix product; m = 0 simply has no Y. Raises
     DivergenceError (carrying the application count and the offending
     state) at the first step where any coordinate exceeds
     divergence_threshold.
@@ -157,36 +165,92 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
     xs holds x_0..x_last. Writes Y_k for k >= transient to
     rec[k - transient] and returns Y_last. Raises DivergenceError at the
     first k whose Y_k leaves the threshold; x_k is inside it for k < last.
+
+    The steps run in blocks of K, a blocked evaluation of the linear
+    recurrence (Blelloch, "Prefix sums and their applications", 1990).
+    A block that starts at y with drives u_0..u_(K-1) reaches
+    Y_(i+1) = A^(i+1) y + Z_i, where Z_i = sum_(j<=i) A^(i-j) u_j is its
+    zero-start solution. Per chunk of steps, one matrix product gives
+    every block's Z, a loop carries only the block ends
+    y <- A^K y + Z_(K-1), and one more product adds A^(i+1) y to the
+    other rows. _block_powers picks K; K = 1 is the plain recurrence.
     """
     A, b, e, h = sys.A_block, sys.b_vec, sys.e_vec, sys.h_Y
+    m = y.size
     if transient == 0:
         rec[0] = y
-    scratch = np.empty((min(_Y_BLOCK, transient), y.size))
+    powers = _block_powers(A, max(1, min(_Y_BLOCK_WIDTH // m, last)))
+    K = len(powers)
+    w = (K - 1) * m
+    # G_T = [A^1 ... A^(K-1)]^T takes a block's start to its first K-1
+    # states; T_T, block upper triangular with block (j, i) equal to
+    # A^(i-j+1)^T for j <= i, takes u_0..u_(K-2) to Z_1..Z_(K-1) - u
+    G_T = powers[:-1].transpose(2, 0, 1).reshape(m, w)
+    T_T = np.zeros((w, w))
+    for j in range(K - 1):
+        T_T[j * m : (j + 1) * m, j * m :] = G_T[:, : w - j * m]
+    A_K = powers[-1]
+    chunk = K * max(1, _Y_CHUNK_VALUES // (K * m))
+    buf = np.empty((min(chunk, -(-last // K) * K), m))
     k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while k0 <= last:
-            if k0 < transient:
-                k1 = min(k0 + _Y_BLOCK, transient, last + 1)
-                blk = scratch[: k1 - k0]
-            else:
-                k1 = min(k0 + _Y_BLOCK, last + 1)
-                blk = rec[k0 - transient : k1 - transient]
+            k1 = min(k0 + chunk, last + 1)
+            n = k1 - k0
+            nb = -(-n // K)
+            # the chunk's drives, padded to whole blocks with zeros (a
+            # stale NaN times a zero of T_T would reach the real rows);
+            # each row of U holds one block and becomes its states
+            blk = buf[: nb * K]
             xk = xs[k0 - 1 : k1 - 1, None]
-            np.multiply(np.where(xk <= 0.0, b, e), xk, out=blk)
-            blk += h
-            for row in blk:
-                row += np.dot(A, y)
+            np.multiply(np.where(xk <= 0.0, b, e), xk, out=blk[:n])
+            blk[:n] += h
+            blk[n:] = 0.0
+            U = blk.reshape(nb, K * m)
+            U[:, m:] += U[:, :w] @ T_T
+            U[0, :w] += y @ G_T
+            ends = U[:, w:]
+            for row in ends:
+                row += np.dot(A_K, y)
                 y = row
+            # the end of each block is the start of the next
+            U[1:, :w] += ends[:-1] @ G_T
             # np.max propagates NaN exactly as the per-state check does
-            over = np.abs(blk).max(axis=1) > threshold
+            over = np.abs(blk[:n]).max(axis=1) > threshold
             if over.any():
                 j = int(over.argmax())
                 raise DivergenceError(
                     k0 + j, np.concatenate(([xs[k0 + j]], blk[j]))
                 )
-            y = y.copy()  # the next block may overwrite the scratch row
+            lo = max(k0, transient)
+            if lo < k1:
+                rec[lo - transient : k1 - transient] = blk[lo - k0 : n]
+            y = blk[n - 1].copy()  # the next chunk overwrites buf
             k0 = k1
     return y
+
+
+def _block_powers(A, cap):
+    """A^1..A^K as a (K, m, m) array, for the largest K <= cap whose
+    powers pass two checks.
+
+    Every entry of each A^i is at most _POWER_LIMIT in magnitude, so a
+    power never turns a zero state or drive into inf * 0 = NaN. Each
+    product A^i = A^(i-1) A cancels by at most _POWER_CANCELLATION,
+    max(|A^(i-1)| |A|) <= _POWER_CANCELLATION * max|A^i|, so its rounding
+    error stays near that of the single steps it replaces; a matrix far
+    from normal gets a short block.
+    """
+    powers = np.empty((cap,) + A.shape)
+    powers[0] = A
+    # powers past an overflow are inf or NaN and fail the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, cap):
+            np.matmul(powers[i - 1], A, out=powers[i])
+        top = np.abs(powers).max(axis=(1, 2))
+        bound = (np.abs(powers[:-1]) @ np.abs(A)).max(axis=(1, 2))
+        ok = (top[1:] <= _POWER_LIMIT) & (bound <= _POWER_CANCELLATION * top[1:])
+    return powers[: 1 + int(np.argmin(np.append(ok, False)))]
 
 
 def detect_cycle(
@@ -202,8 +266,7 @@ def detect_cycle(
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     states = orbit.states
     for p in range(1, max_period + 1):
         if 2 * p > states.shape[0]:
@@ -214,7 +277,9 @@ def detect_cycle(
 
 
 def itinerary(orbit: Orbit, zero_tol: float = 1e-9) -> str:
-    """Symbol string of the recorded x-values: R (x > 0), L (x < 0), 0."""
+    """Symbol string of the recorded x-values: R (x > zero_tol),
+    L (x < -zero_tol), else 0."""
+    _require_tol(zero_tol, "zero_tol")
     letters = np.where(
         orbit.x_values > zero_tol, "R", np.where(orbit.x_values < -zero_tol, "L", "0")
     )
@@ -232,8 +297,9 @@ def band_count(orbit: Orbit, gap_factor: float = DEFAULT_GAP_FACTOR) -> int:
     non-candidate gap). Without such a drop the gap spectrum is smooth,
     which is how a single chaotic band looks, so the count is 1.
     """
-    if gap_factor <= 1:
-        raise ValueError("gap_factor must be > 1")
+    # a NaN gap_factor would pass `gap_factor <= 1` and find no gap
+    if not (math.isfinite(gap_factor) and gap_factor > 1):
+        raise ValueError(f"gap_factor must be a finite number > 1, got {gap_factor!r}")
     xs = np.sort(orbit.x_values)
     gaps = np.diff(xs)
     if gaps.size == 0:

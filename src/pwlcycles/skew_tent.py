@@ -219,10 +219,10 @@ def _require_region_n(n: int) -> None:
         raise ValueError("region tests are defined for n >= 3")
 
 
-def _require_tol(tol: float) -> None:
-    # a NaN tol would pass `tol <= 0` and then fail every curve test
+def _require_tol(tol: float, name: str = "tol") -> None:
+    # a NaN tol would pass `tol <= 0` and then fail every comparison
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+        raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
 
 
 def _bound(a, n: int):
@@ -337,6 +337,8 @@ def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL
     """Margins, as floats, and flags at one point; mu_sign '-' swaps (a, d)."""
     if mu_sign not in ("+", "-"):
         raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
+    if not (math.isfinite(a) and math.isfinite(d)):
+        raise ValueError(f"a and d must be finite, got a={a!r}, d={d!r}")
     aa, dd = (a, d) if mu_sign == "+" else (d, a)
     _require_region_n(n)
     m = {k: float(v) for k, v in _margins(np.float64(aa), np.float64(dd), n).items()}

@@ -247,6 +247,8 @@ def test_scan_rejects_bad_grid(capsys):
          "--d-min", "-5.0", "--d-max", "-3.0", "--d-steps", "2", "--n", "3"],
         ["scan", "--a-min", "0.3", "--a-max", "0.5", "--a-steps", "2",
          "--d-min=-inf", "--d-max", "-3.0", "--d-steps", "2", "--n", "3"],
+        ["classify", "--a", "nan", "--d", "-3.5", "--n", "3"],
+        ["classify", "--a", "0.4", "--d=-inf", "--n", "3", "--mu-sign=-"],
     ],
 )
 def test_non_finite_tol_and_bounds_exit_2(argv, capsys):
@@ -310,6 +312,21 @@ def test_simulate_summary_and_csv(write_doc, tmp_path, capsys):
     ]
     expected = "".join(line + "\n" for line in ["t,x,Y1,Y2,Y3"] + rows)
     assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "flag", ["--cycle-tol", "--zero-tol", "--gap-factor"]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_tolerance_exits_2(flag, value, write_doc, capsys):
+    rc = main(["simulate", "--config", write_doc(CANONICAL_DOC),
+               "--steps", "2000", "--transient", "1000", "--x0", "0.3",
+               f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_divergence_is_reported_not_fatal(write_doc, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for trajectory simulation, cycle detection and band counting."""
 
+import math
 import warnings
 
 import numpy as np
@@ -106,18 +107,106 @@ def test_trajectory_divergence_with_y_block(d, A, z0, transient):
         assert abs(info.value.state[0]) < 10.0
 
 
-@pytest.mark.parametrize("m", [0, 3])
-def test_trajectory_matches_stepping_oracle(m):
-    rng = np.random.default_rng(7)
+def _dense_block(rng, m, radius):
+    """A dense, non-normal block with the given spectral radius."""
+    A = rng.normal(size=(m, m))
+    return A * (radius / np.max(np.abs(np.linalg.eigvals(A))))
+
+
+def _block_and_chunk(A):
+    """Block length K and chunk length (in steps) of the Y recurrence."""
+    m = A.shape[0]
+    K = len(sim._block_powers(A, sim._Y_BLOCK_WIDTH // m))
+    return K, K * max(1, sim._Y_CHUNK_VALUES // (K * m))
+
+
+_ORACLE_CASES = [(0, None), (3, None)] + [
+    (m, radius) for m in (1, 2, 3, 16, 64) for radius in (0.3, 0.99, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "m, radius", _ORACLE_CASES,
+    ids=[str(m) if r is None else f"{m}-dense-{r}" for m, r in _ORACLE_CASES],
+)
+def test_trajectory_matches_stepping_oracle(m, radius):
+    # radius None: the diagonal block 0.6 I; else a dense non-normal block
+    rng = np.random.default_rng(7 if radius is None else 100 * m + int(100 * radius))
+    A = 0.6 * np.eye(m) if radius is None else _dense_block(rng, m, radius)
     sys = cs.CanonicalSystem(
         0.4, -4.0, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
-        0.6 * np.eye(m), rng.uniform(-1, 1, m), 0.8,
+        A, rng.uniform(-1, 1, m), 0.8,
     )
     z0 = np.append(0.3, rng.uniform(-1, 1, m))
-    expected = _stepped(sys, z0, 600)
-    orbit = sim.trajectory(sys, steps=600, transient=250, z0=z0)
-    assert np.array_equal(orbit.x_values, expected[250:, 0])
-    assert np.allclose(orbit.states, expected[250:], rtol=1e-12, atol=1e-12)
+    runs = [(600, 250)]
+    if m > 0:
+        K, chunk = _block_and_chunk(A)
+        assert K > 1  # the blocked path, not the plain recurrence
+        # run and transient ends on and next to block and chunk
+        # boundaries; state k is reached by application k
+        ends = {2, 3, K, K + 1, K + 2, 2 * K + 1, chunk, chunk + 1, chunk + 2}
+        runs += [
+            (steps, transient)
+            for steps in sorted(ends)
+            for transient in sorted({0, 1, K - 1, K, K + 1, chunk, steps - 1})
+            if 0 <= transient < steps
+        ]
+    expected = _stepped(sys, z0, max(steps for steps, _ in runs))
+    for steps, transient in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            orbit = sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+        want = expected[transient:steps]
+        assert np.array_equal(orbit.x_values, want[:, 0])
+        assert np.allclose(orbit.states, want, rtol=1e-12, atol=1e-12)
+
+
+def test_trajectory_huge_block_eigenvalue_the_drive_never_enters():
+    # the powers of A reach 1e140 in the first coordinate, which stays
+    # exactly 0: a power that overflowed would make it inf * 0 = NaN
+    A = np.diag([1e20, 0.5])
+    sys = cs.CanonicalSystem(
+        0.4, -4.0, [0.0, 1.0], [0.0, 0.5], A, [0.0, 1.0], 0.8,
+    )
+    K, _ = _block_and_chunk(A)
+    assert K > 1
+    assert np.max(sim._block_powers(A, K)[-1]) <= sim._POWER_LIMIT
+    z0 = [0.3, 0.0, -0.5]
+    expected = _stepped(sys, z0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = sim.trajectory(sys, steps=400, transient=0, z0=z0)
+    assert np.all(np.isfinite(orbit.states))
+    assert np.all(orbit.states[:, 1] == 0.0)
+    assert np.array_equal(orbit.x_values, expected[:, 0])
+    assert np.allclose(orbit.states, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_block_powers_shorten_for_cancelling_products():
+    # A^2 of a far-from-normal block is a small difference of large
+    # products, so its rounding would exceed that of two single steps
+    A = np.array([[1.0, 100.0], [-0.0099, -1.0]])  # A^2 = 0.01 I
+    assert len(sim._block_powers(A, 40)) == 1
+    assert len(sim._block_powers(np.diag([0.5, -0.9]), 40)) == 40
+    assert len(sim._block_powers(np.array([[2.0]]), 800)) == 498  # 2^498 < 1e150
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simulator_tolerances_must_be_finite(bad):
+    orbit = sim.trajectory(tent_system(0.4, -4.0), steps=2000, transient=1000, z0=[0.3])
+    # a NaN tolerance fails every comparison: no cycle, all-'0' words,
+    # one band, where the finite defaults find 3, 'RLL...' and 3
+    with pytest.raises(ValueError, match="tol must be a finite positive"):
+        sim.detect_cycle(orbit, tol=bad)
+    with pytest.raises(ValueError, match="zero_tol must be a finite positive"):
+        sim.itinerary(orbit, zero_tol=bad)
+    with pytest.raises(ValueError, match="gap_factor must be a finite number > 1"):
+        sim.band_count(orbit, gap_factor=bad)
+    for tol in (0.0, -1e-9):
+        with pytest.raises(ValueError):
+            sim.detect_cycle(orbit, tol=tol)
+        with pytest.raises(ValueError):
+            sim.itinerary(orbit, zero_tol=tol)
 
 
 def test_detect_cycle_respects_max_period():

@@ -194,6 +194,24 @@ def test_on_bifurcation_curve_tolerance():
             st.classify(0.4, -3.5, 3, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "a, d", [(math.nan, -3.5), (math.inf, -3.5), (0.4, -math.inf), (0.4, math.nan)]
+)
+@pytest.mark.parametrize("mu_sign", ["+", "-"])
+def test_non_finite_point_is_rejected(a, d, mu_sign):
+    # such points used to answer OutsideRegion or ExistsUnstable
+    with pytest.raises(ValueError, match="must be finite"):
+        st.classify(a, d, 3, mu_sign=mu_sign)
+    with pytest.raises(ValueError, match="must be finite"):
+        st.region_exists(a, d, 3, mu_sign=mu_sign)
+    with pytest.raises(ValueError, match="must be finite"):
+        st.on_bifurcation_curve(a, d, 3, mu_sign=mu_sign)
+    with pytest.raises(ValueError, match="must be finite"):
+        st.region_stable(a, d, 3)
+    with pytest.raises(ValueError, match="must be finite"):
+        st.chaotic_band_region(a, d, 3)
+
+
 def test_region_stable_window():
     # stability window for a=0.4, n=3 is -6.25 < d < -3.5
     assert st.region_stable(0.4, -4.0, 3)
