@@ -12,11 +12,11 @@ output is deterministic: repr floats, LF line endings, sorted JSON keys.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys as _sys
-from itertools import repeat
+
+import numpy as np
 
 from .config import read_config
 from .cycle_solver import CanonicalSystem, solve_cycle, solve_symbolic_cycle
@@ -91,14 +91,26 @@ def _print_solution(sol) -> None:
     print(f"residual: {sol.residual:.3e}")
 
 
+def _write_csv(path: str, header, rows) -> None:
+    # every field is a name, an int or a repr float, none of which
+    # contains a comma, a quote or a line break, so no field is quoted
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _state_header(index: str, m: int) -> list:
+    return [index, "x"] + [f"Y{k}" for k in range(1, m + 1)]
+
+
 def _emit_solution(sol, emit: str, out: str) -> None:
     if emit == "csv":
-        m = len(sol.points[0]) - 1
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "x"] + [f"Y{k}" for k in range(1, m + 1)])
-            for idx, point in enumerate(sol.points, start=1):
-                writer.writerow([idx] + [repr(float(v)) for v in point])
+        _write_csv(
+            out,
+            _state_header("i", len(sol.points[0]) - 1),
+            ([str(idx)] + [repr(float(v)) for v in point]
+             for idx, point in enumerate(sol.points, start=1)),
+        )
         return
     doc = {
         "n": sol.n,
@@ -167,11 +179,14 @@ def _cmd_scan(args) -> int:
     d_reprs = [repr(v) for v in grid.d_values.tolist()]
 
     def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a", "d", "n", "verdict"])
+        # the fields never need quoting (see _write_csv); numpy appends
+        # each verdict of an a-row to its ",d,n," text, so only one row
+        # of text is alive at a time, and each a-row is one write
+        fh.write("a,d,n,verdict\n")
         for n in spec.n_list:
-            for a, verdicts in zip(a_reprs, grid.cells[n].tolist()):
-                writer.writerows(zip(repeat(a), d_reprs, repeat(n), verdicts))
+            tails = np.array([f",{d},{n}," for d in d_reprs], dtype=object)
+            for a, verdicts in zip(a_reprs, grid.cells[n]):
+                fh.write(a + ("\n" + a).join((tails + verdicts).tolist()) + "\n")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -193,9 +208,7 @@ def _cmd_simulate(args) -> int:
     except DivergenceError as err:
         print(f"diverged at step {err.step}")
         if args.emit_csv:
-            with open(args.emit_csv, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["t", "x"] + [f"Y{k}" for k in range(1, system.m + 1)])
+            _write_csv(args.emit_csv, _state_header("t", system.m), ())
         return 0
 
     cycle = detect_cycle(orbit, max_period=args.max_period, tol=args.cycle_tol)
@@ -209,13 +222,12 @@ def _cmd_simulate(args) -> int:
     print(f"bands: {bands}")
 
     if args.emit_csv:
-        with open(args.emit_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "x"] + [f"Y{k}" for k in range(1, system.m + 1)])
-            writer.writerows(
-                [t] + [repr(v) for v in row]
-                for t, row in enumerate(orbit.states.tolist(), start=orbit.transient)
-            )
+        _write_csv(
+            args.emit_csv,
+            _state_header("t", system.m),
+            ([str(t)] + [repr(v) for v in row]
+             for t, row in enumerate(orbit.states.tolist(), start=orbit.transient)),
+        )
     return 0
 
 

@@ -99,7 +99,7 @@ def trajectory(
     matrix product; m = 0 simply has no Y. Raises
     DivergenceError (carrying the application count and the offending
     state) at the first step where any coordinate exceeds
-    divergence_threshold.
+    divergence_threshold, which must be a finite positive number.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -115,6 +115,7 @@ def trajectory(
             raise ValueError(f"z0 must have shape ({m + 1},)")
         if not np.all(np.isfinite(z0)):
             raise ValueError("z0 must be finite")
+    _require_tol(divergence_threshold, "divergence_threshold")
 
     out = np.empty((steps - transient, m + 1))
     # Y is driven by every x from step 0; without Y only the tail is kept
@@ -379,6 +380,7 @@ def bifurcation_scan(
         raise ValueError("z0 must be finite")
     if not np.all(np.isfinite(ds)):
         raise ValueError("d must be finite")
+    _require_tol(divergence_threshold, "divergence_threshold")
 
     a, mu = float(a), float(mu_hat)
     out = np.empty((d_steps, steps - transient))

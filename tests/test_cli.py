@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from pwlcycles.cli import main
 from pwlcycles.config import read_config
+from pwlcycles.cycle_solver import solve_cycle, solve_symbolic_cycle
 from pwlcycles.region_atlas import GridSpec
 from pwlcycles.simulator import trajectory
 from pwlcycles.skew_tent import classify
@@ -132,6 +135,28 @@ def test_cycle_emit_csv_deterministic(write_doc, tmp_path, capsys):
     assert lines[0] == "i,x,Y1,Y2,Y3"
     assert len(lines) == 4
     assert lines[1].startswith("1,0.7609756097560977,")
+
+
+@pytest.mark.parametrize("doc", [SCALAR_DOC, CANONICAL_DOC], ids=["m0", "m3"])
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--sequence", "RLL"]],
+                         ids=["n", "sequence"])
+def test_cycle_emit_csv_matches_csv_module(doc, flags, write_doc, tmp_path, capsys):
+    path = write_doc(doc)
+    out = tmp_path / "c.csv"
+    assert main(["cycle", "--config", path, *flags,
+                 "--emit", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    system = read_config(path)
+    if flags[0] == "--n":
+        sol = solve_cycle(system, 3)
+    else:
+        sol = solve_symbolic_cycle(system, "RLL")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["i", "x"] + [f"Y{k}" for k in range(1, system.m + 1)])
+    for idx, point in enumerate(sol.points, start=1):
+        writer.writerow([idx] + [repr(float(v)) for v in point])
+    assert out.read_bytes() == expected.getvalue().encode()
 
 
 def test_cycle_emit_json(write_doc, tmp_path, capsys):
@@ -262,29 +287,41 @@ def test_non_finite_tol_and_bounds_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "bounds, mu_sign",
     [
-        (("1e-05", "3", "7", "-4.6e+21", "-1e-05", "5"), "+"),
-        (("-4.6e+21", "-1e-05", "5", "1e-05", "3", "7"), "-"),
-        (("1e-05", "2e-05", "3", "-4.6e+21", "-4.5e+21", "2"), "+"),
-        (("-4.6e+21", "-4.5e+21", "2", "1e-05", "2e-05", "3"), "-"),
+        (("1e-05", "3", "7", "-4.6e+21", "-1e-05", "5", ("3", "30")), "+"),
+        (("-4.6e+21", "-1e-05", "5", "1e-05", "3", "7", ("3", "30")), "-"),
+        (("1e-05", "2e-05", "3", "-4.6e+21", "-4.5e+21", "2", ("3", "30")), "+"),
+        (("-4.6e+21", "-4.5e+21", "2", "1e-05", "2e-05", "3", ("3", "30")), "-"),
+        # 1x1, 1xN and Nx1 grids, and a repeated n
+        (("0.1", "0.9", "1", "-12", "-1", "1", ("3", "30")), "+"),
+        (("-12", "-1", "1", "0.1", "0.9", "1", ("3", "30")), "-"),
+        (("0.1", "0.9", "1", "-12", "-1", "9", ("3", "4")), "+"),
+        (("-12", "-1", "1", "0.1", "0.9", "9", ("3", "4")), "-"),
+        (("0.1", "0.9", "9", "-12", "-1", "1", ("4", "3")), "+"),
+        (("-12", "-1", "9", "0.1", "0.9", "1", ("4", "3")), "-"),
+        (("0.1", "0.9", "4", "-12", "-1", "3", ("3", "3")), "+"),
+        (("-12", "-1", "4", "0.1", "0.9", "3", ("3", "3")), "-"),
     ],
 )
 def test_scan_csv_matches_per_cell_oracle(bounds, mu_sign, tmp_path, capsys):
-    a_min, a_max, a_steps, d_min, d_max, d_steps = bounds
+    a_min, a_max, a_steps, d_min, d_max, d_steps, n_args = bounds
     argv = ["scan", "--a-min", a_min, "--a-max", a_max, "--a-steps", a_steps,
             "--d-min", d_min, "--d-max", d_max, "--d-steps", d_steps,
-            "--n", "3", "30", "--mu-sign", mu_sign]
+            "--n", *n_args, "--mu-sign", mu_sign]
+    n_list = tuple(int(n) for n in n_args)
     spec = GridSpec(float(a_min), float(a_max), int(a_steps), float(d_min),
-                    float(d_max), int(d_steps), (3, 30), mu_sign)
-    lines = ["a,d,n,verdict"] + [
-        f"{float(a)!r},{float(d)!r},{n},"
-        + classify(float(a), float(d), n, mu_sign=mu_sign).verdict.value
-        for n in (3, 30)
+                    float(d_max), int(d_steps), n_list, mu_sign)
+    rows = [["a", "d", "n", "verdict"]] + [
+        [repr(float(a)), repr(float(d)), str(n),
+         classify(float(a), float(d), n, mu_sign=mu_sign).verdict.value]
+        for n in n_list
         for a in spec.a_centers()
         for d in spec.d_centers()
     ]
-    expected = "".join(line + "\n" for line in lines)
+    expected = "".join(",".join(row) + "\n" for row in rows)
     assert main(argv) == 0
-    assert capsys.readouterr().out == expected
+    stdout = capsys.readouterr().out
+    assert stdout == expected
+    assert list(csv.reader(io.StringIO(stdout))) == rows
     out = tmp_path / "grid.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == expected.encode()
@@ -337,7 +374,7 @@ def test_simulate_divergence_is_reported_not_fatal(write_doc, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert rc == 0
     assert "diverged at step 26" in stdout
-    assert out.read_text().splitlines() == ["t,x"]
+    assert out.read_bytes() == b"t,x\n"
 
 
 def test_simulate_no_cycle_reported(write_doc, capsys):

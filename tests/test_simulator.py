@@ -209,6 +209,28 @@ def test_simulator_tolerances_must_be_finite(bad):
             sim.itinerary(orbit, zero_tol=tol)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_divergence_threshold_must_be_finite_positive(bad):
+    # a NaN or infinite threshold is never exceeded, so these diverging
+    # orbits came back as bounded ones full of inf
+    match = "divergence_threshold must be a finite positive number"
+    block = cs.CanonicalSystem(0.4, -4.0, [1.0], [0.5], [[1.5]], [1.0], 0.8)
+    for system, z0 in ((tent_system(0.4, 3.0), [0.4]), (block, None)):
+        with pytest.raises(ValueError, match=match):
+            sim.trajectory(system, steps=2000, transient=0, z0=z0,
+                           divergence_threshold=bad)
+    with pytest.raises(ValueError, match=match):
+        sim.bifurcation_scan(a=0.4, mu_hat=0.8, d_min=3.0, d_max=3.0, d_steps=1,
+                             steps=1000, transient=0, x0=0.4,
+                             divergence_threshold=bad)
+    # the older checks still come first
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        sim.trajectory(block, steps=0, divergence_threshold=bad)
+    with pytest.raises(ValueError, match="d must be finite"):
+        sim.bifurcation_scan(a=0.4, mu_hat=0.8, d_min=-math.inf, d_max=3.0,
+                             d_steps=2, divergence_threshold=bad)
+
+
 def test_detect_cycle_respects_max_period():
     sys = tent_system(0.4, -4.0)
     orbit = sim.trajectory(sys, steps=3000, transient=2000, z0=[0.3])
