@@ -35,7 +35,6 @@ from .plrnn import PLRNNSystem, RegionIndex, local_cycle_analysis
 from .region_atlas import GridSpec, scan
 from .simulator import (
     DEFAULT_CYCLE_TOL,
-    DEFAULT_GAP_FACTOR,
     DEFAULT_MAX_PERIOD,
     DEFAULT_STEPS,
     DEFAULT_TRANSIENT,
@@ -213,7 +212,7 @@ def _cmd_simulate(args) -> int:
 
     cycle = detect_cycle(orbit, max_period=args.max_period, tol=args.cycle_tol)
     symbols = itinerary(orbit, zero_tol=args.zero_tol)
-    bands = band_count(orbit, gap_factor=args.gap_factor)
+    bands = band_count(orbit)
     if cycle is None:
         print(f"period: none (no cycle up to {args.max_period})")
     else:
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
     p.add_argument("--cycle-tol", type=float, default=DEFAULT_CYCLE_TOL)
     p.add_argument("--zero-tol", type=float, default=1e-9)
-    p.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR)
     p.add_argument("--emit-csv", default=None)
     p.set_defaults(func=_cmd_simulate)
 

@@ -23,7 +23,6 @@ __all__ = [
     "DIVERGENCE_THRESHOLD",
     "DEFAULT_MAX_PERIOD",
     "DEFAULT_CYCLE_TOL",
-    "DEFAULT_GAP_FACTOR",
     "Orbit",
     "DetectedCycle",
     "trajectory",
@@ -39,7 +38,6 @@ DEFAULT_TRANSIENT = 1_000
 DIVERGENCE_THRESHOLD = 1e12
 DEFAULT_MAX_PERIOD = 64
 DEFAULT_CYCLE_TOL = 1e-7
-DEFAULT_GAP_FACTOR = 10.0
 
 # Divergence is checked once per chunk of about _Y_CHUNK_VALUES values
 # (steps times m) of the Y recurrence, or once per block of
@@ -118,45 +116,36 @@ def trajectory(
     _require_tol(divergence_threshold, "divergence_threshold")
 
     out = np.empty((steps - transient, m + 1))
-    # Y is driven by every x from step 0; without Y only the tail is kept
-    if m == 0:
-        xs, start = out[:, 0], transient
-    else:
-        xs, start = np.empty(steps), 0
-    hit = _x_orbit(sys, float(z0[0]), steps, start, xs, divergence_threshold)
+    xs = np.empty(steps)  # Y is driven by every x from step 0
+    hit = _x_orbit(sys, float(z0[0]), xs, divergence_threshold)
     y = z0[1:]
     if m > 0:
         last = steps - 1 if hit is None else hit[0]
         y = _y_orbit(sys, xs, y, last, transient, out[:, 1:],
                      divergence_threshold)
-        out[:, 0] = xs[transient:]
     if hit is not None:
         raise DivergenceError(hit[0], np.concatenate(([hit[1]], y)))
+    out[:, 0] = xs[transient:]
     return Orbit(states=out, transient=transient)
 
 
-def _x_orbit(sys, x, steps, start, rec, threshold):
-    """Run the skew tent map from x for steps - 1 applications.
+def _x_orbit(sys, x, rec, threshold):
+    """Run the skew tent map from x for len(rec) - 1 applications.
 
-    Writes x_k for k >= start to rec[k - start]. Returns (k, x_k) for the
-    first k with |x_k| > threshold, or None when the orbit stays bounded.
+    Writes x_k to rec[k]. Returns (k, x_k) for the first k with
+    |x_k| > threshold, or None when the orbit stays bounded.
     """
     a, d, mu = sys.a, sys.d, sys.mu_hat
     # `x > threshold or x < lo` is abs(x) > threshold, NaN included, and
     # memoryview item assignment costs about half of ndarray's
     lo = -threshold
-    for k in range(1, start):
+    rec = memoryview(rec)
+    rec[0] = x
+    for k in range(1, len(rec)):
         x = a * x + mu if x <= 0.0 else d * x + mu
+        rec[k] = x
         if x > threshold or x < lo:
             return k, x
-    rec = memoryview(rec)
-    if start == 0:
-        rec[0] = x
-    for i in range(max(start, 1) - start, steps - start):
-        x = a * x + mu if x <= 0.0 else d * x + mu
-        rec[i] = x
-        if x > threshold or x < lo:
-            return i + start, x
     return None
 
 
@@ -269,9 +258,12 @@ def detect_cycle(
         raise ValueError("max_period must be >= 1")
     _require_tol(tol)
     states = orbit.states
-    for p in range(1, max_period + 1):
-        if 2 * p > states.shape[0]:
-            break
+    top = min(max_period, states.shape[0] // 2)
+    # max|states[-1] - states[-1-p]| for p = 1..top rules most p out at
+    # once; the full comparison below includes that row
+    with np.errstate(invalid="ignore"):
+        last = np.abs(states[-1 - top : -1][::-1] - states[-1:]).max(axis=1)
+    for p in (np.flatnonzero(last <= tol) + 1).tolist():
         if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
             return DetectedCycle(period=p, points=states[-p:].copy(), tol_used=tol)
     return None
@@ -287,36 +279,36 @@ def itinerary(orbit: Orbit, zero_tol: float = 1e-9) -> str:
     return "".join(letters)
 
 
-def band_count(orbit: Orbit, gap_factor: float = DEFAULT_GAP_FACTOR) -> int:
-    """Number of attractor bands covered by the recorded x-values.
+def band_count(orbit: Orbit) -> int:
+    """Number of attractor bands the recorded x-values visit in turn.
 
-    Sorts the x-values and looks at the largest inter-point gaps. A gap
-    qualifies as a candidate band boundary when it exceeds gap_factor
-    times the median gap; walking the candidates from largest down, the
-    boundary set ends at the first gap_factor-fold drop between
-    consecutive gap sizes (the frontier is compared against the largest
-    non-candidate gap). Without such a drop the gap spectrum is smooth,
-    which is how a single chaotic band looks, so the count is 1.
+    A p-band attractor is p disjoint intervals that the map permutes
+    cyclically, so points in one band are a multiple of p steps apart.
+    With the tail sorted by value, g is the gcd of the step counts
+    between value neighbours closer than the tail's mean spacing. The
+    count is the largest divisor p of g for which the sorted tail changes
+    residue (step mod p) exactly p - 1 times, each time across a gap
+    > 0, and 1 when no p > 1 passes. A converged n-cycle counts n.
+
+    A gap between bands narrower than the tail's mean spacing is not
+    resolved, so just past a band merging the count can be a divisor of
+    the true one; a longer tail shrinks that limit. Raises ValueError if
+    an x-value is not finite.
     """
-    # a NaN gap_factor would pass `gap_factor <= 1` and find no gap
-    if not (math.isfinite(gap_factor) and gap_factor > 1):
-        raise ValueError(f"gap_factor must be a finite number > 1, got {gap_factor!r}")
-    xs = np.sort(orbit.x_values)
-    gaps = np.diff(xs)
-    if gaps.size == 0:
+    xs = orbit.x_values
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("band_count needs finite x values")
+    if xs.size < 2:
         return 1
-    cutoff = gap_factor * float(np.median(gaps))
-    cand_mask = gaps > cutoff
-    if not cand_mask.any():
-        return 1
-    cand = np.sort(gaps[cand_mask])[::-1]
-    noncand = gaps[~cand_mask]
-    frontier = float(noncand.max()) if noncand.size else 0.0
-    series = np.append(cand, frontier)
-    for i in range(series.size - 1):
-        nxt = series[i + 1]
-        if nxt <= 0.0 or series[i] / nxt > gap_factor:
-            return i + 2
+    order = np.argsort(xs)
+    gaps = np.diff(xs[order])
+    g = int(np.gcd.reduce(np.abs(np.diff(order))[gaps <= gaps.mean()]))
+    divisors = {q for i in range(1, math.isqrt(g) + 1) if g % i == 0
+                for q in (i, g // i)}
+    for p in sorted(divisors - {1}, reverse=True):
+        cuts = np.flatnonzero(np.diff(order % p))
+        if cuts.size == p - 1 and np.all(gaps[cuts] > 0.0):
+            return p
     return 1
 
 

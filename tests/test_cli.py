@@ -351,9 +351,7 @@ def test_simulate_summary_and_csv(write_doc, tmp_path, capsys):
     assert out.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize(
-    "flag", ["--cycle-tol", "--zero-tol", "--gap-factor"]
-)
+@pytest.mark.parametrize("flag", ["--cycle-tol", "--zero-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_simulate_non_finite_tolerance_exits_2(flag, value, write_doc, capsys):
     rc = main(["simulate", "--config", write_doc(CANONICAL_DOC),

@@ -53,6 +53,11 @@ def test_trajectory_divergence():
         sim.trajectory(sys, steps=1000, transient=0, z0=[0.4])
     assert info.value.step == 26
     assert abs(info.value.state[0]) > 1e12
+    # the same divergence, inside an unrecorded transient
+    with pytest.raises(DivergenceError) as inside:
+        sim.trajectory(sys, steps=1000, transient=500, z0=[0.4])
+    assert inside.value.step == 26
+    assert inside.value.state.tobytes() == info.value.state.tobytes()
 
 
 def test_detect_cycle_fixed_point():
@@ -194,14 +199,12 @@ def test_block_powers_shorten_for_cancelling_products():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_simulator_tolerances_must_be_finite(bad):
     orbit = sim.trajectory(tent_system(0.4, -4.0), steps=2000, transient=1000, z0=[0.3])
-    # a NaN tolerance fails every comparison: no cycle, all-'0' words,
-    # one band, where the finite defaults find 3, 'RLL...' and 3
+    # a NaN tolerance fails every comparison: no cycle and all-'0' words,
+    # where the finite defaults find 3 and 'RLL...'
     with pytest.raises(ValueError, match="tol must be a finite positive"):
         sim.detect_cycle(orbit, tol=bad)
     with pytest.raises(ValueError, match="zero_tol must be a finite positive"):
         sim.itinerary(orbit, zero_tol=bad)
-    with pytest.raises(ValueError, match="gap_factor must be a finite number > 1"):
-        sim.band_count(orbit, gap_factor=bad)
     for tol in (0.0, -1e-9):
         with pytest.raises(ValueError):
             sim.detect_cycle(orbit, tol=tol)
@@ -229,6 +232,65 @@ def test_divergence_threshold_must_be_finite_positive(bad):
     with pytest.raises(ValueError, match="d must be finite"):
         sim.bifurcation_scan(a=0.4, mu_hat=0.8, d_min=-math.inf, d_max=3.0,
                              d_steps=2, divergence_threshold=bad)
+
+
+def _detect_cycle_loop(orbit, max_period, tol):
+    """Reference: compare the last p states with the p before them for
+    each p in turn."""
+    states = orbit.states
+    for p in range(1, max_period + 1):
+        if 2 * p > states.shape[0]:
+            break
+        if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
+            return sim.DetectedCycle(period=p, points=states[-p:].copy(), tol_used=tol)
+    return None
+
+
+def _seeded_orbits(rng):
+    """Tails of random tents (stable, chaotic and diverging parameters),
+    of random m = 3 and m = 16 systems, short orbits and orbits holding
+    NaN and inf states."""
+    for _ in range(150):
+        a = float(rng.uniform(-0.95, 0.95))
+        d = -math.exp(float(rng.uniform(0.02, 3.4)))
+        try:
+            yield sim.trajectory(tent_system(a, d, 1.0), steps=3000, transient=2000)
+        except DivergenceError:
+            continue
+    for m in (3, 16):
+        for _ in range(5):
+            sys = cs.CanonicalSystem(
+                float(rng.uniform(0.2, 0.5)), float(rng.uniform(-8.0, -2.0)),
+                rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+                np.diag(rng.uniform(-0.8, 0.8, m)), rng.uniform(-1, 1, m), 0.8,
+            )
+            yield sim.trajectory(sys, steps=1500, transient=1000)
+    base = sim.trajectory(tent_system(0.4, -4.0), steps=400, transient=300).states
+    for size in range(6):
+        yield sim.Orbit(states=base[:size].copy(), transient=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for row in (-1, -2, -4, 0):
+            states = base.copy()
+            states[row] = bad
+            yield sim.Orbit(states=states, transient=0)
+
+
+def test_detect_cycle_matches_reference_loop():
+    rng = np.random.default_rng(31)
+    found = 0
+    for orbit in _seeded_orbits(rng):
+        for max_period, tol in ((64, 1e-7), (2, 1e-7), (64, 1e-3), (7, 1e-12)):
+            with np.errstate(invalid="ignore"):
+                want = _detect_cycle_loop(orbit, max_period, tol)
+                got = sim.detect_cycle(orbit, max_period=max_period, tol=tol)
+            if want is None:
+                assert got is None
+                continue
+            found += 1
+            assert got.period == want.period
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.tol_used == want.tol_used
+    assert found > 100
 
 
 def test_detect_cycle_respects_max_period():
@@ -277,6 +339,7 @@ def test_band_count_frozen_cases(d, expected):
     sys = tent_system(0.4, d)
     orbit = sim.trajectory(sys, steps=101000, transient=1000, z0=[0.3])
     assert sim.band_count(orbit) == expected
+    assert _kink_band_count(0.4, d, 0.8) == expected
 
 
 def test_band_count_on_cycle_and_validation():
@@ -286,8 +349,103 @@ def test_band_count_on_cycle_and_validation():
     sys3 = tent_system(0.4, -4.0)
     orbit3 = sim.trajectory(sys3, steps=2000, transient=1000, z0=[0.3])
     assert sim.band_count(orbit3) == 3
-    with pytest.raises(ValueError):
-        sim.band_count(orbit3, gap_factor=1.0)
+
+
+def _kink_band_count(a, d, mu, p_max=64, eps=1e-12):
+    """Oracle: bands from the kink orbit c_k = f^k(0) of the skew tent map.
+
+    The count is the largest p <= p_max whose intervals
+    I_i = hull(c_i, c_(i+p)), i = 1..p, are pairwise disjoint and mapped
+    cyclically, f(I_i) inside I_(i+1) and f(I_p) inside I_1 (Avrutin,
+    Gardini, Sushko and Tramontana, Continuous and Discontinuous
+    Piecewise-Smooth One-Dimensional Maps, 2019). f is affine on each
+    side of 0, so f(I) is the hull of the images of I's ends, and of
+    f(0) = c_1 when I straddles 0.
+    """
+    c = [0.0]
+    for _ in range(2 * p_max + 1):
+        c.append(a * c[-1] + mu if c[-1] <= 0.0 else d * c[-1] + mu)
+    count = 1
+    for p in range(2, p_max + 1):
+        bands = [(min(c[i], c[i + p]), max(c[i], c[i + p])) for i in range(1, p + 1)]
+        ordered = sorted(bands)
+        if any(lo - hi <= eps for (_, hi), (lo, _) in zip(ordered, ordered[1:])):
+            continue
+        cyclic = True
+        for i, (lo, hi) in enumerate(bands, start=1):
+            image = [c[i + 1], c[i + p + 1]] + ([c[1]] if lo < 0.0 < hi else [])
+            next_lo, next_hi = bands[i % p]
+            cyclic &= next_lo - eps <= min(image) and max(image) <= next_hi + eps
+        if cyclic:
+            count = p
+    return count
+
+
+@pytest.mark.parametrize(
+    "a, d, steps, bands",
+    [
+        # the three gaps between the bands are 1.8e-3, 0.26 and 9.2e-4 wide
+        (0.6004, -1.9091, 200_000, 4),
+        (0.9071, -1.1045, 101_000, 16),
+        (0.5099476801558146, -29.23965992067084, 300_000, 12),
+    ],
+)
+def test_band_count_near_band_merging(a, d, steps, bands):
+    assert _kink_band_count(a, d, 0.8) == bands
+    orbit = sim.trajectory(tent_system(a, d), steps=steps, transient=5000, z0=[0.3])
+    assert sim.band_count(orbit) == bands
+    # a tenth of the tail need not resolve the narrowest gaps between
+    # bands; it then counts groups of merged bands, a divisor
+    short = sim.Orbit(states=orbit.states[: steps // 10], transient=5000)
+    assert bands % sim.band_count(short) == 0
+
+
+def test_band_count_matches_kink_orbit_oracle_in_band_regions():
+    # points of the NBand and TwoNBand regions, which have n and 2n bands
+    rng = np.random.default_rng(11)
+    hits = 0
+    while hits < 20:
+        a = float(rng.uniform(0.05, 0.95))
+        d = float(rng.uniform(-30.0, -1.05))
+        n = int(rng.integers(3, 10))
+        region = st.chaotic_band_region(a, d, n).region
+        if region is st.BandRegion.NEITHER:
+            continue
+        hits += 1
+        bands = n if region is st.BandRegion.NBAND else 2 * n
+        orbit = sim.trajectory(tent_system(a, d, 1.0), steps=30_000, transient=5000)
+        assert sim.band_count(orbit) == _kink_band_count(a, d, 1.0) == bands, (a, d)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_band_count_of_stable_cycle_is_its_period(m):
+    rng = np.random.default_rng(40 + m)
+    for _ in range(10):
+        while True:
+            n = int(rng.integers(3, 7))
+            a = float(rng.uniform(0.2, 0.7))
+            # the 1D multiplier a^(n-1) d has modulus at most 0.9
+            d = float(rng.uniform(-0.9 / a ** (n - 1), -1.0))
+            if st.classify(a, d, n).verdict is st.Verdict.EXISTS_STABLE:
+                break
+        sys = cs.CanonicalSystem(
+            a, d, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+            np.diag(rng.uniform(-0.7, 0.7, m)), rng.uniform(-1, 1, m),
+            float(rng.uniform(0.5, 1.5)),
+        )
+        orbit = sim.trajectory(sys, steps=4000, transient=3000)
+        cycle = sim.detect_cycle(orbit)
+        assert cycle is not None and cycle.period == n
+        assert sim.band_count(orbit) == n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_band_count_rejects_non_finite_x(bad):
+    orbit = sim.trajectory(tent_system(0.4, -6.5), steps=2000, transient=1000, z0=[0.3])
+    states = orbit.states.copy()
+    states[7, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sim.band_count(sim.Orbit(states=states, transient=orbit.transient))
 
 
 def test_cobweb_data_structure():
