@@ -8,10 +8,10 @@ remaining block Y is driven linearly by x,
 
 The system is triangular, so every cycle is solved in two halves. The
 x-components come from the 1D map alone: the closed form for the
-canonical R L^(n-1) word (solve_cycle), the scalar composition of the
-word for any R/L word (solve_symbolic_cycle). The Y-components then
-follow from one linear solve for Y_1 plus forward recursion, a step both
-entry points share.
+canonical R L^(n-1) word (solve_cycle), and for any R/L word the scalar
+composition of the word rotated to start at each point
+(solve_symbolic_cycle). The Y-components then follow from one linear
+solve for Y_1 plus forward recursion, a step both entry points share.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ class CycleSolution:
 
     points holds n state vectors of length m+1 ordered along the cycle;
     multipliers are the eigenvalues of the composed one-period Jacobian;
-    residual is the max-norm closure defect after one full period.
-    admissible is False when the solved points do not realize the sign
-    pattern the sequence prescribes.
+    residual is the largest max-norm miss of one step along the cycle,
+    max_k |f_(w_k)(z_k) - z_(k+1)| with the branch f_(w_k) that the k-th
+    letter picks. admissible is False when the solved points do not
+    realize the sign pattern the sequence prescribes.
     """
 
     n: int
@@ -165,24 +166,31 @@ def _sorted_complex_tuple(values) -> tuple:
     return tuple(complex(v) for v in arr)
 
 
-def _slope_product(sys: CanonicalSystem, sequence: str) -> float:
-    slope_product = 1.0
-    for letter in sequence:
-        if letter == "R":
-            slope_product *= sys.d
-        elif letter in ("L", "0"):
-            slope_product *= sys.a
-        else:
-            raise ValueError(f"invalid sequence letter {letter!r}")
-    return slope_product
+_RIGHT = {"R": True, "L": False, "0": False}
 
 
-def _period_spectrum(sys: CanonicalSystem, sequence: str, eig_tol):
+def _word(sys: CanonicalSystem, sequence: str):
+    """The word's slope list, its mask of 'R' letters and its slope product.
+
+    'R' selects the x >= 0 branch (slope d), 'L' and '0' the x <= 0
+    branch (slope a), as in branch_affine. The product is taken left to
+    right from 1, in Python floats. Raises ValueError on any other letter.
+    """
+    try:
+        right = np.array([_RIGHT[letter] for letter in sequence], dtype=bool)
+    except KeyError as err:
+        raise ValueError(f"invalid sequence letter {err.args[0]!r}") from None
+    slopes = np.where(right, sys.d, sys.a)
+    return slopes, right, math.prod(slopes.tolist())
+
+
+def _period_spectrum(sys: CanonicalSystem, sequence: str, product, check_eig: bool):
     """A_block^n and the sorted multipliers of the sequence (n = its length).
 
-    A_block^n is decomposed once. Raises NotAdmissibleError when it
-    overflows, and EigenvalueOneError when one of its eigenvalues lies
-    within eig_tol of 1; eig_tol None skips the eigenvalue check.
+    The x multiplier is the word's slope product. A_block^n is decomposed
+    once. Raises NotAdmissibleError when it overflows, and, with
+    check_eig, EigenvalueOneError when one of its eigenvalues lies within
+    EIG_TOL of 1.
     """
     n = len(sequence)
     A_n, block_eigs = sys.A_block, ()
@@ -192,11 +200,11 @@ def _period_spectrum(sys: CanonicalSystem, sequence: str, eig_tol):
         if not np.isfinite(A_n).all():
             raise NotAdmissibleError((), sequence, f"A_block^{n} overflows")
         block_eigs = np.linalg.eigvals(A_n)
-        if eig_tol is not None and np.any(np.abs(block_eigs - 1.0) <= eig_tol):
+        if check_eig and np.any(np.abs(block_eigs - 1.0) <= EIG_TOL):
             raise EigenvalueOneError(
                 f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
             )
-    return A_n, _sorted_complex_tuple([_slope_product(sys, sequence), *block_eigs])
+    return A_n, _sorted_complex_tuple([product, *block_eigs])
 
 
 def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
@@ -210,45 +218,36 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
-    return _period_spectrum(sys, sequence, None)[1]
-
-
-def _residual(sys: CanonicalSystem, points, sequence: str) -> float:
-    maps = {letter: branch_affine(sys, letter) for letter in set(sequence)}
-    z = np.array(points[0], dtype=float)
-    for letter in sequence:
-        M, c = maps[letter]
-        z = M @ z + c
-    return float(np.max(np.abs(z - points[0]))) if z.size else 0.0
+    return _period_spectrum(sys, sequence, _word(sys, sequence)[2], False)[1]
 
 
 def _solution(
-    sys: CanonicalSystem, xs, sequence: str, eig_tol, admissible: bool
+    sys: CanonicalSystem, xs, sequence: str, word, admissible: bool
 ) -> CycleSolution:
     """The cycle through the x-values xs along sequence, with its Y block.
 
-    With u_k the drive of the step leaving point k (x_k e_vec + h_Y on an
-    'R' letter, x_k b_vec + h_Y otherwise), Y_1 solves
+    word is _word of the sequence. With u_k the drive of the step leaving
+    point k (x_k e_vec + h_Y on an 'R' letter, x_k b_vec + h_Y
+    otherwise), Y_1 solves
 
         (I - A^n) Y_1 = sum_{k=0}^{n-1} A^k u_{n-k}
 
     (the Y reached after one period started from Y = 0, summed by
     Horner's rule), and the remaining Y_k follow by forward recursion.
+    The residual steps every point once along its letter's branch.
     Raises what the A^n decomposition raises, and NotAdmissibleError
     when a point is not finite.
     """
     n = len(sequence)
     m = sys.m
     A = sys.A_block
+    slopes, right, product = word
 
-    A_n, mults = _period_spectrum(sys, sequence, eig_tol)
+    A_n, mults = _period_spectrum(sys, sequence, product, True)
     Z = np.empty((n, m + 1))
     Z[:, 0] = xs
     if m:
-        U = np.outer(xs, sys.b_vec) + sys.h_Y
-        for k, letter in enumerate(sequence):
-            if letter == "R":
-                U[k] = xs[k] * sys.e_vec + sys.h_Y
+        U = np.where(right[:, None], sys.e_vec, sys.b_vec) * Z[:, :1] + sys.h_Y
         rhs = U[0]
         for u in U[1:]:
             rhs = A @ rhs + u
@@ -257,54 +256,55 @@ def _solution(
             Z[i, 1:] = A @ Z[i - 1, 1:] + U[i - 1]
     if not np.isfinite(Z).all():
         raise NotAdmissibleError(xs, sequence, f"the {n}-cycle overflows")
-    points = tuple(Z)
+    miss = np.empty_like(Z)
+    miss[:, 0] = slopes * Z[:, 0] + sys.mu_hat
+    if m:
+        miss[:, 1:] = Z[:, 1:] @ A.T + U
+    miss[:-1] -= Z[1:]
+    miss[-1] -= Z[0]
     return CycleSolution(
         n=n,
-        points=points,
+        points=tuple(Z),
         sequence=sequence,
         multipliers=mults,
         stable=all(abs(v) < 1.0 for v in mults),
-        residual=_residual(sys, points, sequence),
+        residual=float(np.max(np.abs(miss))),
         admissible=admissible,
     )
 
 
 def solve_cycle(
-    sys: CanonicalSystem,
-    n: int,
-    zero_tol: float | None = None,
-    eig_tol: float = EIG_TOL,
+    sys: CanonicalSystem, n: int, zero_tol: float | None = None
 ) -> CycleSolution:
     """Closed-form R L^(n-1) n-cycle of the canonical system.
 
     The x-components come from the 1D closed form, the Y-components from
     one linear solve for Y_1 plus forward recursion. A_block^n is
     decomposed once. Its eigenvalues decide the one precondition check,
-    EigenvalueOneError when one lies within eig_tol of 1 (the Y_1 solve
+    EigenvalueOneError when one lies within EIG_TOL of 1 (the Y_1 solve
     is singular; an eigenvalue of A_block at 1 is caught here too), and
     together with the slope product they are the cycle's multipliers.
     Raises everything the 1D closed form raises, and NotAdmissibleError
     when A_block^n overflows.
     """
     xc = cycle_x_components(sys.skew_params(), n, zero_tol=zero_tol)
-    return _solution(sys, xc.xs, xc.sequence, eig_tol, True)
+    return _solution(sys, xc.xs, xc.sequence, _word(sys, xc.sequence), True)
 
 
 def solve_symbolic_cycle(
-    sys: CanonicalSystem,
-    sequence: str,
-    zero_tol: float | None = None,
-    eig_tol: float = EIG_TOL,
+    sys: CanonicalSystem, sequence: str, zero_tol: float | None = None
 ) -> CycleSolution:
     """Cycle whose branch choices are dictated by an explicit sequence.
 
-    x runs the skew tent map on its own, so x_1 is the fixed point of the
-    word's scalar composition x -> P x + c (P the slope product, c summed
-    by Horner's rule), x_1 = c / (1 - P), and the other x_k follow by
-    forward recursion; Y is then solved as in solve_cycle. The solution's
-    admissible flag records whether the points' sign word, within
-    zero_tol, equals the sequence; inadmissible solutions are returned,
-    not raised, since they mark where a symbolic cycle ceases to exist.
+    x runs the skew tent map on its own: x_k = c_k / (1 - P) is the fixed
+    point of the word rotated to start at point k, the scalar composition
+    x -> P x + c_k (P the slope product, c_k by Horner's rule). All n
+    rotations run at once over the slope list laid twice end to end, so
+    no point inherits another's rounding and the cost is quadratic in the
+    word length. Y is then solved as in solve_cycle. The admissible flag
+    records whether the points' sign word, within zero_tol, equals the
+    sequence; inadmissible solutions are returned, not raised, since they
+    mark where a symbolic cycle ceases to exist.
 
     Raises SingularDenominatorError when 1 - P is zero within
     SINGULAR_TOL, NotAdmissibleError when the composition overflows, so
@@ -316,22 +316,21 @@ def solve_symbolic_cycle(
     n = len(sequence)
     if zero_tol is None:
         zero_tol = zero_tolerance(sys.mu_hat)
-    product = _slope_product(sys, sequence)
-    slopes = [sys.d if letter == "R" else sys.a for letter in sequence]
-    offset = 0.0
-    for slope in slopes:
-        offset = slope * offset + sys.mu_hat
+    slopes, _, product = word = _word(sys, sequence)
     den = 1.0 - product
     if abs(den) <= SINGULAR_TOL:
         raise SingularDenominatorError(sys.a, sys.d, n, den)
-    xs = [offset / den]
-    for slope in slopes[:-1]:
-        xs.append(slope * xs[-1] + sys.mu_hat)
-    # an overflowed product leaves x_1 = c / inf finite, so check it too
-    if not all(map(math.isfinite, (product, *xs))):
+    ring = np.concatenate((slopes, slopes))
+    offsets = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            offsets = ring[j : j + n] * offsets + sys.mu_hat
+        xs = offsets / den
+    # an overflowed product leaves x_k = c_k / inf finite, so check it too
+    if not (math.isfinite(product) and np.isfinite(xs).all()):
         raise NotAdmissibleError(
             xs, sequence,
             f"the {n}-letter word overflows for a={sys.a!r}, d={sys.d!r}",
         )
-    admissible = _sign_word(xs, zero_tol) == sequence
-    return _solution(sys, xs, sequence, eig_tol, admissible)
+    admissible = _sign_word(xs.tolist(), zero_tol) == sequence
+    return _solution(sys, xs, sequence, word, admissible)

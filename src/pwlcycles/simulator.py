@@ -301,8 +301,15 @@ def band_count(orbit: Orbit) -> int:
     if xs.size < 2:
         return 1
     order = np.argsort(xs)
-    gaps = np.diff(xs[order])
-    g = int(np.gcd.reduce(np.abs(np.diff(order))[gaps <= gaps.mean()]))
+    with np.errstate(over="ignore"):
+        gaps = np.diff(xs[order])
+        spacing = gaps.mean()
+    if not math.isfinite(spacing):
+        # the tail is too wide to sum its gaps; a quarter of every normal
+        # value is exact, and the quarters' gaps sum below the largest float
+        gaps = np.diff(xs[order] / 4)
+        spacing = gaps.mean()
+    g = int(np.gcd.reduce(np.abs(np.diff(order))[gaps <= spacing]))
     divisors = {q for i in range(1, math.isqrt(g) + 1) if g % i == 0
                 for q in (i, g // i)}
     for p in sorted(divisors - {1}, reverse=True):

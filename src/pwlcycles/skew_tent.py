@@ -171,7 +171,6 @@ def cycle_x_components(
     p: SkewTentParams,
     n: int,
     zero_tol: float | None = None,
-    singular_tol: float = SINGULAR_TOL,
 ) -> XCycle:
     """Closed-form x-components of the R L^(n-1) candidate n-cycle.
 
@@ -179,10 +178,11 @@ def cycle_x_components(
     terms, and for i >= 2
     x_i = mu_hat * (S_{i-1}(a) + a^(i-2) d S_{n-i+1}(a)) / (1 - a^(n-1) d).
 
-    Raises SingularDenominatorError when 1 - a^(n-1) d vanishes,
-    DegenerateOffsetError for mu_hat = 0, and NotAdmissibleError when the
-    computed signs do not realize the R L^(n-1) pattern (the error carries
-    the raw values) or when a^(n-1) overflows, so that no point is computed.
+    Raises SingularDenominatorError when 1 - a^(n-1) d is zero within
+    SINGULAR_TOL, DegenerateOffsetError for mu_hat = 0, and
+    NotAdmissibleError when the computed signs do not realize the
+    R L^(n-1) pattern (the error carries the raw values) or when a^(n-1)
+    overflows, so that no point is computed.
     """
     if n < 2:
         raise ValueError("cycle length n must be >= 2")
@@ -193,7 +193,7 @@ def cycle_x_components(
         den = 1.0 - a ** (n - 1) * d
     except OverflowError:
         raise NotAdmissibleError((), "", f"a^{n - 1} overflows for a={a!r}") from None
-    if abs(den) <= singular_tol:
+    if abs(den) <= SINGULAR_TOL:
         raise SingularDenominatorError(a, d, n, den)
     if zero_tol is None:
         zero_tol = zero_tolerance(mu)

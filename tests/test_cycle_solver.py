@@ -1,5 +1,6 @@
 """Tests for the canonical-form cycle solver."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -310,21 +311,14 @@ def test_symbolic_matches_positional_solver():
             solved += 1
 
 
-def test_symbolic_solutions_close_under_map():
-    """Every admissible solution of a random word is a cycle of the map.
-
-    Direct stepping shares no code with the solver. The L slope and the
-    block contract: on strongly expanding words the forward recursion
-    amplifies the rounding of x_1 by the slope product, past any fixed
-    closure tolerance.
-    """
+def _check_symbolic_closure(a_range, d_range):
     rng = np.random.default_rng(31)
     admissible = 0
     for _ in range(1000):
         word = "".join(rng.choice(["R", "L"], int(rng.integers(1, 41))))
         m = int(rng.integers(0, 4))
         sys = random_system(
-            rng, m, float(rng.uniform(0.2, 0.95)), float(rng.uniform(-3.0, -1.05)),
+            rng, m, float(rng.uniform(*a_range)), float(rng.uniform(*d_range)),
             float(rng.uniform(0.1, 0.9)),
         )
         try:
@@ -338,6 +332,94 @@ def test_symbolic_solutions_close_under_map():
         assert orbit_closure_error(sys, pts) < st.verify_tolerance(sys.mu_hat) * scale
         admissible += 1
     assert admissible >= 30
+
+
+def test_symbolic_solutions_close_under_map():
+    """Every admissible solution of a random word is a cycle of the map.
+
+    Direct stepping shares no code with the solver.
+    """
+    _check_symbolic_closure((0.2, 0.95), (-3.0, -1.05))
+
+
+def test_symbolic_solutions_close_under_map_with_expanding_slopes():
+    # both slopes may expand, so slope products reach about 3^40
+    _check_symbolic_closure((0.2, 3.0), (-3.0, -0.2))
+
+
+def test_symbolic_x_matches_mpmath_rotation():
+    """Every x_k against the fixed point of its own rotation of the word,
+    x_k = c_k / (1 - P), evaluated with 60 digits from the same slopes."""
+    rng = np.random.default_rng(47)
+    checked = 0
+    for _ in range(300):
+        word = "".join(rng.choice(["R", "L"], int(rng.integers(1, 41))))
+        a, d = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+        mu = float(rng.uniform(0.2, 2.0))
+        sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
+        try:
+            sol = cs.solve_symbolic_cycle(sys, word)
+        except SingularDenominatorError:
+            continue
+        with mpmath.workdps(60):
+            slopes = [mpmath.mpf(d if letter == "R" else a) for letter in word]
+            den = 1 - mpmath.fprod(slopes)
+            exact = []
+            for k in range(len(word)):
+                c = mpmath.mpf(0)
+                for slope in slopes[k:] + slopes[:k]:
+                    c = slope * c + mu
+                exact.append(c / den)
+            scale = max(1, max(abs(x) for x in exact))
+            err = max(abs(mpmath.mpf(p[0]) - x) for p, x in zip(sol.points, exact))
+            assert err <= 1e-13 * scale, (word, a, d, mu, float(err / scale))
+        checked += 1
+    assert checked >= 290
+
+
+def branch_step_residual(sys, sol):
+    """Largest one-step miss max_k |M_k z_k + c_k - z_(k+1)|, with the
+    branch_affine matrices of each letter."""
+    pts = np.asarray(sol.points)
+    worst = 0.0
+    for k, letter in enumerate(sol.sequence):
+        M, c = cs.branch_affine(sys, letter)
+        miss = M @ pts[k] + c - pts[(k + 1) % sol.n]
+        worst = max(worst, float(np.max(np.abs(miss))))
+    return worst
+
+
+def test_residual_is_the_one_step_miss():
+    rng = np.random.default_rng(53)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        word = "".join(rng.choice(["R", "L"], int(rng.integers(1, 31))))
+        m = int(rng.integers(0, 5))
+        sys = random_system(
+            rng, m, float(rng.uniform(0.2, 3.0)), float(rng.uniform(-3.0, -0.2)),
+            float(rng.uniform(0.1, 0.9)),
+        )
+        try:
+            sol = cs.solve_symbolic_cycle(sys, word)
+        except SingularDenominatorError:
+            continue
+        scale = max(1.0, float(np.max(np.abs(np.asarray(sol.points)))))
+        want = branch_step_residual(sys, sol)
+        assert abs(sol.residual - want) <= 4 * np.finfo(float).eps * scale
+        seen[sol.admissible] += 1
+    assert min(seen.values()) >= 30
+
+
+def test_residual_of_long_expanding_word():
+    # the slope product is about 4.3e16; composing the period's branches
+    # multiplies the rounding of every point by it
+    word = "RLRLRLLLLLLLRLLLRLLRLRRRLRLRRLLLLLRRLLLL"
+    sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(2.64, -2.54, 0.8))
+    sol = cs.solve_symbolic_cycle(sys, word)
+    assert sol.admissible
+    scale = max(1.0, float(np.max(np.abs(np.asarray(sol.points)))))
+    assert sol.residual <= st.verify_tolerance(sys.mu_hat) * scale
+    assert sol.residual == branch_step_residual(sys, sol)
 
 
 def test_symbolic_inadmissible_flagged_not_raised():
@@ -455,8 +537,9 @@ def test_stability_flag_matches_region_predicate():
 
 def test_solve_cycle_rejects_bad_sequences():
     sys = reference_system()
-    with pytest.raises(ValueError):
-        cs.solve_symbolic_cycle(sys, "RXL")
+    for solve in (cs.solve_symbolic_cycle, cs.multipliers):
+        with pytest.raises(ValueError, match="invalid sequence letter 'X'"):
+            solve(sys, "RXL")
     with pytest.raises(ValueError):
         cs.solve_symbolic_cycle(sys, "")
     with pytest.raises(ValueError):

@@ -448,6 +448,15 @@ def test_band_count_rejects_non_finite_x(bad):
         sim.band_count(sim.Orbit(states=states, transient=orbit.transient))
 
 
+@pytest.mark.parametrize("xs", [[1e308, -1e308, 0.0], [1.7e308, -1.7e308]])
+def test_band_count_of_tail_wider_than_largest_float(xs):
+    # the gaps (or one gap) sum past the largest float
+    orbit = sim.Orbit(states=np.array(xs)[:, None], transient=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sim.band_count(orbit) == 1
+
+
 def test_cobweb_data_structure():
     p = st.SkewTentParams(0.4, -4.0, 0.8)
     pts = sim.cobweb_data(p, x0=0.3, steps=5)
