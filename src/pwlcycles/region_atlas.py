@@ -18,6 +18,7 @@ from .skew_tent import (
     _exists,
     _flags,
     _margins,
+    _require_region_n,
     _require_tol,
     existence_bound,
 )
@@ -64,11 +65,10 @@ class GridSpec:
             raise ValueError("grid bounds must be ordered")
         if self.mu_sign not in ("+", "-"):
             raise ValueError(f"mu_sign must be '+' or '-', got {self.mu_sign!r}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
-        if any(n < 3 for n in self.n_list):
-            raise ValueError("all n in n_list must be >= 3")
+        n_list = tuple(_require_region_n(n) for n in self.n_list)
+        object.__setattr__(self, "n_list", n_list)
 
     def a_centers(self) -> np.ndarray:
         i = np.arange(self.a_steps)
@@ -115,7 +115,13 @@ def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     """
     _require_tol(tol)
     a, d = _oriented_axes(spec)
-    cells = {n: _VERDICT_NAMES[_flags(_margins(a, d, n), tol)] for n in spec.n_list}
+    cells = {}
+    for n in spec.n_list:
+        m = _margins(a, d, n)
+        cells[n] = _VERDICT_NAMES[_flags(a, m, tol)]
+        # released only now, below the new verdicts, so the allocator
+        # hands their pages to the next n instead of returning them
+        del m
     return RegionGrid(
         spec=spec, a_values=spec.a_centers(), d_values=spec.d_centers(), cells=cells
     )
@@ -157,7 +163,7 @@ def nesting_report(spec: GridSpec) -> dict:
     a, d = _oriented_axes(spec)
     a_values, d_values = spec.a_centers(), spec.d_centers()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        masks = {n: _exists(_existence_margins(a, d, n)[0]) for n in ns}
+        masks = {n: _exists(a, _existence_margins(a, d, n)[0]) for n in ns}
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:

@@ -292,8 +292,16 @@ def band_count(orbit: Orbit) -> int:
 
     A gap between bands narrower than the tail's mean spacing is not
     resolved, so just past a band merging the count can be a divisor of
-    the true one; a longer tail shrinks that limit. Raises ValueError if
-    an x-value is not finite.
+    the true one; a longer tail shrinks that limit. The count sees only
+    the tail it is given: a chaotic transient longer than the discarded
+    steps is counted as the attractor (at a = 0.5099476801558146,
+    d = -29.23965992067084, mu_hat = 0.8, x0 = 0.3, the orbit takes
+    2,000 to 5,000 steps to enter its 12 bands, and a tail after a
+    1,000-step transient counts 1), and a stable n-cycle whose
+    multiplier is near -1 still alternates around each point when
+    recorded, so it counts 2n (a = 0.4, d = -6.2464 gives 6). The
+    analytic count from the kink's orbit (ROADMAP item 3) needs no tail.
+    Raises ValueError if an x-value is not finite.
     """
     xs = orbit.x_values
     if not np.all(np.isfinite(xs)):

@@ -12,6 +12,7 @@ Every (1 - a^k)/(1 - a) factor is evaluated as the explicit geometric sum
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -214,9 +215,17 @@ def cycle_x_components(
     return XCycle(n=n, xs=tuple(xs), sequence=sequence)
 
 
-def _require_region_n(n: int) -> None:
-    if n < 3:
+def _require_region_n(n) -> int:
+    """n as an int; ValueError unless n is an integer >= 3 (a bool is not)."""
+    try:
+        index = operator.index(n)
+    except TypeError:
+        index = None
+    if index is None or isinstance(n, bool):
+        raise ValueError(f"cycle length n must be an integer, got {n!r}")
+    if index < 3:
         raise ValueError("region tests are defined for n >= 3")
+    return index
 
 
 def _require_tol(tol: float, name: str = "tol") -> None:
@@ -241,49 +250,49 @@ def existence_bound(a, n: int):
     Equals -S_{n-1}(a) / a^(n-2) in geometric-sum form; -(n-1) at a = 1.
     Elementwise on arrays; -inf at a = 0 (the region pinches off there).
     """
-    _require_region_n(n)
+    n = _require_region_n(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _bound(np.asarray(a, dtype=float), n)[0]
 
 
 def _existence_margins(a, d, n: int):
-    """The existence part of _margins (slope sign, existence, curve
-    distance) and a^(n-2).
+    """The existence margin bound - d, and a^(n-2).
 
     The caller silences floating-point warnings.
     """
     bound, power = _bound(a, n)
-    return {
-        "slope_sign_margin": a,
-        "existence_margin": bound - d,
-        "curve_distance": abs(d - bound),
-    }, power
+    return bound - d, power
 
 
-def _margins(a, d, n: int) -> dict:
-    """Margin of every region inequality at (a, d) for mu_hat > 0.
+def _margins(a, d, n: int):
+    """The independent region quantities at (a, d) for mu_hat > 0.
 
-    Positive means the strict inequality holds, except curve_distance,
-    the absolute distance |d - bound| to the border-collision curve. The
-    same code runs on numpy scalars (single points), on arrays, and on a
-    column of a and a row of d that broadcast to a grid, so the chain
-    runs once per a value. Every power is a product of the chain in
-    _bound, and broadcasting keeps each operation's operands and order,
-    so a point and a grid cell agree bit for bit. A power that over- or
-    underflows gives an infinite or zero margin, not a warning.
+    Returns (ex, stab, cubic, quad, inv) with P = a^(n-1) and inv = 1/P:
+    ex = bound - d (existence), stab = d + 1/P (stability), cubic =
+    P^2 d^3 + a - d and quad = P d^2 + d - a (the band inequalities).
+    Every other margin is one of them negated or one step away (see
+    _point), so a grid gets four arrays of its size and inv gets the
+    size of the a axis. The same code runs on numpy scalars (single
+    points), on arrays, and on a column of a and a row of d that
+    broadcast to a grid, so the chain runs once per a value. Every
+    power is a product of the chain in _bound, augmented assignment
+    keeps each operation's operands and order, and broadcasting keeps
+    them too, so a point and a grid cell agree bit for bit. A power that
+    over- or underflows gives an infinite or zero margin, not a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m, power = _existence_margins(a, d, n)
+        ex, power = _existence_margins(a, d, n)
         power = power * a
+        inv = 1.0 / power
         d2 = d * d
-        cubic = power * power * (d2 * d) + a - d
-        quad = power * d2 + d - a
-        m["stability_lower_margin"] = d + 1.0 / power
-        m["nband_cubic_margin"] = -cubic
-        m["nband_quadratic_margin"] = -quad
-        m["twonband_flip_margin"] = -1.0 / power - d
-        m["twonband_cubic_margin"] = cubic
-    return m
+        stab = d + inv
+        cubic = power * power * (d2 * d)
+        cubic += a
+        cubic -= d
+        quad = power * d2
+        quad += d
+        quad -= a
+    return ex, stab, cubic, quad, inv
 
 
 # Region flags: one bit per verdict above OutsideRegion, in rising
@@ -296,7 +305,7 @@ _VERDICTS = (
     Verdict.EXISTS_STABLE,
     Verdict.ON_BIFURCATION_CURVE,
 )
-_EXISTS, _TWONBAND, _NBAND, _STABLE, _CURVE = 1, 2, 4, 8, 16
+_EXISTS, _TWONBAND, _NBAND, _STABLE, _CURVE = (np.uint8(1 << k) for k in range(5))
 _VERDICT_OF_FLAGS = tuple(_VERDICTS[flags.bit_length()] for flags in range(32))
 # The two bands never overlap: they need opposite signs of one cubic.
 _BANDS = {
@@ -311,26 +320,28 @@ _BAND_KEYS = (
 )
 
 
-def _exists(m: dict):
-    return (m["slope_sign_margin"] > 0) & (m["existence_margin"] > 0)
+def _exists(a, ex):
+    return (a > 0) & (ex > 0)
 
 
-def _flags(m: dict, tol: float):
-    """Region flags of the margins m: an int for floats, an int array for arrays.
+def _flags(a, m, tol: float):
+    """Region flags at slope a with the quantities m of _margins: a uint8
+    for floats, a uint8 array for arrays.
 
-    Stability and both bands lie inside the existence region; the curve
-    needs a positive slope and |d - bound| <= tol.
+    Each test reads a sign: stability is stab > 0, NBand cubic < 0 and
+    quad < 0, TwoNBand stab < 0 and cubic > 0. Stability and both bands
+    lie inside the existence region; the curve needs a positive slope
+    and |ex| <= tol, tested as two comparisons, with no array of |ex|.
     """
-    exists = _exists(m)
-    nband = (m["nband_cubic_margin"] > 0) & (m["nband_quadratic_margin"] > 0)
-    twonband = (m["twonband_flip_margin"] > 0) & (m["twonband_cubic_margin"] > 0)
-    return (
-        _EXISTS * exists
-        | _TWONBAND * (exists & twonband)
-        | _NBAND * (exists & nband)
-        | _STABLE * (exists & (m["stability_lower_margin"] > 0))
-        | _CURVE * ((m["slope_sign_margin"] > 0) & (m["curve_distance"] <= tol))
-    )
+    ex, stab, cubic, quad = m[:4]
+    positive = a > 0
+    exists = positive & (ex > 0)
+    flags = _EXISTS * exists
+    flags |= _TWONBAND * (exists & (stab < 0) & (cubic > 0))
+    flags |= _NBAND * (exists & (cubic < 0) & (quad < 0))
+    flags |= _STABLE * (exists & (stab > 0))
+    flags |= _CURVE * (positive & (-tol <= ex) & (ex <= tol))
+    return flags
 
 
 def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL):
@@ -339,10 +350,24 @@ def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL
         raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
     if not (math.isfinite(a) and math.isfinite(d)):
         raise ValueError(f"a and d must be finite, got a={a!r}, d={d!r}")
-    aa, dd = (a, d) if mu_sign == "+" else (d, a)
-    _require_region_n(n)
-    m = {k: float(v) for k, v in _margins(np.float64(aa), np.float64(dd), n).items()}
-    return m, _flags(m, tol)
+    aa, dd = (float(a), float(d)) if mu_sign == "+" else (float(d), float(a))
+    n = _require_region_n(n)
+    m = [float(v) for v in _margins(np.float64(aa), np.float64(dd), n)]
+    ex, stab, cubic, quad, inv = m
+    # negation is exact and rounding symmetric, so each derived margin has
+    # the bits of its direct formula; the flip margin is -(1/P) - d, since
+    # -stab would give its zero the other sign
+    details = {
+        "slope_sign_margin": aa,
+        "existence_margin": ex,
+        "curve_distance": abs(ex),
+        "stability_lower_margin": stab,
+        "nband_cubic_margin": -cubic,
+        "nband_quadratic_margin": -quad,
+        "twonband_flip_margin": -inv - dd,
+        "twonband_cubic_margin": cubic,
+    }
+    return details, _flags(aa, m, tol)
 
 
 def region_exists(a: float, d: float, n: int, mu_sign: str = "+") -> bool:

@@ -18,6 +18,77 @@ def small_spec(**kw):
     return ra.GridSpec(**base)
 
 
+# The region kernel as it was when it formed all eight margins on the
+# grid, frozen here as the reference: every verdict of scan and
+# nesting_report, and every bit of classify's details, must equal it.
+def _reference_margins(a, d, n):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        power = a * 0.0 + 1.0
+        total = power
+        for _ in range(n - 2):
+            power = power * a
+            total = total + power
+        bound = -total / power
+        power = power * a
+        d2 = d * d
+        cubic = power * power * (d2 * d) + a - d
+        quad = power * d2 + d - a
+        return {
+            "slope_sign_margin": a,
+            "existence_margin": bound - d,
+            "curve_distance": abs(d - bound),
+            "stability_lower_margin": d + 1.0 / power,
+            "nband_cubic_margin": -cubic,
+            "nband_quadratic_margin": -quad,
+            "twonband_flip_margin": -1.0 / power - d,
+            "twonband_cubic_margin": cubic,
+        }
+
+
+def _reference_exists(m):
+    return (m["slope_sign_margin"] > 0) & (m["existence_margin"] > 0)
+
+
+def _reference_verdicts(m, tol):
+    """Verdict names in classify's precedence, as an object array."""
+    exists = _reference_exists(m)
+    nband = (m["nband_cubic_margin"] > 0) & (m["nband_quadratic_margin"] > 0)
+    twonband = (m["twonband_flip_margin"] > 0) & (m["twonband_cubic_margin"] > 0)
+    curve = (m["slope_sign_margin"] > 0) & (m["curve_distance"] <= tol)
+    tests = [
+        (curve, st.Verdict.ON_BIFURCATION_CURVE),
+        (exists & (m["stability_lower_margin"] > 0), st.Verdict.EXISTS_STABLE),
+        (exists & nband, st.Verdict.NBAND_CHAOS),
+        (exists & twonband, st.Verdict.TWONBAND_CHAOS),
+        (exists, st.Verdict.EXISTS_UNSTABLE),
+    ]
+    verdicts = np.full(np.shape(exists), st.Verdict.OUTSIDE_REGION.value, object)
+    for test, verdict in reversed(tests):
+        verdicts[test] = verdict.value
+    return verdicts
+
+
+def _nesting_reference(spec, exists):
+    ns = sorted(spec.n_list)
+    pairs = list(zip(ns[:-1], ns[1:]))
+    violations = [
+        {"a": float(spec.a_centers()[i]), "d": float(spec.d_centers()[j]),
+         "n_outer": small, "n_inner": large}
+        for small, large in pairs
+        for i, j in zip(*np.nonzero(exists[large] & ~exists[small]))
+    ]
+    return {
+        "pairs": pairs,
+        "cells_checked": spec.a_steps * spec.d_steps * len(pairs),
+        "violations": violations,
+    }
+
+
+def _oriented_mesh(spec):
+    A, D = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
+    return (A, D) if spec.mu_sign == "+" else (D, A)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         small_spec(a_min=2.0, a_max=1.0)
@@ -169,39 +240,49 @@ def test_classify_matches_one_cell_scan_at_extremes():
             cell = ra.scan(spec).cells[n][0, 0]
             verdict = st.classify(a, d, n, mu_sign=mu_sign).verdict
             assert verdict.value == cell, (a, d, n, mu_sign)
-    # every margin of a point equals the mesh's margin bit for bit
+    # every margin of a point equals the mesh's margin bit for bit: the
+    # kernel's own quantities, and every detail of the frozen reference
     spec = small_spec(n_list=(3, 4, 9, 17, 29))
     AA, DD = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
+    # details that are the kernel's own quantities, by position in its tuple
+    own = {"existence_margin": 0, "stability_lower_margin": 1, "twonband_cubic_margin": 2}
     for n in spec.n_list:
-        margins = st._margins(AA, DD, n)
+        margins = _reference_margins(AA, DD, n)
+        kernel = st._margins(AA, DD, n)
         for i, j in np.ndindex(AA.shape):
             details = st.classify(float(AA[i, j]), float(DD[i, j]), n).details
+            assert list(details) == list(margins)
             for key, value in details.items():
                 assert np.float64(value).tobytes() == margins[key][i, j].tobytes(), (
                     key, AA[i, j], DD[i, j], n,
                 )
+            for key, k in own.items():
+                assert np.float64(details[key]).tobytes() == kernel[k][i, j].tobytes(), (
+                    key, AA[i, j], DD[i, j], n,
+                )
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ra.GridSpec(0.01, 3.0, 400, -40.0, -0.01, 400, tuple(range(3, 10))),
-        ra.GridSpec(-40.0, -0.01, 300, 0.01, 3.0, 250, (3, 4, 5, 9, 10), "-"),
-        # powers that over- and underflow, and negative slopes
-        ra.GridSpec(-5.0, 1e3, 101, -1e9, -1e-3, 103, (3, 4, 9, 17, 29, 30)),
-        ra.GridSpec(-1e9, -1e-3, 103, -5.0, 1e3, 101, (3, 9, 30), "-"),
-        ra.GridSpec(0.01, 3.0, 1, -40.0, -0.01, 57, (3, 4, 9)),
-        ra.GridSpec(0.01, 3.0, 57, -40.0, -0.01, 1, (3, 4, 9)),
-        ra.GridSpec(-40.0, -0.01, 1, 0.01, 3.0, 57, (3, 4, 9), "-"),
-    ],
-    ids=["atlas", "mirrored", "extreme", "extreme-mirrored", "row", "column",
-         "row-mirrored"],
-)
+AXIS_SPECS = [
+    ra.GridSpec(0.01, 3.0, 400, -40.0, -0.01, 400, tuple(range(3, 10))),
+    ra.GridSpec(-40.0, -0.01, 300, 0.01, 3.0, 250, (3, 4, 5, 9, 10), "-"),
+    # powers that over- and underflow, and negative slopes
+    ra.GridSpec(-5.0, 1e3, 101, -1e9, -1e-3, 103, (3, 4, 9, 17, 29, 30)),
+    ra.GridSpec(-1e9, -1e-3, 103, -5.0, 1e3, 101, (3, 9, 30), "-"),
+    ra.GridSpec(0.01, 3.0, 1, -40.0, -0.01, 57, (3, 4, 9)),
+    ra.GridSpec(0.01, 3.0, 57, -40.0, -0.01, 1, (3, 4, 9)),
+    ra.GridSpec(-40.0, -0.01, 1, 0.01, 3.0, 57, (3, 4, 9), "-"),
+]
+AXIS_IDS = ["atlas", "mirrored", "extreme", "extreme-mirrored", "row", "column",
+            "row-mirrored"]
+# inf * 0 and inf - inf make NaN margins on this grid
+NAN_SPEC = ra.GridSpec(-1e200, 1e200, 41, -1e300, 1e300, 43, (3, 9, 30, 200))
+
+
+@pytest.mark.parametrize("spec", AXIS_SPECS, ids=AXIS_IDS)
 def test_axis_evaluation_matches_mesh(spec):
     # scan and nesting_report run the kernel on broadcast axes; the full
     # mesh is the reference, and every margin must agree bit for bit
-    A, D = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
-    AA, DD = (A, D) if spec.mu_sign == "+" else (D, A)
+    AA, DD = _oriented_mesh(spec)
     a, d = ra._oriented_axes(spec)
     shape = (spec.a_steps, spec.d_steps)
     with warnings.catch_warnings():
@@ -212,25 +293,91 @@ def test_axis_evaluation_matches_mesh(spec):
         for n in spec.n_list:
             mesh = st._margins(AA, DD, n)
             axes = st._margins(a, d, n)
-            assert mesh.keys() == axes.keys()
-            for key, value in mesh.items():
+            assert len(mesh) == len(axes)
+            for k, (value, on_axes) in enumerate(zip(mesh, axes)):
                 assert value.shape == shape
-                broadcast = np.broadcast_to(axes[key], shape)
-                assert broadcast.tobytes() == value.tobytes(), (key, n)
-            expected = ra._VERDICT_NAMES[st._flags(mesh, st.DEFAULT_CURVE_TOL)]
+                broadcast = np.broadcast_to(on_axes, shape)
+                assert broadcast.tobytes() == value.tobytes(), (k, n)
+            flags = st._flags(AA, mesh, st.DEFAULT_CURVE_TOL)
+            assert flags.dtype == np.uint8
+            expected = ra._VERDICT_NAMES[flags]
             assert grid.cells[n].shape == shape
             assert np.array_equal(grid.cells[n], expected), n
-            exists[n] = st._exists(mesh)
-    ns = sorted(spec.n_list)
-    pairs = list(zip(ns[:-1], ns[1:]))
-    violations = [
-        {"a": float(spec.a_centers()[i]), "d": float(spec.d_centers()[j]),
-         "n_outer": small, "n_inner": large}
-        for small, large in pairs
-        for i, j in zip(*np.nonzero(exists[large] & ~exists[small]))
-    ]
-    assert report == {
-        "pairs": pairs,
-        "cells_checked": spec.a_steps * spec.d_steps * len(pairs),
-        "violations": violations,
-    }
+            exists[n] = st._exists(AA, mesh[0])
+    assert report == _nesting_reference(spec, exists)
+
+
+@pytest.mark.parametrize("spec", AXIS_SPECS + [NAN_SPEC], ids=AXIS_IDS + ["nan"])
+def test_scan_and_nesting_match_frozen_reference(spec):
+    AA, DD = _oriented_mesh(spec)
+    tol = st.DEFAULT_CURVE_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ra.scan(spec)
+        report = ra.nesting_report(spec)
+    exists = {}
+    nan_margins = False
+    for n in spec.n_list:
+        m = _reference_margins(AA, DD, n)
+        nan_margins |= any(np.isnan(v).any() for v in m.values())
+        cells = grid.cells[n]
+        # the CSV writer adds text to the cells, so they stay str objects
+        assert cells.dtype == object
+        assert all(type(v) is str for v in cells.flat)
+        assert np.array_equal(cells, _reference_verdicts(m, tol)), n
+        exists[n] = _reference_exists(m)
+    assert report == _nesting_reference(spec, exists)
+    assert nan_margins == (spec is NAN_SPEC)
+
+
+@pytest.mark.parametrize("mu_sign", ["+", "-"])
+def test_classify_details_match_frozen_reference(mu_sign):
+    rng = np.random.default_rng(2024)
+    k = 10_000
+    ns = rng.choice([3, 4, 5, 9, 17, 30, 200], k)
+    # moderate points, then magnitudes whose powers over- and underflow
+    # (NaN margins among them)
+    a = rng.uniform(-5.0, 5.0, k)
+    d = rng.uniform(-60.0, 20.0, k)
+    wide = rng.random(k) < 0.4
+    a[wide] = rng.choice([-1.0, 1.0], wide.sum()) * 10 ** rng.uniform(
+        -300, 300, wide.sum())
+    d[wide] = rng.choice([-1.0, 1.0], wide.sum()) * 10 ** rng.uniform(
+        -300, 300, wide.sum())
+    # and points on the stability curve d = -1/a^(n-1), where the flip
+    # margin is often a signed zero
+    on_curve = ~wide & (rng.random(k) < 0.3)
+    a[on_curve] = rng.uniform(0.05, 3.0, on_curve.sum())
+    d[on_curve] = -1.0 / a[on_curve] ** (ns[on_curve] - 1)
+    kernel_a, kernel_d = (a, d) if mu_sign == "+" else (d, a)
+    for n in np.unique(ns):
+        idx = np.nonzero(ns == n)[0]
+        m = _reference_margins(kernel_a[idx], kernel_d[idx], int(n))
+        verdicts = _reference_verdicts(m, st.DEFAULT_CURVE_TOL)
+        for row, i in enumerate(idx):
+            result = st.classify(float(a[i]), float(d[i]), int(n), mu_sign)
+            assert result.verdict.value == verdicts[row]
+            assert list(result.details) == list(m)
+            for key, value in result.details.items():
+                assert type(value) is float
+                assert np.float64(value).tobytes() == m[key][row].tobytes(), (
+                    key, a[i], d[i], n, mu_sign,
+                )
+
+
+@pytest.mark.parametrize("n", [4.0, 3.7, "4", True, None, np.float64(4.0)])
+def test_region_n_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="integer"):
+        st.classify(0.4, -3.5, n)
+    with pytest.raises(ValueError, match="integer"):
+        st.existence_bound(0.4, n)
+    with pytest.raises(ValueError, match="integer"):
+        small_spec(n_list=(3, n))
+
+
+def test_region_n_accepts_numpy_integers():
+    for n in (np.int64(4), np.int32(4), np.uint8(4)):
+        assert st.classify(0.4, -3.5, n) == st.classify(0.4, -3.5, 4)
+        n_list = small_spec(n_list=(3, n)).n_list
+        assert n_list == (3, 4)
+        assert all(type(v) is int for v in n_list)

@@ -186,6 +186,12 @@ def test_on_bifurcation_curve_tolerance():
     assert st.on_bifurcation_curve(0.4, -3.5, 3, tol=1e-9)
     assert st.on_bifurcation_curve(0.4, -3.5 + 0.9e-9, 3, tol=1e-9)
     assert not st.on_bifurcation_curve(0.4, -3.5 + 1e-6, 3, tol=1e-9)
+    # |bound - d| <= tol is closed at both ends: tol is the exact distance
+    bound = float(st.existence_bound(0.4, 3))
+    for d in (bound + 1e-9, bound - 1e-9):
+        tol = abs(d - bound)
+        assert st.on_bifurcation_curve(0.4, d, 3, tol=tol)
+        assert not st.on_bifurcation_curve(0.4, d, 3, tol=math.nextafter(tol, 0.0))
     # a NaN tol fails every curve test, so it would drop the verdict silently
     for tol in (0.0, -1e-9, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite positive"):
