@@ -4,9 +4,10 @@ Subcommands: classify (parameter-point verdict), cycle (closed-form cycle
 of a configured system), scan (parameter-plane CSV), simulate (orbit tail
 CSV plus summary), plrnn (boundary localization and cycle analysis).
 
-Exit codes: 0 success, 2 flag or config error, 3 solver precondition,
-4 I/O failure, 5 structural (boundary/adjacency) error. All machine
-output is deterministic: repr floats, LF line endings, sorted JSON keys.
+Exit codes: 0 success, 2 flag error, 4 I/O failure; a typed error exits
+with the exit_code of its class (2 config, 3 solver precondition, 5
+structural). All machine output is deterministic: repr floats, LF line
+endings, sorted JSON keys.
 """
 
 from __future__ import annotations
@@ -18,20 +19,10 @@ import sys as _sys
 
 import numpy as np
 
-from .config import read_config
-from .cycle_solver import CanonicalSystem, solve_cycle, solve_symbolic_cycle
-from .errors import (
-    ConfigError,
-    DegenerateOffsetError,
-    DivergenceError,
-    EigenvalueOneError,
-    NotAdjacentError,
-    NotAdmissibleError,
-    SameRegionError,
-    SingularDenominatorError,
-    StructureViolationError,
-)
-from .plrnn import PLRNNSystem, RegionIndex, local_cycle_analysis
+from .config import _SCHEMA, read_config
+from .cycle_solver import solve_cycle, solve_symbolic_cycle
+from .errors import ConfigError, DivergenceError, PwlcyclesError
+from .plrnn import RegionIndex, local_cycle_analysis
 from .region_atlas import GridSpec, scan
 from .simulator import (
     DEFAULT_CYCLE_TOL,
@@ -43,7 +34,7 @@ from .simulator import (
     itinerary,
     trajectory,
 )
-from .skew_tent import DEFAULT_CURVE_TOL, classify
+from .skew_tent import DEFAULT_CURVE_TOL, classify, zero_tolerance
 
 __all__ = ["build_parser", "main", "entry_point"]
 
@@ -90,26 +81,30 @@ def _print_solution(sol) -> None:
     print(f"residual: {sol.residual:.3e}")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    # every field is a name, an int or a repr float, none of which
-    # contains a comma, a quote or a line break, so no field is quoted
+def _write_lines(path, lines) -> None:
+    """Write lines of text, already joined, one write each, to path or stdout.
+
+    A CSV field is a name, an int or a repr float, none of which contains
+    a comma, a quote or a line break, so no field is quoted.
+    """
+    if not path:
+        _sys.stdout.writelines(lines)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
-def _state_header(index: str, m: int) -> list:
-    return [index, "x"] + [f"Y{k}" for k in range(1, m + 1)]
+def _state_lines(index: str, m: int, rows):
+    """A header of index, x, Y1..Ym, then one line per (index, state) row."""
+    yield ",".join([index, "x"] + [f"Y{k}" for k in range(1, m + 1)]) + "\n"
+    for i, state in rows:
+        yield f"{i}," + ",".join(map(repr, state)) + "\n"
 
 
 def _emit_solution(sol, emit: str, out: str) -> None:
     if emit == "csv":
-        _write_csv(
-            out,
-            _state_header("i", len(sol.points[0]) - 1),
-            ([str(idx)] + [repr(float(v)) for v in point]
-             for idx, point in enumerate(sol.points, start=1)),
-        )
+        rows = enumerate((point.tolist() for point in sol.points), start=1)
+        _write_lines(out, _state_lines("i", len(sol.points[0]) - 1, rows))
         return
     doc = {
         "n": sol.n,
@@ -120,8 +115,14 @@ def _emit_solution(sol, emit: str, out: str) -> None:
         "admissible": sol.admissible,
         "residual": sol.residual,
     }
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_lines(out, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+
+
+def _read_system(args, kind: str):
+    system = read_config(args.config)
+    if not isinstance(system, _SCHEMA[kind].cls):
+        raise ConfigError(f"the {args.command} command requires a {kind!r} config")
+    return system
 
 
 def _cmd_classify(args) -> int:
@@ -148,9 +149,7 @@ def _cmd_classify(args) -> int:
 def _cmd_cycle(args) -> int:
     if args.emit and not args.out:
         raise ValueError("--emit requires --out")
-    system = read_config(args.config)
-    if not isinstance(system, CanonicalSystem):
-        raise ConfigError("the cycle command requires a 'canonical' config")
+    system = _read_system(args, "canonical")
     if args.sequence is not None:
         sol = solve_symbolic_cycle(system, args.sequence, zero_tol=args.zero_tol)
     else:
@@ -177,28 +176,21 @@ def _cmd_scan(args) -> int:
     a_reprs = [repr(v) for v in grid.a_values.tolist()]
     d_reprs = [repr(v) for v in grid.d_values.tolist()]
 
-    def _write(fh):
-        # the fields never need quoting (see _write_csv); numpy appends
-        # each verdict of an a-row to its ",d,n," text, so only one row
-        # of text is alive at a time, and each a-row is one write
-        fh.write("a,d,n,verdict\n")
+    def _lines():
+        # numpy appends each verdict of an a-row to its ",d,n," text, so
+        # only one row of text is alive at a time, and each a-row is one write
+        yield "a,d,n,verdict\n"
         for n in spec.n_list:
             tails = np.array([f",{d},{n}," for d in d_reprs], dtype=object)
             for a, verdicts in zip(a_reprs, grid.cells[n]):
-                fh.write(a + ("\n" + a).join((tails + verdicts).tolist()) + "\n")
+                yield a + ("\n" + a).join((tails + verdicts).tolist()) + "\n"
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(_sys.stdout)
+    _write_lines(args.out, _lines())
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    system = read_config(args.config)
-    if not isinstance(system, CanonicalSystem):
-        raise ConfigError("the simulate command requires a 'canonical' config")
+    system = _read_system(args, "canonical")
     z0 = None
     if args.x0 is not None:
         z0 = [args.x0] + [0.0] * system.m
@@ -207,11 +199,14 @@ def _cmd_simulate(args) -> int:
     except DivergenceError as err:
         print(f"diverged at step {err.step}")
         if args.emit_csv:
-            _write_csv(args.emit_csv, _state_header("t", system.m), ())
+            _write_lines(args.emit_csv, _state_lines("t", system.m, ()))
         return 0
 
     cycle = detect_cycle(orbit, max_period=args.max_period, tol=args.cycle_tol)
-    symbols = itinerary(orbit, zero_tol=args.zero_tol)
+    zero_tol = args.zero_tol
+    if zero_tol is None:
+        zero_tol = zero_tolerance(system.mu_hat)
+    symbols = itinerary(orbit, zero_tol=zero_tol)
     bands = band_count(orbit)
     if cycle is None:
         print(f"period: none (no cycle up to {args.max_period})")
@@ -221,27 +216,20 @@ def _cmd_simulate(args) -> int:
     print(f"bands: {bands}")
 
     if args.emit_csv:
-        _write_csv(
-            args.emit_csv,
-            _state_header("t", system.m),
-            ([str(t)] + [repr(v) for v in row]
-             for t, row in enumerate(orbit.states.tolist(), start=orbit.transient)),
-        )
+        rows = enumerate(orbit.states.tolist(), start=orbit.transient)
+        _write_lines(args.emit_csv, _state_lines("t", system.m, rows))
     return 0
 
 
 def _cmd_plrnn(args) -> int:
-    system = read_config(args.config)
-    if not isinstance(system, PLRNNSystem):
-        raise ConfigError("the plrnn command requires a 'plrnn' config")
+    system = _read_system(args, "plrnn")
     words = args.pair
     if len(words[0]) != system.M or len(words[1]) != system.M:
         raise ValueError(
             f"region words must have length M={system.M}, "
             f"got {len(words[0])} and {len(words[1])}"
         )
-    region_i = RegionIndex.from_bits(tuple(int(c) for c in words[0]))
-    region_j = RegionIndex.from_bits(tuple(int(c) for c in words[1]))
+    region_i, region_j = (RegionIndex.from_bits(tuple(map(int, w))) for w in words)
 
     report = local_cycle_analysis(system, region_i, region_j, args.n,
                                   zero_tol=args.zero_tol)
@@ -319,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
     p.add_argument("--cycle-tol", type=float, default=DEFAULT_CYCLE_TOL)
-    p.add_argument("--zero-tol", type=float, default=1e-9)
+    p.add_argument("--zero-tol", type=float, default=None)
     p.add_argument("--emit-csv", default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -342,26 +330,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ConfigError as err:
+    except PwlcyclesError as err:
         print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
-        return 2
-    except ValueError as err:
+        return err.exit_code
+    except (ValueError, OSError) as err:  # a config that is not UTF-8 is a ValueError
         print(f"error: {err}", file=_sys.stderr)
-        return 2
-    except (
-        EigenvalueOneError,
-        SingularDenominatorError,
-        DegenerateOffsetError,
-        NotAdmissibleError,
-    ) as err:
-        print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
-        return 3
-    except OSError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return 4
-    except (StructureViolationError, NotAdjacentError, SameRegionError) as err:
-        print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
-        return 5
+        return 2 if isinstance(err, ValueError) else 4
 
 
 def entry_point() -> None:

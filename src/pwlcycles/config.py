@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,26 @@ __all__ = [
     "write_config",
 ]
 
-_CANONICAL_FIELDS = {"kind", "m", "a", "d", "mu_hat", "b_vec", "e_vec", "A_block", "h_Y"}
-_PLRNN_FIELDS = {"kind", "M", "A_diag", "W", "h", "relaxed_diagonal"}
+
+class _Kind(NamedTuple):
+    cls: type
+    dim: str  # the dimension field, the size of every vector and matrix
+    minimum: int  # the least dimension
+    # field -> rank in parse order: 0 a number, 1 a vector, 2 a square
+    # matrix, None a boolean that is false when absent
+    fields: dict
+    # the field a ValueError of cls is reported against, or None
+    checked: str | None = None
+
+
+_SCHEMA = {
+    "canonical": _Kind(CanonicalSystem, "m", 0, {
+        "a": 0, "d": 0, "b_vec": 1, "e_vec": 1, "A_block": 2, "h_Y": 1, "mu_hat": 0,
+    }),
+    "plrnn": _Kind(PLRNNSystem, "M", 1, {
+        "relaxed_diagonal": None, "A_diag": 1, "W": 2, "h": 1,
+    }, checked="W"),
+}
 
 
 def _require(doc: dict, field: str):
@@ -42,68 +61,49 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _number(doc: dict, field: str) -> float:
-    value = _require(doc, field)
+def _where(field: str, *index) -> str:
+    return f"field {field!r}" + "".join(f"[{i}]" for i in index if i is not None)
+
+
+def _number(value, field: str, row: int | None = None, col: int | None = None):
+    """value if it is a finite number; an error names field[row][col]."""
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {field!r} must be a number, got {value!r}")
+        raise ConfigError(f"{_where(field, row, col)} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"field {field!r} must be finite, got {value!r}")
-    return float(value)
-
-
-def _dimension(doc: dict, field: str, minimum: int) -> int:
-    value = _require(doc, field)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {field!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"field {field!r} must be >= {minimum}, got {value}")
+        # a number field's message shows the value, an entry's does not
+        got = "" if col is not None else f", got {value!r}"
+        raise ConfigError(f"{_where(field, row, col)} must be finite{got}")
     return value
 
 
-def _vector(doc: dict, field: str, length: int) -> np.ndarray:
+def _field(doc: dict, field: str, rank: int | None, size: int):
+    if rank is None:
+        value = doc.get(field, False)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{_where(field)} must be a boolean, got {value!r}")
+        return value
     value = _require(doc, field)
-    if not isinstance(value, list):
-        raise ConfigError(f"field {field!r} must be a list of numbers")
-    if len(value) != length:
-        raise ConfigError(
-            f"field {field!r} must have length {length}, got {len(value)}"
-        )
-    out = np.empty(length)
-    for idx, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"field {field!r}[{idx}] must be a number, got {entry!r}")
-        if not math.isfinite(entry):
-            raise ConfigError(f"field {field!r}[{idx}] must be finite")
-        out[idx] = entry
-    return out
-
-
-def _matrix(doc: dict, field: str, size: int) -> np.ndarray:
-    value = _require(doc, field)
-    if not isinstance(value, list):
-        raise ConfigError(f"field {field!r} must be a list of {size} rows")
-    if len(value) != size:
-        raise ConfigError(f"field {field!r} must have {size} rows, got {len(value)}")
-    out = np.empty((size, size))
+    if rank == 0:
+        return float(_number(value, field))
+    if rank == 1:
+        if not isinstance(value, list):
+            raise ConfigError(f"{_where(field)} must be a list of numbers")
+        if len(value) != size:
+            raise ConfigError(f"{_where(field)} must have length {size}, got {len(value)}")
+        value = [value]  # checked below as a matrix of one row
+    elif not isinstance(value, list):
+        raise ConfigError(f"{_where(field)} must be a list of {size} rows")
+    elif len(value) != size:
+        raise ConfigError(f"{_where(field)} must have {size} rows, got {len(value)}")
+    out = np.empty((size,) * rank)
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != size:
-            raise ConfigError(f"field {field!r} row {r} must be a list of {size} numbers")
+            raise ConfigError(f"{_where(field)} row {r} must be a list of {size} numbers")
+        at, target = (None, out) if rank == 1 else (r, out[r])
         for c, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ConfigError(
-                    f"field {field!r}[{r}][{c}] must be a number, got {entry!r}"
-                )
-            if not math.isfinite(entry):
-                raise ConfigError(f"field {field!r}[{r}][{c}] must be finite")
-            out[r, c] = entry
+            target[c] = _number(entry, field, at, c)
     return out
-
-
-def _reject_unknown(doc: dict, allowed: set) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown fields: {', '.join(repr(f) for f in unknown)}")
 
 
 def parse_config(text: str):
@@ -117,36 +117,25 @@ def parse_config(text: str):
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
     kind = _require(doc, "kind")
-    if kind == "canonical":
-        _reject_unknown(doc, _CANONICAL_FIELDS)
-        m = _dimension(doc, "m", 0)
-        return CanonicalSystem(
-            a=_number(doc, "a"),
-            d=_number(doc, "d"),
-            b_vec=_vector(doc, "b_vec", m),
-            e_vec=_vector(doc, "e_vec", m),
-            A_block=_matrix(doc, "A_block", m),
-            h_Y=_vector(doc, "h_Y", m),
-            mu_hat=_number(doc, "mu_hat"),
-        )
-    if kind == "plrnn":
-        _reject_unknown(doc, _PLRNN_FIELDS)
-        M = _dimension(doc, "M", 1)
-        relaxed = doc.get("relaxed_diagonal", False)
-        if not isinstance(relaxed, bool):
-            raise ConfigError(
-                f"field 'relaxed_diagonal' must be a boolean, got {relaxed!r}"
-            )
-        try:
-            return PLRNNSystem(
-                A_diag=_vector(doc, "A_diag", M),
-                W=_matrix(doc, "W", M),
-                h=_vector(doc, "h", M),
-                relaxed_diagonal=relaxed,
-            )
-        except ValueError as err:
-            raise ConfigError(f"field 'W': {err}") from err
-    raise ConfigError(f"field 'kind' must be 'canonical' or 'plrnn', got {kind!r}")
+    schema = _SCHEMA.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        kinds = " or ".join(map(repr, _SCHEMA))
+        raise ConfigError(f"field 'kind' must be {kinds}, got {kind!r}")
+    unknown = sorted(set(doc) - {"kind", schema.dim, *schema.fields})
+    if unknown:
+        raise ConfigError(f"unknown fields: {', '.join(repr(f) for f in unknown)}")
+    size = _require(doc, schema.dim)
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ConfigError(f"field {schema.dim!r} must be an integer, got {size!r}")
+    if size < schema.minimum:
+        raise ConfigError(f"field {schema.dim!r} must be >= {schema.minimum}, got {size}")
+    values = {f: _field(doc, f, rank, size) for f, rank in schema.fields.items()}
+    try:
+        return schema.cls(**values)
+    except ValueError as err:
+        if schema.checked is None:
+            raise
+        raise ConfigError(f"field {schema.checked!r}: {err}") from err
 
 
 def read_config(path: str):
@@ -156,30 +145,14 @@ def read_config(path: str):
 
 def config_to_text(sys) -> str:
     """Serialize a system to its config document (sorted keys, LF, repr floats)."""
-    if isinstance(sys, CanonicalSystem):
-        doc = {
-            "kind": "canonical",
-            "m": sys.m,
-            "a": sys.a,
-            "d": sys.d,
-            "mu_hat": sys.mu_hat,
-            "b_vec": sys.b_vec.tolist(),
-            "e_vec": sys.e_vec.tolist(),
-            "A_block": sys.A_block.tolist(),
-            "h_Y": sys.h_Y.tolist(),
-        }
-    elif isinstance(sys, PLRNNSystem):
-        doc = {
-            "kind": "plrnn",
-            "M": sys.M,
-            "A_diag": sys.A_diag.tolist(),
-            "W": sys.W.tolist(),
-            "h": sys.h.tolist(),
-            "relaxed_diagonal": sys.relaxed_diagonal,
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(sys).__name__}")
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for kind, schema in _SCHEMA.items():
+        if isinstance(sys, schema.cls):
+            doc = {"kind": kind, schema.dim: getattr(sys, schema.dim)}
+            for f, rank in schema.fields.items():
+                value = getattr(sys, f)
+                doc[f] = value.tolist() if rank else value
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    raise TypeError(f"cannot serialize {type(sys).__name__}")
 
 
 def write_config(path: str, sys) -> None:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 
 class PwlcyclesError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. Each subclass sets exit_code, the
+    pwlcycles exit status: 2 config, 3 solver precondition, 5 structural."""
 
 
 class SingularDenominatorError(PwlcyclesError):
     """The cycle denominator 1 - a^(n-1)*d is zero within tolerance."""
+
+    exit_code = 3
 
     def __init__(self, a: float, d: float, n: int, denominator: float):
         self.a = a
@@ -27,6 +30,8 @@ class NotAdmissibleError(PwlcyclesError):
     Carries the raw values so callers can inspect the failed candidate.
     """
 
+    exit_code = 3
+
     def __init__(self, xs, letters, message: str = ""):
         self.xs = tuple(float(v) for v in xs)
         self.letters = str(letters)
@@ -39,13 +44,19 @@ class NotAdmissibleError(PwlcyclesError):
 class DegenerateOffsetError(PwlcyclesError):
     """mu_hat = 0: the origin is a fixed point and cycle formulas collapse."""
 
+    exit_code = 3
+
 
 class EigenvalueOneError(PwlcyclesError):
     """A linear-part eigenvalue sits on 1, so the fixed-point solve is singular."""
 
+    exit_code = 3
+
 
 class DivergenceError(PwlcyclesError):
     """An orbit coordinate exceeded the divergence threshold."""
+
+    exit_code = 3
 
     def __init__(self, step: int, state):
         self.step = int(step)
@@ -55,6 +66,8 @@ class DivergenceError(PwlcyclesError):
 
 class StructureViolationError(PwlcyclesError):
     """The boundary row of W has nonzero off-diagonal entries."""
+
+    exit_code = 5
 
     def __init__(self, s: int, entries):
         # entries: list of (row, col, value) with 1-based coordinates
@@ -67,10 +80,16 @@ class StructureViolationError(PwlcyclesError):
 class NotAdjacentError(PwlcyclesError):
     """Region pair differs in more than one coordinate."""
 
+    exit_code = 5
+
 
 class SameRegionError(PwlcyclesError):
     """Region pair is identical; no switching boundary between them."""
 
+    exit_code = 5
+
 
 class ConfigError(PwlcyclesError):
     """System configuration document is malformed or inconsistent."""
+
+    exit_code = 2

@@ -18,6 +18,8 @@ from .skew_tent import (
     _exists,
     _flags,
     _margins,
+    _require_count,
+    _require_int,
     _require_region_n,
     _require_tol,
     existence_bound,
@@ -53,6 +55,8 @@ class GridSpec:
     mu_sign: str = "+"
 
     def __post_init__(self):
+        for name in ("a_steps", "d_steps"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
         if self.a_steps < 1 or self.d_steps < 1:
             raise ValueError("a_steps and d_steps must be >= 1")
         # an infinite bound, or a span near the float range, gives inf or
@@ -136,8 +140,7 @@ def curve_samples(
     linspace; for '-' the mirrored curve (bound(t), t) is returned, so
     the rows are always (a, d) coordinates of the queried plane.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    samples = _require_count(samples, "samples", 2)
     if a_min <= 0 or a_max <= 0:
         raise ValueError("curve parameterization requires positive slope range")
     if mu_sign not in ("+", "-"):

@@ -15,7 +15,14 @@ import numpy as np
 
 from .cycle_solver import CanonicalSystem
 from .errors import DivergenceError
-from .skew_tent import SkewTentParams, _require_tol, iterate_1d
+from .skew_tent import (
+    SkewTentParams,
+    _require_count,
+    _require_int,
+    _require_tol,
+    _sign_word,
+    iterate_1d,
+)
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -99,8 +106,8 @@ def trajectory(
     state) at the first step where any coordinate exceeds
     divergence_threshold, which must be a finite positive number.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _require_count(steps, "steps", 1)
+    transient = _require_int(transient, "transient")
     if not 0 <= transient < steps:
         raise ValueError("need 0 <= transient < steps")
     m = sys.m
@@ -254,8 +261,7 @@ def detect_cycle(
     p = 1..max_period and reports the smallest p that matches within
     tol. Chaotic orbits and periods above max_period yield None.
     """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+    max_period = _require_count(max_period, "max_period", 1)
     _require_tol(tol)
     states = orbit.states
     top = min(max_period, states.shape[0] // 2)
@@ -273,10 +279,7 @@ def itinerary(orbit: Orbit, zero_tol: float = 1e-9) -> str:
     """Symbol string of the recorded x-values: R (x > zero_tol),
     L (x < -zero_tol), else 0."""
     _require_tol(zero_tol, "zero_tol")
-    letters = np.where(
-        orbit.x_values > zero_tol, "R", np.where(orbit.x_values < -zero_tol, "L", "0")
-    )
-    return "".join(letters)
+    return _sign_word(orbit.x_values.tolist(), zero_tol)
 
 
 def band_count(orbit: Orbit) -> int:
@@ -334,8 +337,7 @@ def cobweb_data(p: SkewTentParams, x0: float, steps: int) -> np.ndarray:
     (x, f(x)) and the diagonal endpoint (f(x), f(x)). Shape is
     (2 * steps + 1, 2).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _require_count(steps, "steps", 1)
     pts = np.empty((2 * steps + 1, 2))
     pts[0] = (x0, 0.0)
     x = float(x0)
@@ -371,15 +373,14 @@ def bifurcation_scan(
     row instead of raised so a sweep across an exploding region still
     completes.
     """
-    if d_steps < 1:
-        raise ValueError("d_steps must be >= 1")
+    d_steps = _require_count(d_steps, "d_steps", 1)
     # a non-finite or overflowing span is reported by the checks below
     with np.errstate(invalid="ignore", over="ignore"):
         ds = np.linspace(d_min, d_max, d_steps)
     # the checks and messages of SkewTentParams and trajectory, in their order
     SkewTentParams(a=a, d=ds[0], mu_hat=mu_hat)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _require_count(steps, "steps", 1)
+    transient = _require_int(transient, "transient")
     if not 0 <= transient < steps:
         raise ValueError("need 0 <= transient < steps")
     x0 = float(mu_hat) / 2.0 if x0 is None else float(x0)

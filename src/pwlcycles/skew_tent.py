@@ -179,14 +179,14 @@ def cycle_x_components(
     terms, and for i >= 2
     x_i = mu_hat * (S_{i-1}(a) + a^(i-2) d S_{n-i+1}(a)) / (1 - a^(n-1) d).
 
-    Raises SingularDenominatorError when 1 - a^(n-1) d is zero within
+    Raises ValueError unless n is an integer >= 2,
+    SingularDenominatorError when 1 - a^(n-1) d is zero within
     SINGULAR_TOL, DegenerateOffsetError for mu_hat = 0, and
     NotAdmissibleError when the computed signs do not realize the
     R L^(n-1) pattern (the error carries the raw values) or when a^(n-1)
     overflows, so that no point is computed.
     """
-    if n < 2:
-        raise ValueError("cycle length n must be >= 2")
+    n = _require_count(n, "cycle length n", 2)
     if p.mu_hat == 0.0:
         raise DegenerateOffsetError("mu_hat = 0 collapses the cycle formulas")
     a, d, mu = p.a, p.d, p.mu_hat
@@ -215,17 +215,31 @@ def cycle_x_components(
     return XCycle(n=n, xs=tuple(xs), sequence=sequence)
 
 
-def _require_region_n(n) -> int:
-    """n as an int; ValueError unless n is an integer >= 3 (a bool is not)."""
+def _require_int(value, name: str) -> int:
+    """value as an int; ValueError unless it is an integer (a bool is not)."""
     try:
-        index = operator.index(n)
+        index = operator.index(value)
     except TypeError:
         index = None
-    if index is None or isinstance(n, bool):
-        raise ValueError(f"cycle length n must be an integer, got {n!r}")
-    if index < 3:
-        raise ValueError("region tests are defined for n >= 3")
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return index
+
+
+def _require_count(value, name: str, minimum: int) -> int:
+    """value as an int; ValueError unless it is an integer >= minimum."""
+    index = _require_int(value, name)
+    if index < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return index
+
+
+def _require_region_n(n) -> int:
+    """n as an int; ValueError unless n is an integer >= 3."""
+    n = _require_int(n, "cycle length n")
+    if n < 3:
+        raise ValueError("region tests are defined for n >= 3")
+    return n
 
 
 def _require_tol(tol: float, name: str = "tol") -> None:

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from pwlcycles import cli
 from pwlcycles.cli import main
 from pwlcycles.config import read_config
 from pwlcycles.cycle_solver import solve_cycle, solve_symbolic_cycle
+from pwlcycles.errors import PwlcyclesError
 from pwlcycles.region_atlas import GridSpec
 from pwlcycles.simulator import trajectory
 from pwlcycles.skew_tent import classify
@@ -364,6 +368,24 @@ def test_simulate_non_finite_tolerance_exits_2(flag, value, write_doc, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_simulate_zero_tol_defaults_to_the_cycle_tolerance(write_doc, capsys):
+    # mu_hat = 10: the third point of the 3-cycle, about -5e-9, is inside
+    # zero_tolerance(10) = 1e-8 but outside the absolute 1e-9
+    doc = SCALAR_DOC.replace('"a": 0.4, "d": -4.0, "mu_hat": 0.8',
+                             '"a": 0.5, "d": -3.00000000175, "mu_hat": 10.0')
+    path = write_doc(doc)
+    sol = solve_cycle(read_config(path), 3)
+    assert -1e-8 < sol.points[2][0] < -1e-9
+    argv = ["simulate", "--config", path, "--steps", "2000", "--transient",
+            "999", "--x0", repr(float(sol.points[0][0]))]
+    assert main(["cycle", "--config", path, "--n", "3"]) == 0
+    assert "sequence: RL0\n" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "itinerary: " + "RL0" * 10 + "RL\n" in capsys.readouterr().out
+    assert main(argv + ["--zero-tol", "1e-9"]) == 0
+    assert "itinerary: " + "RLL" * 10 + "RL\n" in capsys.readouterr().out
+
+
 def test_simulate_divergence_is_reported_not_fatal(write_doc, tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     rc = main(["simulate", "--config", write_doc(DIVERGING_DOC),
@@ -448,3 +470,38 @@ def test_classify_underflowing_slope_power(capsys):
                "--format", "json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "ExistsStable"
+
+
+def _readme_exit_codes():
+    """Error class name -> exit code, from the README's exit-code table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    codes = {}
+    for line in readme.splitlines():
+        match = re.match(r"^\| (\d) \|", line)
+        if match:
+            for name in re.findall(r"`(\w+)`", line):
+                codes[name] = int(match.group(1))
+    return codes
+
+
+ERROR_CLASSES = sorted(PwlcyclesError.__subclasses__(), key=lambda c: c.__name__)
+
+
+def test_every_error_class_is_in_the_readme_table():
+    codes = _readme_exit_codes()
+    assert codes["ValueError"] == 2 and codes["OSError"] == 4
+    assert {c.__name__ for c in ERROR_CLASSES} <= set(codes)
+    assert len(ERROR_CLASSES) == 9
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_class_exit_code(cls, monkeypatch, capsys):
+    assert "exit_code" in vars(cls)
+    assert cls.exit_code == _readme_exit_codes()[cls.__name__]
+
+    def fail(args):
+        raise cls.__new__(cls)  # skip __init__: str(err) is empty
+
+    monkeypatch.setattr(cli, "_cmd_classify", fail)
+    assert main(["classify", "--a", "0.4", "--d", "-4.0", "--n", "3"]) == cls.exit_code
+    assert capsys.readouterr().err == f"error: {cls.__name__}: \n"

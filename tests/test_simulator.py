@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pwlcycles import cycle_solver as cs
+from pwlcycles import region_atlas as ra
 from pwlcycles import simulator as sim
 from pwlcycles import skew_tent as st
 from pwlcycles.errors import DivergenceError
@@ -325,6 +326,22 @@ def test_itinerary_zero_letter_on_border_cycle():
     assert word == "RL0RL0RL0"
 
 
+@pytest.mark.parametrize("zero_tol", [1e-9, 0.25, 5e-324])
+def test_itinerary_matches_string_where(zero_tol):
+    # the letters of the parent's itinerary, a nested np.where on strings
+    rng = np.random.default_rng(17)
+    near = [np.nextafter(zero_tol, 0.0), zero_tol, np.nextafter(zero_tol, 1.0)]
+    edges = np.array([0.0, -0.0, np.nan, np.inf, -np.inf] + near
+                     + [-v for v in near])
+    xs = np.concatenate([edges, rng.choice(edges, 500),
+                         rng.normal(scale=3 * zero_tol, size=500)])
+    orbit = sim.Orbit(states=xs[:, None], transient=0)
+    expected = "".join(np.where(xs > zero_tol, "R",
+                                np.where(xs < -zero_tol, "L", "0")))
+    assert sim.itinerary(orbit, zero_tol=zero_tol) == expected
+    assert expected[:11] == "000RL00R00L"
+
+
 @pytest.mark.parametrize(
     "d, expected",
     [
@@ -549,3 +566,64 @@ def test_bifurcation_scan_validation(kwargs, message):
     args.update(kwargs)
     with pytest.raises(ValueError, match=message):
         sim.bifurcation_scan(**args)
+
+
+def _count_calls():
+    """One call per integer-count argument, with that argument left free."""
+    sys = tent_system(0.4, -4.0)
+    p = st.SkewTentParams(0.4, -4.0, 0.8)
+    orbit = sim.trajectory(sys, steps=200, transient=100)
+    grid = dict(a_min=0.1, a_max=1.0, a_steps=3, d_min=-5.0, d_max=-1.0, d_steps=3)
+    return {
+        "cycle_x_components n": lambda k: st.cycle_x_components(p, k),
+        "solve_cycle n": lambda k: cs.solve_cycle(sys, k),
+        "GridSpec a_steps": lambda k: ra.GridSpec(**{**grid, "a_steps": k}),
+        "GridSpec d_steps": lambda k: ra.GridSpec(**{**grid, "d_steps": k}),
+        "trajectory steps": lambda k: sim.trajectory(sys, steps=k, transient=0),
+        "trajectory transient": lambda k: sim.trajectory(sys, steps=10, transient=k),
+        "bifurcation_scan d_steps": lambda k: sim.bifurcation_scan(
+            0.4, 0.8, -4.0, -3.0, k, steps=10, transient=0),
+        "bifurcation_scan steps": lambda k: sim.bifurcation_scan(
+            0.4, 0.8, -4.0, -3.0, 2, steps=k, transient=0),
+        "bifurcation_scan transient": lambda k: sim.bifurcation_scan(
+            0.4, 0.8, -4.0, -3.0, 2, steps=10, transient=k),
+        "detect_cycle max_period": lambda k: sim.detect_cycle(orbit, max_period=k),
+        "cobweb_data steps": lambda k: sim.cobweb_data(p, 0.3, k),
+        "curve_samples samples": lambda k: ra.curve_samples(3, 0.1, 1.0, k),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_count_calls()))
+@pytest.mark.parametrize("value", [3.0, 5.5, np.float64(3.0), True, "3", None])
+def test_count_arguments_must_be_integers(call, value):
+    with pytest.raises(ValueError, match="integer"):
+        _count_calls()[call](value)
+
+
+@pytest.mark.parametrize("call", sorted(_count_calls()))
+def test_count_arguments_accept_numpy_integers(call):
+    fn = _count_calls()[call]
+    with np.printoptions(threshold=10**6):
+        want = repr(fn(3))
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert repr(fn(k)) == want
+
+
+@pytest.mark.parametrize("call, low, message", [
+    ("cycle_x_components n", 1, "cycle length n must be >= 2"),
+    ("solve_cycle n", 1, "cycle length n must be >= 2"),
+    ("GridSpec a_steps", 0, "a_steps and d_steps must be >= 1"),
+    ("GridSpec d_steps", 0, "a_steps and d_steps must be >= 1"),
+    ("trajectory steps", 0, "steps must be >= 1"),
+    ("trajectory transient", -1, "need 0 <= transient < steps"),
+    ("bifurcation_scan d_steps", 0, "d_steps must be >= 1"),
+    ("bifurcation_scan steps", 0, "steps must be >= 1"),
+    ("bifurcation_scan transient", -1, "need 0 <= transient < steps"),
+    ("detect_cycle max_period", 0, "max_period must be >= 1"),
+    ("cobweb_data steps", 0, "steps must be >= 1"),
+    ("curve_samples samples", 1, "samples must be >= 2"),
+])
+def test_count_arguments_below_minimum(call, low, message):
+    with pytest.raises(ValueError) as info:
+        _count_calls()[call](low)
+    assert str(info.value) == message
