@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys as _sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,9 @@ __all__ = ["build_parser", "main", "entry_point"]
 _ITINERARY_PREFIX = 32
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """ArgumentParser that reads every negative float literal as a value.
 
@@ -50,9 +54,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
-        )
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _bits_word(text: str) -> str:
@@ -128,16 +130,8 @@ def _read_system(args, kind: str):
 def _cmd_classify(args) -> int:
     result = classify(args.a, args.d, args.n, mu_sign=args.mu_sign, tol=args.tol)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "verdict": result.verdict.value,
-                    "n": result.n,
-                    "details": result.details,
-                },
-                sort_keys=True,
-            )
-        )
+        doc = {"verdict": result.verdict.value, "n": result.n, "details": result.details}
+        print(json.dumps(doc, sort_keys=True))
         return 0
     print(f"verdict: {result.verdict.value}")
     print(f"n: {result.n}")
@@ -161,16 +155,9 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    spec = GridSpec(
-        a_min=args.a_min,
-        a_max=args.a_max,
-        a_steps=args.a_steps,
-        d_min=args.d_min,
-        d_max=args.d_max,
-        d_steps=args.d_steps,
-        n_list=tuple(args.n),
-        mu_sign=args.mu_sign,
-    )
+    spec = GridSpec(a_min=args.a_min, a_max=args.a_max, a_steps=args.a_steps,
+                    d_min=args.d_min, d_max=args.d_max, d_steps=args.d_steps,
+                    n_list=tuple(args.n), mu_sign=args.mu_sign)
     grid = scan(spec, tol=args.tol)
 
     a_reprs = [repr(v) for v in grid.a_values.tolist()]
@@ -261,69 +248,90 @@ def _cmd_plrnn(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    help: str
+    # the module-level _cmd_* function, looked up by name when a parser is
+    # built, so that a patched binding (a test double, a tracer) is called
+    handler: str
+    # (flag, keywords) pairs; a tuple of pairs is a required exclusive group
+    args: tuple
+
+
+_COMMANDS = {
+    "classify": _Command("classify a parameter point", "_cmd_classify", (
+        ("--a", dict(type=float, required=True)),
+        ("--d", dict(type=float, required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--mu-sign", dict(choices=["+", "-"], default="+")),
+        ("--tol", dict(type=float, default=DEFAULT_CURVE_TOL)),
+        ("--format", dict(choices=["text", "json"], default="text")),
+    )),
+    "cycle": _Command("closed-form cycle of a configured system", "_cmd_cycle", (
+        ("--config", dict(required=True)),
+        (("--n", dict(type=int)), ("--sequence", dict())),
+        ("--zero-tol", dict(type=float, default=None)),
+        ("--emit", dict(choices=["csv", "json"], default=None)),
+        ("--out", dict(default=None)),
+    )),
+    "scan": _Command("classify a parameter-plane grid to CSV", "_cmd_scan", (
+        ("--a-min", dict(type=float, required=True)),
+        ("--a-max", dict(type=float, required=True)),
+        ("--a-steps", dict(type=int, required=True)),
+        ("--d-min", dict(type=float, required=True)),
+        ("--d-max", dict(type=float, required=True)),
+        ("--d-steps", dict(type=int, required=True)),
+        ("--n", dict(type=int, nargs="+", required=True)),
+        ("--mu-sign", dict(choices=["+", "-"], default="+")),
+        ("--tol", dict(type=float, default=DEFAULT_CURVE_TOL)),
+        ("--out", dict(default=None)),
+    )),
+    "simulate": _Command("simulate a configured system", "_cmd_simulate", (
+        ("--config", dict(required=True)),
+        ("--steps", dict(type=int, default=DEFAULT_STEPS)),
+        ("--transient", dict(type=int, default=DEFAULT_TRANSIENT)),
+        ("--x0", dict(type=float, default=None)),
+        ("--max-period", dict(type=int, default=DEFAULT_MAX_PERIOD)),
+        ("--cycle-tol", dict(type=float, default=DEFAULT_CYCLE_TOL)),
+        ("--zero-tol", dict(type=float, default=None)),
+        ("--emit-csv", dict(default=None)),
+    )),
+    "plrnn": _Command("localize a network at a switching boundary", "_cmd_plrnn", (
+        ("--config", dict(required=True)),
+        ("--pair", dict(nargs=2, type=_bits_word, required=True,
+                        metavar=("BITS_I", "BITS_J"))),
+        ("--n", dict(type=int, required=True)),
+        ("--zero-tol", dict(type=float, default=None)),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named subcommand only."""
     parser = _ArgumentParser(
-        prog="pwlcycles",
-        description="Cycles and bifurcations of piecewise-linear maps",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a parameter point")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu-sign", choices=["+", "-"], default="+")
-    p.add_argument("--tol", type=float, default=DEFAULT_CURVE_TOL)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("cycle", help="closed-form cycle of a configured system")
-    p.add_argument("--config", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--sequence")
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.add_argument("--emit", choices=["csv", "json"], default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cycle)
-
-    p = sub.add_parser("scan", help="classify a parameter-plane grid to CSV")
-    p.add_argument("--a-min", type=float, required=True)
-    p.add_argument("--a-max", type=float, required=True)
-    p.add_argument("--a-steps", type=int, required=True)
-    p.add_argument("--d-min", type=float, required=True)
-    p.add_argument("--d-max", type=float, required=True)
-    p.add_argument("--d-steps", type=int, required=True)
-    p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--mu-sign", choices=["+", "-"], default="+")
-    p.add_argument("--tol", type=float, default=DEFAULT_CURVE_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("simulate", help="simulate a configured system")
-    p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p.add_argument("--transient", type=int, default=DEFAULT_TRANSIENT)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD)
-    p.add_argument("--cycle-tol", type=float, default=DEFAULT_CYCLE_TOL)
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.add_argument("--emit-csv", default=None)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("plrnn", help="localize a network at a switching boundary")
-    p.add_argument("--config", required=True)
-    p.add_argument("--pair", nargs=2, type=_bits_word, required=True,
-                   metavar=("BITS_I", "BITS_J"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.set_defaults(func=_cmd_plrnn)
-
+        prog="pwlcycles", description="Cycles and bifurcations of piecewise-linear maps")
+    # the full parser's usage line; the full parser itself sets no metavar,
+    # which would change its missing-command and invalid-choice messages
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        spec = _COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        for arg in spec.args:
+            if isinstance(arg[0], tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, options in arg:
+                    group.add_argument(flag, **options)
+            else:
+                p.add_argument(arg[0], **arg[1])
+        p.set_defaults(func=globals()[spec.handler])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    # no arguments, -h, an unknown name or a prefix of one need every subcommand
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

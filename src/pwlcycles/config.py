@@ -70,7 +70,11 @@ def _number(value, field: str, row: int | None = None, col: int | None = None):
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_where(field, row, col)} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int literal beyond the float range
+        raise ConfigError(f"{_where(field, row, col)} must fit in a float") from None
+    if not finite:
         # a number field's message shows the value, an entry's does not
         got = "" if col is not None else f", got {value!r}"
         raise ConfigError(f"{_where(field, row, col)} must be finite{got}")

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +9,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcycles import cli
 from pwlcycles.cli import main
@@ -463,6 +467,149 @@ def test_plrnn_flag_errors_exit_2(write_doc, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_cycle_config_with_huge_integer_exits_2(write_doc, capsys):
+    huge = SCALAR_DOC.replace('"a": 0.4', '"a": 1' + "0" * 400)
+    assert main(["cycle", "--config", write_doc(huge), "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: ConfigError: field 'a' must fit in a float\n"
+
+
+SUBCOMMANDS = ["classify", "cycle", "scan", "simulate", "plrnn"]
+
+_CLASSIFY = ["classify", "--a", "0.4", "--d", "-3.5", "--n", "3"]
+_SCAN = ["scan", "--a-min", "0.01", "--a-max", "3", "--a-steps", "4",
+         "--d-min", "-40", "--d-max", "-0.01", "--d-steps", "3", "--n", "3", "4"]
+# {can}, {scalar} and {net} stand for config files written by the test
+_VALID_CALLS = [
+    _CLASSIFY,
+    ["cycle", "--config", "{can}", "--n", "3"],
+    _SCAN,
+    ["simulate", "--config", "{scalar}", "--steps", "2000", "--transient", "100"],
+    ["plrnn", "--config", "{net}", "--pair", "0000", "1000", "--n", "3"],
+]
+IDENTITY_CORPUS = [
+    *_VALID_CALLS,
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["-h"],
+    [],
+    ["bogus"],
+    ["class"],
+    *(argv + ["--bogus"] for argv in _VALID_CALLS),
+    ["classify", "--a", "0.4", "--d", "-3.5"],
+    ["plrnn", "--config", "{net}", "--pair", "0000"],
+    ["classify", "--a", "0.4", "--d", "-3.5", "--n", "three"],
+    ["scan", *_SCAN[1:6], "4.5", *_SCAN[7:]],
+    ["cycle", "--config", "{can}", "--n", "3", "--sequence", "RL"],
+    ["classify", "--a", "0.4", "--d", "-4.6e+21", "--n", "3"],
+]
+
+USAGE = "usage: pwlcycles [-h] {classify,cycle,scan,simulate,plrnn} ...\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["class"], "argument command: invalid choice: 'class' (choose from 'classify', "
+                "'cycle', 'scan', 'simulate', 'plrnn')"),
+    (_CLASSIFY + ["--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_top_level_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{USAGE}pwlcycles: error: {message}\n"
+
+
+def _full_parser_call(argv):
+    """argv parsed by the parser of every subcommand, dispatched through args.func."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", IDENTITY_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_matches_the_full_parser(argv, write_doc, capsys):
+    paths = {"{can}": write_doc(CANONICAL_DOC, "can.json"),
+             "{scalar}": write_doc(SCALAR_DOC, "scalar.json"),
+             "{net}": write_doc(NET_DOC, "net.json")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    got = (main(argv), *capsys.readouterr())
+    assert got == (_full_parser_call(argv), *capsys.readouterr())
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_build_parser_of_one_subcommand():
+    full = cli.build_parser()
+    assert list(_subparsers(full)) == SUBCOMMANDS
+    assert list(_subparsers(cli.build_parser("classify"))) == ["classify"]
+    for name, sub in _subparsers(full).items():
+        one = cli.build_parser(name)
+        assert one.format_usage() == full.format_usage()
+        assert _subparsers(one)[name].format_help() == sub.format_help()
+
+
+_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["+", "-", "text", "json", "csv", "xml", "0101", "01a", "RL",
+                     "", "-4.6e+21", "-.5", "--bogus", "-x", "-h", "--", "classify"]),
+    st.text(alphabet="-.0123456789eE+RL", max_size=6),
+)
+
+
+def _valid_value(action):
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is float:
+        return st.floats().map(repr)
+    if action.type is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if action.type is cli._bits_word:
+        return st.text(alphabet="01", min_size=1, max_size=4)
+    return st.text(alphabet="RL01.", max_size=4)  # a config path or a word
+
+
+@st.composite
+def _subcommand_argv(draw, name, actions):
+    """name, then the flags of actions in any order, each left out one time
+    in sixteen; one value in eight is an arbitrary token, and so may be a
+    last token."""
+    argv = [name]
+    for action in draw(st.permutations(actions)):
+        if draw(st.integers(0, 15)):
+            argv.append(action.option_strings[-1])
+            for _ in range(2 if action.nargs == 2 else 1):
+                arbitrary = draw(st.integers(0, 7)) == 0
+                argv.append(draw(_TOKENS if arbitrary else _valid_value(action)))
+    return argv + draw(st.lists(_TOKENS, max_size=1))
+
+
+def _parse(parser, argv):
+    """The namespace parser reads from argv, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return repr(sorted(vars(args).items()))  # repr, since nan != nan
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_subcommand_parser_parses_as_the_full_parser(name):
+    actions = _subparsers(cli.build_parser())[name]._actions[1:]  # all but -h
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_subcommand_argv(name, actions))
+    def check(argv):
+        assert _parse(cli.build_parser(name), argv) == _parse(cli.build_parser(), argv)
+
+    check()
 
 
 def test_classify_underflowing_slope_power(capsys):

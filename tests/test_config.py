@@ -179,6 +179,10 @@ MALFORMED = [
     (SMALL_CAN.replace('"h_Y": [0.0]', '"h_Y": [null]'),
      "field 'h_Y'[0] must be a number, got None"),
     (SMALL_CAN.replace('"h_Y": [0.0]', '"h_Y": [NaN]'), "field 'h_Y'[0] must be finite"),
+    # an integer literal too large for a float, in a number field and an entry
+    (SMALL_CAN.replace('"a": 0.4', '"a": 1' + "0" * 400), "field 'a' must fit in a float"),
+    (SMALL_CAN.replace('"b_vec": [1.0]', '"b_vec": [-1' + "0" * 400 + "]"),
+     "field 'b_vec'[0] must fit in a float"),
     (SMALL_CAN.replace('"A_block": [[0.5]]', '"A_block": 0.5'),
      "field 'A_block' must be a list of 1 rows"),
     (SMALL_CAN.replace('"A_block": [[0.5]]', '"A_block": [[0.5], [0.5]]'),
