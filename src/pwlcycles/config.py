@@ -118,6 +118,10 @@ def parse_config(text: str):
         raise ConfigError(
             f"not valid JSON: {err.msg} (line {err.lineno}, column {err.colno})"
         ) from err
+    except RecursionError:
+        raise ConfigError("document nested too deeply to parse") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ConfigError("integer literal has too many digits to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be a JSON object")
     kind = _require(doc, "kind")

@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PwlcyclesError",
+    "SingularDenominatorError",
+    "NotAdmissibleError",
+    "DegenerateOffsetError",
+    "EigenvalueOneError",
+    "DivergenceError",
+    "StructureViolationError",
+    "NotAdjacentError",
+    "SameRegionError",
+    "ConfigError",
+]
+
 
 class PwlcyclesError(Exception):
     """Base class for all toolkit errors. Each subclass sets exit_code, the

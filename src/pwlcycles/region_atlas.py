@@ -20,6 +20,7 @@ from .skew_tent import (
     _margins,
     _require_count,
     _require_int,
+    _require_mu_sign,
     _require_region_n,
     _require_tol,
     existence_bound,
@@ -67,8 +68,7 @@ class GridSpec:
             raise ValueError("grid bounds and cell centres must be finite")
         if not (self.a_min <= self.a_max and self.d_min <= self.d_max):
             raise ValueError("grid bounds must be ordered")
-        if self.mu_sign not in ("+", "-"):
-            raise ValueError(f"mu_sign must be '+' or '-', got {self.mu_sign!r}")
+        _require_mu_sign(self.mu_sign)
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
         n_list = tuple(_require_region_n(n) for n in self.n_list)
@@ -143,13 +143,10 @@ def curve_samples(
     samples = _require_count(samples, "samples", 2)
     if a_min <= 0 or a_max <= 0:
         raise ValueError("curve parameterization requires positive slope range")
-    if mu_sign not in ("+", "-"):
-        raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
+    _require_mu_sign(mu_sign)
     t = np.linspace(a_min, a_max, samples)
     bound = existence_bound(t, n)
-    if mu_sign == "+":
-        return np.column_stack([t, bound])
-    return np.column_stack([bound, t])
+    return np.column_stack([t, bound] if mu_sign == "+" else [bound, t])
 
 
 def nesting_report(spec: GridSpec) -> dict:

@@ -338,9 +338,11 @@ def cobweb_data(p: SkewTentParams, x0: float, steps: int) -> np.ndarray:
     (2 * steps + 1, 2).
     """
     steps = _require_count(steps, "steps", 1)
-    pts = np.empty((2 * steps + 1, 2))
-    pts[0] = (x0, 0.0)
     x = float(x0)
+    if not math.isfinite(x):
+        raise ValueError("z0 must be finite")
+    pts = np.empty((2 * steps + 1, 2))
+    pts[0] = (x, 0.0)
     for k in range(steps):
         fx = iterate_1d(p, x)
         pts[2 * k + 1] = (x, fx)

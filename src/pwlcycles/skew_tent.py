@@ -248,6 +248,11 @@ def _require_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
 
 
+def _require_mu_sign(mu_sign: str) -> None:
+    if mu_sign not in ("+", "-"):
+        raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
+
+
 def _bound(a, n: int):
     """-S_{n-1}(a) / a^(n-2) and a^(n-2), for a numpy scalar or array a.
 
@@ -360,8 +365,7 @@ def _flags(a, m, tol: float):
 
 def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL):
     """Margins, as floats, and flags at one point; mu_sign '-' swaps (a, d)."""
-    if mu_sign not in ("+", "-"):
-        raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
+    _require_mu_sign(mu_sign)
     if not (math.isfinite(a) and math.isfinite(d)):
         raise ValueError(f"a and d must be finite, got a={a!r}, d={d!r}")
     aa, dd = (float(a), float(d)) if mu_sign == "+" else (float(d), float(a))

@@ -183,6 +183,10 @@ MALFORMED = [
     (SMALL_CAN.replace('"a": 0.4', '"a": 1' + "0" * 400), "field 'a' must fit in a float"),
     (SMALL_CAN.replace('"b_vec": [1.0]', '"b_vec": [-1' + "0" * 400 + "]"),
      "field 'b_vec'[0] must fit in a float"),
+    # past the int-digit limit of json.loads, and past its recursion limit
+    (SMALL_CAN.replace('"a": 0.4', '"a": 1' + "0" * 5000),
+     "integer literal has too many digits to parse"),
+    ("[" * 100_000 + "]" * 100_000, "document nested too deeply to parse"),
     (SMALL_CAN.replace('"A_block": [[0.5]]', '"A_block": 0.5'),
      "field 'A_block' must be a list of 1 rows"),
     (SMALL_CAN.replace('"A_block": [[0.5]]', '"A_block": [[0.5], [0.5]]'),

@@ -485,6 +485,10 @@ def test_cobweb_data_structure():
     assert pts[2] == pytest.approx([x1, x1])
     with pytest.raises(ValueError):
         sim.cobweb_data(p, x0=0.3, steps=0)
+    # a non-finite start is rejected as bifurcation_scan rejects it
+    for x0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            sim.cobweb_data(p, x0=x0, steps=2)
 
 
 def test_bifurcation_scan_rows():
