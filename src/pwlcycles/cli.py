@@ -35,7 +35,7 @@ from .simulator import (
     itinerary,
     trajectory,
 )
-from .skew_tent import DEFAULT_CURVE_TOL, classify, zero_tolerance
+from .skew_tent import DEFAULT_CURVE_TOL, classify
 
 __all__ = ["build_parser", "main", "entry_point"]
 
@@ -190,10 +190,7 @@ def _cmd_simulate(args) -> int:
         return 0
 
     cycle = detect_cycle(orbit, max_period=args.max_period, tol=args.cycle_tol)
-    zero_tol = args.zero_tol
-    if zero_tol is None:
-        zero_tol = zero_tolerance(system.mu_hat)
-    symbols = itinerary(orbit, zero_tol=zero_tol)
+    symbols = itinerary(orbit, zero_tol=args.zero_tol)
     bands = band_count(orbit)
     if cycle is None:
         print(f"period: none (no cycle up to {args.max_period})")

@@ -22,6 +22,7 @@ from .skew_tent import (
     _require_tol,
     _sign_word,
     iterate_1d,
+    zero_tolerance,
 )
 
 __all__ = [
@@ -47,9 +48,11 @@ DEFAULT_MAX_PERIOD = 64
 DEFAULT_CYCLE_TOL = 1e-7
 
 # Divergence is checked once per chunk of about _Y_CHUNK_VALUES values
-# (steps times m) of the Y recurrence, or once per block of
-# _SWEEP_BLOCK_VALUES values (steps times d values) of the d sweep.
+# (steps times m) of the Y recurrence, once per _X_CHUNK steps of the x
+# loop, or once per block of _SWEEP_BLOCK_VALUES values (steps times d
+# values) of the d sweep.
 _Y_CHUNK_VALUES = 1 << 14
+_X_CHUNK = 1 << 12
 _SWEEP_BLOCK_VALUES = 1 << 15
 # A block of K steps of the Y recurrence spans K * m values, at most
 # _Y_BLOCK_WIDTH; _block_powers shortens it by the size and the
@@ -65,10 +68,13 @@ class Orbit:
 
     states has shape (steps - transient, m + 1) and holds the states
     after the first `transient` map applications were discarded.
+    mu_hat is the system's offset, which sets itinerary's default zero
+    tolerance; an Orbit built by hand keeps 1.0, so 1e-9.
     """
 
     states: np.ndarray
     transient: int
+    mu_hat: float = 1.0
 
     @property
     def x_values(self) -> np.ndarray:
@@ -100,11 +106,14 @@ def trajectory(
     absorbing interval whenever an attractor exists. The map is
     triangular: x runs on its own as a scalar loop, then Y follows as
     the linear recurrence Y' = A_block Y + u_k with inputs
-    u_k = (b_vec or e_vec) x_k + h_Y, evaluated a block of steps per
-    matrix product; m = 0 simply has no Y. Raises
-    DivergenceError (carrying the application count and the offending
-    state) at the first step where any coordinate exceeds
-    divergence_threshold, which must be a finite positive number.
+    u_k = (b_vec or e_vec) x_k + h_Y, evaluated in blocks of steps.
+    The block ends come first, straight from the x values; the states
+    inside a block are formed only where they are recorded, or where a
+    norm bound does not keep them inside the threshold. m = 0 simply
+    has no Y. Raises DivergenceError (carrying the application count
+    and the offending state) at the first step where any coordinate
+    exceeds divergence_threshold, which must be a finite positive
+    number. The returned Orbit carries sys.mu_hat for itinerary.
     """
     steps = _require_count(steps, "steps", 1)
     transient = _require_int(transient, "transient")
@@ -133,7 +142,7 @@ def trajectory(
     if hit is not None:
         raise DivergenceError(hit[0], np.concatenate(([hit[1]], y)))
     out[:, 0] = xs[transient:]
-    return Orbit(states=out, transient=transient)
+    return Orbit(states=out, transient=transient, mu_hat=sys.mu_hat)
 
 
 def _x_orbit(sys, x, rec, threshold):
@@ -143,16 +152,20 @@ def _x_orbit(sys, x, rec, threshold):
     |x_k| > threshold, or None when the orbit stays bounded.
     """
     a, d, mu = sys.a, sys.d, sys.mu_hat
-    # `x > threshold or x < lo` is abs(x) > threshold, NaN included, and
-    # memoryview item assignment costs about half of ndarray's
-    lo = -threshold
-    rec = memoryview(rec)
-    rec[0] = x
-    for k in range(1, len(rec)):
-        x = a * x + mu if x <= 0.0 else d * x + mu
-        rec[k] = x
-        if x > threshold or x < lo:
-            return k, x
+    # the loop only steps, and each chunk of _X_CHUNK values is screened
+    # after it: an orbit that leaves runs on to the end of its chunk
+    # (Python floats go to inf or NaN without raising). memoryview item
+    # assignment costs about half of ndarray's
+    view = memoryview(rec)
+    view[0] = x
+    for k0 in range(1, len(rec), _X_CHUNK):
+        for k in range(k0, min(k0 + _X_CHUNK, len(rec))):
+            x = a * x + mu if x <= 0.0 else d * x + mu
+            view[k] = x
+        over = np.abs(rec[k0 : k + 1]) > threshold
+        if over.any():
+            k = k0 + int(over.argmax())
+            return k, float(rec[k])
     return None
 
 
@@ -165,66 +178,126 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
 
     The steps run in blocks of K, a blocked evaluation of the linear
     recurrence (Blelloch, "Prefix sums and their applications", 1990).
-    A block that starts at y with drives u_0..u_(K-1) reaches
-    Y_(i+1) = A^(i+1) y + Z_i, where Z_i = sum_(j<=i) A^(i-j) u_j is its
-    zero-start solution. Per chunk of steps, one matrix product gives
-    every block's Z, a loop carries only the block ends
-    y <- A^K y + Z_(K-1), and one more product adds A^(i+1) y to the
-    other rows. _block_powers picks K; K = 1 is the plain recurrence.
+    A block that starts at y with drives u_0..u_(K-1) ends at
+    A^K y + Z, where Z = sum_j A^(K-1-j) u_j is its zero-start end.
+    Ends come first. Per chunk of steps, one matrix product takes every
+    block's x values to its Z, and a doubling scan (Hillis and Steele,
+    "Data parallel algorithms", 1986) carries the ends, y <- A^K y + Z,
+    with the powers A^K, A^2K, A^4K, ...; a chunk whose powers fail
+    _block_powers' checks carries them one block at a time. The states
+    inside a block are formed, by the same scan over its steps with
+    A, A^2, A^4, ..., only where they are recorded or returned, or where
+    the chunk's bound 2 N (max|start| + K max|u|), with
+    N = max_(i<=K) ||A^i||_inf, does not keep every state inside the
+    threshold; the first crossing is read from those states.
+    _block_powers picks K; K = 1 is the plain recurrence.
     """
-    A, b, e, h = sys.A_block, sys.b_vec, sys.e_vec, sys.h_Y
+    A, h = sys.A_block, sys.h_Y
+    gain = np.stack((sys.e_vec, sys.b_vec))  # u_k - h_Y = gain[x_k <= 0] x_k
     m = y.size
     if transient == 0:
         rec[0] = y
     powers = _block_powers(A, max(1, min(_Y_BLOCK_WIDTH // m, last)))
     K = len(powers)
-    w = (K - 1) * m
-    # G_T = [A^1 ... A^(K-1)]^T takes a block's start to its first K-1
-    # states; T_T, block upper triangular with block (j, i) equal to
-    # A^(i-j+1)^T for j <= i, takes u_0..u_(K-2) to Z_1..Z_(K-1) - u
-    G_T = powers[:-1].transpose(2, 0, 1).reshape(m, w)
-    T_T = np.zeros((w, w))
-    for j in range(K - 1):
-        T_T[j * m : (j + 1) * m, j * m :] = G_T[:, : w - j * m]
-    A_K = powers[-1]
+    # a block's Z from its x values x_0..x_(K-1) alone: Z = [x+ | x-] F + c
+    # with x+ and x- their positive and non-positive parts, F stacking
+    # A^(K-1-j) e_vec over j and then A^(K-1-j) b_vec, and
+    # c = sum_j A^j h_Y
+    rev = np.concatenate((powers[-2::-1], np.eye(m)[None]))  # A^(K-1-j)
+    F = np.concatenate((rev @ sys.e_vec, rev @ sys.b_vec))
+    c = (rev @ h).sum(axis=0)
+    norm = max(1.0, float(np.abs(powers).sum(axis=2).max()))
+    gain_max, h_max = float(np.abs(gain).max()), float(np.abs(h).max())
     chunk = K * max(1, _Y_CHUNK_VALUES // (K * m))
-    buf = np.empty((min(chunk, -(-last // K) * K), m))
+    nb_max = -(-min(chunk, last) // K)
+    # the scans' jumps: A^1, A^2, A^4, ... inside a block, and A^K,
+    # A^2K, A^4K, ... from block end to block end
+    within = powers[[(1 << i) - 1 for i in range(K.bit_length())]]
+    across = [powers[-1]]
+    xbuf = np.empty(nb_max * K)
+    wbuf = np.empty((nb_max, 2, K))
+    buf = np.empty((nb_max * K, m))
     k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):
+        while 1 << len(across) <= nb_max:
+            J = across[-1] @ across[-1]
+            if not _passes_checks(J, across[-1], across[-1]):
+                break
+            across.append(J)
         while k0 <= last:
             k1 = min(k0 + chunk, last + 1)
             n = k1 - k0
             nb = -(-n // K)
-            # the chunk's drives, padded to whole blocks with zeros (a
-            # stale NaN times a zero of T_T would reach the real rows);
-            # each row of U holds one block and becomes its states
-            blk = buf[: nb * K]
-            xk = xs[k0 - 1 : k1 - 1, None]
-            np.multiply(np.where(xk <= 0.0, b, e), xk, out=blk[:n])
-            blk[:n] += h
-            blk[n:] = 0.0
-            U = blk.reshape(nb, K * m)
-            U[:, m:] += U[:, :w] @ T_T
-            U[0, :w] += y @ G_T
-            ends = U[:, w:]
-            for row in ends:
-                row += np.dot(A_K, y)
-                y = row
-            # the end of each block is the start of the next
-            U[1:, :w] += ends[:-1] @ G_T
-            # np.max propagates NaN exactly as the per-state check does
-            over = np.abs(blk[:n]).max(axis=1) > threshold
-            if over.any():
-                j = int(over.argmax())
-                raise DivergenceError(
-                    k0 + j, np.concatenate(([xs[k0 + j]], blk[j]))
-                )
-            lo = max(k0, transient)
-            if lo < k1:
-                rec[lo - transient : k1 - transient] = blk[lo - k0 : n]
-            y = blk[n - 1].copy()  # the next chunk overwrites buf
+            # the x values that drive the chunk, one block per row,
+            # padded with zeros to whole blocks
+            X = xbuf[: nb * K]
+            X[:n] = xs[k0 - 1 : k1 - 1]
+            X[n:] = 0.0
+            W = wbuf[:nb]
+            np.maximum(X.reshape(nb, K), 0.0, out=W[:, 0])
+            np.minimum(X.reshape(nb, K), 0.0, out=W[:, 1])
+            # P[r] is the start of block r and P[r + 1] its end
+            P = np.empty((nb + 1, m))
+            P[0] = y
+            np.matmul(W.reshape(nb, 2 * K), F, out=P[1:])
+            P[1:] += c
+            if 1 << len(across) > nb:
+                _scan(P, across)
+            else:
+                for r in range(nb):
+                    P[r + 1] += powers[-1] @ P[r]
+            # whether no state of the chunk can leave the threshold; the
+            # factor 2 covers rounding, and NaN or inf reads False
+            u_max = np.abs(X[:n]).max() * gain_max + h_max
+            bounded = 2.0 * norm * (np.abs(P[:-1]).max() + K * u_max) <= threshold
+            # the first block holding a recorded state; the last chunk
+            # also forms the block of Y_last
+            r0 = (max(k0, transient) - k0) // K if bounded else 0
+            if k1 > last:
+                r0 = min(r0, nb - 1)
+            if r0 < nb:
+                # the drives of blocks r0.., padded with zeros, one block
+                # per row; each row becomes the block's states
+                k = k0 + r0 * K  # the step of blk[0]
+                cnt = k1 - k
+                blk = buf[: (nb - r0) * K]
+                xk = xs[k - 1 : k1 - 1]
+                np.take(gain, (xk <= 0.0).view(np.uint8), axis=0, out=blk[:cnt])
+                blk[:cnt] *= xk[:, None]
+                blk[:cnt] += h
+                blk[cnt:] = 0.0
+                V = blk.reshape(nb - r0, K, m)
+                V[:, 0] += P[r0:-1] @ A.T
+                _scan(V[:, :-1], within)
+                V[:, -1] = P[r0 + 1 :]
+                if (np.abs(blk[:cnt]) > threshold).any():
+                    # np.max propagates NaN exactly as the per-state
+                    # check does
+                    over = np.abs(blk[:cnt]).max(axis=1) > threshold
+                    if over.any():
+                        j = int(over.argmax())
+                        raise DivergenceError(
+                            k + j, np.concatenate(([xs[k + j]], blk[j]))
+                        )
+                lo = max(k, transient)
+                if lo < k1:
+                    rec[lo - transient : k1 - transient] = blk[lo - k : cnt]
+                y = blk[cnt - 1].copy()  # the next chunk overwrites buf
+            else:
+                y = P[nb]
             k0 = k1
     return y
+
+
+def _scan(V, jumps):
+    """Carry V[i] <- V[i] + A V[i-1], for i = 1, 2, ... along axis -2,
+    in place by doubling: jumps[t] is A^(2^t), one for each doubling
+    the axis needs."""
+    for t, J in enumerate(jumps):
+        s = 1 << t
+        if s >= V.shape[-2]:
+            break
+        V[..., s:, :] += V[..., :-s, :] @ J.T
 
 
 def _block_powers(A, cap):
@@ -244,10 +317,15 @@ def _block_powers(A, cap):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, cap):
             np.matmul(powers[i - 1], A, out=powers[i])
-        top = np.abs(powers).max(axis=(1, 2))
-        bound = (np.abs(powers[:-1]) @ np.abs(A)).max(axis=(1, 2))
-        ok = (top[1:] <= _POWER_LIMIT) & (bound <= _POWER_CANCELLATION * top[1:])
+        ok = _passes_checks(powers[1:], powers[:-1], A)
     return powers[: 1 + int(np.argmin(np.append(ok, False)))]
+
+
+def _passes_checks(P, L, R):
+    """Whether each product P = L @ R passes _block_powers' two checks."""
+    top = np.abs(P).max(axis=(-2, -1))
+    bound = (np.abs(L) @ np.abs(R)).max(axis=(-2, -1))
+    return (top <= _POWER_LIMIT) & (bound <= _POWER_CANCELLATION * top)
 
 
 def detect_cycle(
@@ -275,9 +353,15 @@ def detect_cycle(
     return None
 
 
-def itinerary(orbit: Orbit, zero_tol: float = 1e-9) -> str:
+def itinerary(orbit: Orbit, zero_tol: float | None = None) -> str:
     """Symbol string of the recorded x-values: R (x > zero_tol),
-    L (x < -zero_tol), else 0."""
+    L (x < -zero_tol), else 0.
+
+    zero_tol defaults to zero_tolerance(orbit.mu_hat), as the solvers'
+    does, so a point near the kink reads the letter of their sequence.
+    """
+    if zero_tol is None:
+        zero_tol = zero_tolerance(orbit.mu_hat)
     _require_tol(zero_tol, "zero_tol")
     return _sign_word(orbit.x_values.tolist(), zero_tol)
 

@@ -157,6 +157,10 @@ def test_trajectory_matches_stepping_oracle(m, radius):
             for transient in sorted({0, 1, K - 1, K, K + 1, chunk, steps - 1})
             if 0 <= transient < steps
         ]
+        # transients that cover the first two chunks whole, so their
+        # states are never formed, before a recorded third
+        runs += [(2 * chunk + 2, 2 * chunk + 1), (2 * chunk + K + 2, 2 * chunk + 1),
+                 (2 * chunk + K + 2, 2 * chunk + K + 1)]
     expected = _stepped(sys, z0, max(steps for steps, _ in runs))
     for steps, transient in runs:
         with warnings.catch_warnings():
@@ -165,6 +169,78 @@ def test_trajectory_matches_stepping_oracle(m, radius):
         want = expected[transient:steps]
         assert np.array_equal(orbit.x_values, want[:, 0])
         assert np.allclose(orbit.states, want, rtol=1e-12, atol=1e-12)
+
+
+def _assert_oracle_divergence(sys, z0, steps, transient):
+    """trajectory raises at the oracle's step with the oracle's state."""
+    step, state = _stepped(sys, z0, steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+    assert info.value.step == step
+    assert info.value.state[0] == state[0]
+    assert np.allclose(info.value.state, state, rtol=1e-12, atol=0)
+    return step, state
+
+
+def test_y_divergence_between_block_ends_in_an_unrecorded_chunk():
+    # an A_block eigenvalue just above 1: Y crosses inside the second
+    # chunk, between two block ends, long before the recorded last state
+    A = _dense_block(np.random.default_rng(3), 2, 1.0015)
+    sys = cs.CanonicalSystem(0.4, -4.0, [1.0, 0.5], [0.5, 1.0], A, [1.0, 0.0], 0.8)
+    K, chunk = _block_and_chunk(A)
+    assert K > 1
+    step, state = _assert_oracle_divergence(sys, [0.3, 0.0, 0.0], 30_000, 29_999)
+    assert chunk < step <= 2 * chunk
+    assert step % K != 0  # block ends sit at multiples of K
+    assert abs(state[0]) < 10.0
+
+
+def test_x_divergence_after_the_first_x_chunk():
+    # x' = 1.001 x + 0.8 crosses 1e12 after about 21k steps, beyond the
+    # first screened chunk of x values; the small drive keeps Y inside
+    sys = cs.CanonicalSystem(
+        0.4, 1.001, [0.1, 0.2], [0.1, 0.2], np.diag([0.4, 0.5]), [1.0, 0.0], 0.8
+    )
+    step, state = _assert_oracle_divergence(sys, [0.4, 0.0, 0.0], 30_000, 29_999)
+    assert step > sim._X_CHUNK
+    assert abs(state[0]) > 1e12 and np.max(np.abs(state[1:])) < 1e12
+    # the 1D map alone, recorded from step 0
+    tent = tent_system(0.4, 1.001)
+    assert _assert_oracle_divergence(tent, [0.4], 30_000, 0)[0] == step
+
+
+def _cancelling_system(scale):
+    """A block whose A^2 = 0.01 scale^2 I is a small difference of large
+    products: K = 1, and no square passes the checks, so the ends are
+    carried one at a time. Returns the system and its chunk length."""
+    A = scale * np.array([[1.0, 100.0], [-0.0099, -1.0]])
+    sys = cs.CanonicalSystem(0.4, -4.0, [1.0, 0.5], [0.5, 1.0], A, [1.0, 0.0], 0.8)
+    K, chunk = _block_and_chunk(A)
+    assert K == 1
+    assert not sim._passes_checks(A @ A, A, A)
+    return sys, chunk
+
+
+def test_cancelling_block_over_several_chunks():
+    sys, chunk = _cancelling_system(1.0)
+    z0 = [0.3, 0.0, 0.0]
+    steps, transient = 3 * chunk, 2 * chunk + 1
+    expected = _stepped(sys, z0, steps)[transient:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+    assert np.array_equal(orbit.x_values, expected[:, 0])
+    assert np.allclose(orbit.states, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_cancelling_block_diverges_inside_an_unrecorded_chunk():
+    # A^2 = 1.002 I: Y grows by about 1.001 a step and crosses inside
+    # the third chunk
+    sys, chunk = _cancelling_system(10.01)
+    step, _ = _assert_oracle_divergence(sys, [0.3, 0.0, 0.0], 3 * chunk, 3 * chunk - 1)
+    assert 2 * chunk < step < 3 * chunk - 1
 
 
 def test_trajectory_huge_block_eigenvalue_the_drive_never_enters():
@@ -324,6 +400,21 @@ def test_itinerary_zero_letter_on_border_cycle():
     orbit = sim.trajectory(sys, steps=9, transient=0, z0=[0.8])
     word = sim.itinerary(orbit)
     assert word == "RL0RL0RL0"
+
+
+def test_itinerary_default_follows_mu_hat():
+    # mu_hat = 10: the third point of the 3-cycle, about -5e-9, is inside
+    # zero_tolerance(10) = 1e-8 but outside the absolute 1e-9
+    sys = tent_system(0.5, -3.00000000175, 10.0)
+    assert cs.solve_cycle(sys, 3).sequence == "RL0"
+    orbit = sim.trajectory(sys, steps=300, transient=291, z0=[10.0])
+    assert orbit.mu_hat == 10.0
+    assert sim.itinerary(orbit) == "RL0" * 3
+    assert sim.itinerary(orbit, zero_tol=1e-9) == "RLL" * 3
+    # an Orbit built by hand keeps the absolute default
+    by_hand = sim.Orbit(states=orbit.states, transient=orbit.transient)
+    assert by_hand.mu_hat == 1.0
+    assert sim.itinerary(by_hand) == "RLL" * 3
 
 
 @pytest.mark.parametrize("zero_tol", [1e-9, 0.25, 5e-324])
