@@ -196,7 +196,7 @@ def localize(sys: PLRNNSystem, i: RegionIndex, j: RegionIndex) -> LocalizedSyste
     coordinate evolves autonomously; offending entries raise
     StructureViolationError with 1-based coordinates. The branch with
     bits_s = 0 supplies the slope a = A_diag[s] and coupling b_vec (zero
-    under the strict form), the bits_s = 1 branch supplies
+    for any W: that branch masks column s of W), the bits_s = 1 branch supplies
     d = A_diag[s] + W[s, s] and e_vec = off-diagonal column s of W. The
     offset is mu_hat = h_s. a = d sets the degenerate_kink flag.
 

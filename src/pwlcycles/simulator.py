@@ -21,7 +21,6 @@ from .skew_tent import (
     _require_int,
     _require_tol,
     _sign_word,
-    iterate_1d,
     zero_tolerance,
 )
 
@@ -146,7 +145,7 @@ def trajectory(
 
 
 def _x_orbit(sys, x, rec, threshold):
-    """Run the skew tent map from x for len(rec) - 1 applications.
+    """Run the skew tent map of sys from x for len(rec) - 1 applications.
 
     Writes x_k to rec[k]. Returns (k, x_k) for the first k with
     |x_k| > threshold, or None when the orbit stays bounded.
@@ -183,11 +182,12 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
     Ends come first. Per chunk of steps, one matrix product takes every
     block's x values to its Z, and a doubling scan (Hillis and Steele,
     "Data parallel algorithms", 1986) carries the ends, y <- A^K y + Z,
-    with the powers A^K, A^2K, A^4K, ...; a chunk whose powers fail
-    _block_powers' checks carries them one block at a time. The states
-    inside a block are formed, by the same scan over its steps with
-    A, A^2, A^4, ..., only where they are recorded or returned, or where
-    the chunk's bound 2 N (max|start| + K max|u|), with
+    with the powers A^K, A^2K, A^4K, ... whose squares pass
+    _passes_checks; t of them carry 2^t - 1 blocks, so a longer chunk is
+    carried in segments, each from the end the last one carried. The
+    states inside a block are formed, by the same scan over its steps
+    with A, A^2, A^4, ..., only where they are recorded or returned, or
+    where the chunk's bound 2 N (max|start| + K max|u|), with
     N = max_(i<=K) ||A^i||_inf, does not keep every state inside the
     threshold; the first crossing is read from those states.
     _block_powers picks K; K = 1 is the plain recurrence.
@@ -224,6 +224,7 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
             if not _passes_checks(J, across[-1], across[-1]):
                 break
             across.append(J)
+        seg = (1 << len(across)) - 1  # the blocks one scan pass carries
         while k0 <= last:
             k1 = min(k0 + chunk, last + 1)
             n = k1 - k0
@@ -241,11 +242,8 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
             P[0] = y
             np.matmul(W.reshape(nb, 2 * K), F, out=P[1:])
             P[1:] += c
-            if 1 << len(across) > nb:
-                _scan(P, across)
-            else:
-                for r in range(nb):
-                    P[r + 1] += powers[-1] @ P[r]
+            for r in range(0, nb, seg):
+                _scan(P[r : r + seg + 1], across)
             # whether no state of the chunk can leave the threshold; the
             # factor 2 covers rounding, and NaN or inf reads False
             u_max = np.abs(X[:n]).max() * gain_max + h_max
@@ -302,14 +300,10 @@ def _scan(V, jumps):
 
 def _block_powers(A, cap):
     """A^1..A^K as a (K, m, m) array, for the largest K <= cap whose
-    powers pass two checks.
+    products A^i = A^(i-1) A pass _passes_checks.
 
-    Every entry of each A^i is at most _POWER_LIMIT in magnitude, so a
-    power never turns a zero state or drive into inf * 0 = NaN. Each
-    product A^i = A^(i-1) A cancels by at most _POWER_CANCELLATION,
-    max(|A^(i-1)| |A|) <= _POWER_CANCELLATION * max|A^i|, so its rounding
-    error stays near that of the single steps it replaces; a matrix far
-    from normal gets a short block.
+    A matrix that grows by cancelling products gets a short block; a
+    contracting one keeps the full cap however far from normal it is.
     """
     powers = np.empty((cap,) + A.shape)
     powers[0] = A
@@ -322,10 +316,16 @@ def _block_powers(A, cap):
 
 
 def _passes_checks(P, L, R):
-    """Whether each product P = L @ R passes _block_powers' two checks."""
+    """Whether each product P = L @ R is safe as a jump: every entry of P
+    is at most _POWER_LIMIT, so no power turns a zero into inf * 0 = NaN,
+    and max(|L| |R|) <= _POWER_CANCELLATION * max(1, max|P|), so P's
+    rounding, about eps |L| |R| (Higham, "Accuracy and Stability of
+    Numerical Algorithms", section 3.5), stays within a few units of the
+    larger of the state P moves and its image."""
     top = np.abs(P).max(axis=(-2, -1))
     bound = (np.abs(L) @ np.abs(R)).max(axis=(-2, -1))
-    return (top <= _POWER_LIMIT) & (bound <= _POWER_CANCELLATION * top)
+    scale = np.maximum(top, 1.0)
+    return (top <= _POWER_LIMIT) & (bound <= _POWER_CANCELLATION * scale)
 
 
 def detect_cycle(
@@ -419,19 +419,17 @@ def cobweb_data(p: SkewTentParams, x0: float, steps: int) -> np.ndarray:
 
     Starts at (x0, 0); each step appends the vertical segment endpoint
     (x, f(x)) and the diagonal endpoint (f(x), f(x)). Shape is
-    (2 * steps + 1, 2).
+    (2 * steps + 1, 2). The x values are trajectory's, unscreened.
     """
     steps = _require_count(steps, "steps", 1)
     x = float(x0)
     if not math.isfinite(x):
         raise ValueError("z0 must be finite")
-    pts = np.empty((2 * steps + 1, 2))
-    pts[0] = (x, 0.0)
-    for k in range(steps):
-        fx = iterate_1d(p, x)
-        pts[2 * k + 1] = (x, fx)
-        pts[2 * k + 2] = (fx, fx)
-        x = fx
+    xs = np.empty(steps + 1)
+    _x_orbit(p, x, xs, math.inf)
+    pairs = np.repeat(xs, 2)  # x_0, x_0, x_1, x_1, ...
+    pts = np.column_stack((pairs[:-1], pairs[1:]))
+    pts[0, 1] = 0.0
     return pts
 
 

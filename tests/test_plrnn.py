@@ -325,6 +325,8 @@ def test_localized_step_is_bit_exact_on_dyadic_inputs():
         r0 = pl.RegionIndex.from_bits((0, *bits_rest))
         r1 = pl.RegionIndex.from_bits((1, *bits_rest))
         loc = pl.localize(sys, r0, r1)
+        # the x <= 0 branch masks column s of W, relaxed or not
+        assert np.all(loc.canonical.b_vec == 0)
 
         z = dyadic(rng, M, 2.0)
         # force sign consistency with the shared pattern off the boundary

@@ -126,24 +126,39 @@ def _block_and_chunk(A):
     return K, K * max(1, sim._Y_CHUNK_VALUES // (K * m))
 
 
+# contracting and far from normal: A^2 = 0.05 I, but max(|A| |A|) = 4
+_FAR_FROM_NORMAL = np.array([[0.5, 4.0], [-0.05, -0.5]])
+
 _ORACLE_CASES = [(0, None), (3, None)] + [
     (m, radius) for m in (1, 2, 3, 16, 64) for radius in (0.3, 0.99, 1.0)
+] + [(2, "far-from-normal")]
+_ORACLE_IDS = [
+    str(m) if r is None else f"{m}-{r}" if isinstance(r, str) else f"{m}-dense-{r}"
+    for m, r in _ORACLE_CASES
 ]
 
 
-@pytest.mark.parametrize(
-    "m, radius", _ORACLE_CASES,
-    ids=[str(m) if r is None else f"{m}-dense-{r}" for m, r in _ORACLE_CASES],
-)
-def test_trajectory_matches_stepping_oracle(m, radius):
-    # radius None: the diagonal block 0.6 I; else a dense non-normal block
-    rng = np.random.default_rng(7 if radius is None else 100 * m + int(100 * radius))
-    A = 0.6 * np.eye(m) if radius is None else _dense_block(rng, m, radius)
+def _oracle_system(m, radius):
+    """The system and start of one _ORACLE_CASES entry. radius None: the
+    diagonal block 0.6 I; a string: _FAR_FROM_NORMAL; else a dense
+    non-normal block of that spectral radius."""
+    if radius is None or isinstance(radius, str):
+        rng = np.random.default_rng(7)
+        A = 0.6 * np.eye(m) if radius is None else _FAR_FROM_NORMAL
+    else:
+        rng = np.random.default_rng(100 * m + int(100 * radius))
+        A = _dense_block(rng, m, radius)
     sys = cs.CanonicalSystem(
         0.4, -4.0, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
         A, rng.uniform(-1, 1, m), 0.8,
     )
-    z0 = np.append(0.3, rng.uniform(-1, 1, m))
+    return sys, np.append(0.3, rng.uniform(-1, 1, m))
+
+
+@pytest.mark.parametrize("m, radius", _ORACLE_CASES, ids=_ORACLE_IDS)
+def test_trajectory_matches_stepping_oracle(m, radius):
+    sys, z0 = _oracle_system(m, radius)
+    A = sys.A_block
     runs = [(600, 250)]
     if m > 0:
         K, chunk = _block_and_chunk(A)
@@ -169,6 +184,39 @@ def test_trajectory_matches_stepping_oracle(m, radius):
         want = expected[transient:steps]
         assert np.array_equal(orbit.x_values, want[:, 0])
         assert np.allclose(orbit.states, want, rtol=1e-12, atol=1e-12)
+
+
+_WIDE_Y_CASES = [
+    (m, r) for m, r in _ORACLE_CASES if r in (0.99, 1.0, "far-from-normal")
+]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
+@pytest.mark.parametrize(
+    "m, radius", _WIDE_Y_CASES, ids=[f"{m}-{r}" for m, r in _WIDE_Y_CASES]
+)
+def test_trajectory_y_matches_long_double_recurrence(m, radius):
+    # Y_k = A Y_(k-1) + u_(k-1) stepped in long double from trajectory's
+    # own x values, which are bit-identical to the stepper's, so the
+    # comparison sees only the Y evaluation; over 30,000 steps the float64
+    # evaluation may round by at most about eps per step of the scale
+    sys, z0 = _oracle_system(m, radius)
+    steps = 30_000
+    orbit = sim.trajectory(sys, steps=steps, transient=0, z0=z0)
+    wide = np.longdouble
+    A = sys.A_block.astype(wide)
+    drive = np.where(
+        (orbit.x_values <= 0.0)[:, None], sys.b_vec, sys.e_vec
+    ).astype(wide) * orbit.x_values.astype(wide)[:, None] + sys.h_Y.astype(wide)
+    Y = np.empty((steps, m), dtype=wide)
+    Y[0] = z0[1:]
+    for k in range(1, steps):
+        Y[k] = np.dot(A, Y[k - 1]) + drive[k - 1]
+    miss = np.max(np.abs(orbit.states[:, 1:] - Y))
+    assert miss <= steps * np.finfo(float).eps * np.max(np.abs(Y))
 
 
 def _assert_oracle_divergence(sys, z0, steps, transient):
@@ -213,8 +261,9 @@ def test_x_divergence_after_the_first_x_chunk():
 
 def _cancelling_system(scale):
     """A block whose A^2 = 0.01 scale^2 I is a small difference of large
-    products: K = 1, and no square passes the checks, so the ends are
-    carried one at a time. Returns the system and its chunk length."""
+    products: K = 1, and no square passes the checks, so the scan carries
+    the ends one block per segment. Returns the system and its chunk
+    length."""
     A = scale * np.array([[1.0, 100.0], [-0.0099, -1.0]])
     sys = cs.CanonicalSystem(0.4, -4.0, [1.0, 0.5], [0.5, 1.0], A, [1.0, 0.0], 0.8)
     K, chunk = _block_and_chunk(A)
@@ -271,6 +320,17 @@ def test_block_powers_shorten_for_cancelling_products():
     assert len(sim._block_powers(A, 40)) == 1
     assert len(sim._block_powers(np.diag([0.5, -0.9]), 40)) == 40
     assert len(sim._block_powers(np.array([[2.0]]), 800)) == 498  # 2^498 < 1e150
+
+
+def test_block_powers_keep_contracting_far_from_normal_blocks():
+    # max(|A| |A|) = 4 is 80 times max|A^2| = 0.05, but the rounding is
+    # judged against the state a power moves, at least one unit: 4 <= 5
+    A = _FAR_FROM_NORMAL
+    powers = sim._block_powers(A, sim._Y_BLOCK_WIDTH // 2)
+    assert len(powers) == 80
+    assert sim._passes_checks(A @ A, A, A)
+    J = powers[-1]
+    assert sim._passes_checks(J @ J, J, J)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
