@@ -124,26 +124,30 @@ class CycleSolution:
     admissible: bool = True
 
 
+_RIGHT = {"R": True, "L": False, "0": False}
+
+
+def _branch(sys: CanonicalSystem, right) -> tuple:
+    """(slope, coupling) of the x >= 0 branch when right, else of x <= 0."""
+    return (sys.d, sys.e_vec) if right else (sys.a, sys.b_vec)
+
+
 def branch_affine(sys: CanonicalSystem, letter: str):
     """Affine map (M, c) of one branch; z' = M z + c on that branch.
 
     'R' selects the x >= 0 branch (slope d, coupling e_vec); 'L' and '0'
     select the x <= 0 branch (slope a, coupling b_vec).
     """
+    right = _RIGHT.get(letter) if isinstance(letter, str) else None
+    if right is None:
+        raise ValueError(f"branch letter must be 'R', 'L' or '0', got {letter!r}")
     m = sys.m
     M = np.zeros((m + 1, m + 1))
     c = np.empty(m + 1)
     c[0] = sys.mu_hat
     c[1:] = sys.h_Y
     M[1:, 1:] = sys.A_block
-    if letter == "R":
-        M[0, 0] = sys.d
-        M[1:, 0] = sys.e_vec
-    elif letter in ("L", "0"):
-        M[0, 0] = sys.a
-        M[1:, 0] = sys.b_vec
-    else:
-        raise ValueError(f"branch letter must be 'R', 'L' or '0', got {letter!r}")
+    M[0, 0], M[1:, 0] = _branch(sys, right)
     return M, c
 
 
@@ -151,22 +155,11 @@ def step(sys: CanonicalSystem, state: np.ndarray) -> np.ndarray:
     """One application of the canonical map; x = 0 takes the x <= 0 branch."""
     state = np.asarray(state, dtype=float)
     x = state[0]
+    slope, coupling = _branch(sys, not x <= 0.0)
     out = np.empty_like(state)
-    if x <= 0.0:
-        out[0] = sys.a * x + sys.mu_hat
-        out[1:] = sys.b_vec * x + sys.A_block @ state[1:] + sys.h_Y
-    else:
-        out[0] = sys.d * x + sys.mu_hat
-        out[1:] = sys.e_vec * x + sys.A_block @ state[1:] + sys.h_Y
+    out[0] = slope * x + sys.mu_hat
+    out[1:] = coupling * x + sys.A_block @ state[1:] + sys.h_Y
     return out
-
-
-def _sorted_complex_tuple(values) -> tuple:
-    arr = np.sort_complex(np.asarray(values, dtype=complex))
-    return tuple(complex(v) for v in arr)
-
-
-_RIGHT = {"R": True, "L": False, "0": False}
 
 
 def _word(sys: CanonicalSystem, sequence: str):
@@ -174,8 +167,11 @@ def _word(sys: CanonicalSystem, sequence: str):
 
     'R' selects the x >= 0 branch (slope d), 'L' and '0' the x <= 0
     branch (slope a), as in branch_affine. The product is taken left to
-    right from 1, in Python floats. Raises ValueError on any other letter.
+    right from 1, in Python floats. Raises ValueError on an empty word
+    and on any other letter.
     """
+    if not sequence:
+        raise ValueError("sequence must be non-empty")
     try:
         right = np.array([_RIGHT[letter] for letter in sequence], dtype=bool)
     except KeyError as err:
@@ -204,7 +200,8 @@ def _period_spectrum(sys: CanonicalSystem, sequence: str, product, check_eig: bo
             raise EigenvalueOneError(
                 f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
             )
-    return A_n, _sorted_complex_tuple([product, *block_eigs])
+    spectrum = np.array([product, *block_eigs], dtype=complex)
+    return A_n, tuple(np.sort_complex(spectrum).tolist())
 
 
 def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
@@ -216,8 +213,6 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     A_block^n. Sorted by real part, then imaginary part. Raises
     NotAdmissibleError when A_block^n overflows.
     """
-    if not sequence:
-        raise ValueError("sequence must be non-empty")
     return _period_spectrum(sys, sequence, _word(sys, sequence)[2], False)[1]
 
 
@@ -311,8 +306,6 @@ def solve_symbolic_cycle(
     that P or a point is not finite, and EigenvalueOneError and the
     A_block^n overflow as solve_cycle does.
     """
-    if not sequence:
-        raise ValueError("sequence must be non-empty")
     n = len(sequence)
     if zero_tol is None:
         zero_tol = zero_tolerance(sys.mu_hat)

@@ -10,18 +10,15 @@ into the canonical x/Y split handled by cycle_solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cycle_solver import CanonicalSystem, CycleSolution, solve_cycle
 from .errors import (
-    DegenerateOffsetError,
-    EigenvalueOneError,
     NotAdjacentError,
-    NotAdmissibleError,
+    PwlcyclesError,
     SameRegionError,
-    SingularDenominatorError,
     StructureViolationError,
 )
 from .skew_tent import ParamClassification, classify, zero_tolerance
@@ -33,7 +30,6 @@ __all__ = [
     "LocalCycleReport",
     "region_of",
     "branch_matrix",
-    "plrnn_step",
     "relu_step",
     "adjacent",
     "localize",
@@ -130,14 +126,8 @@ def branch_matrix(sys: PLRNNSystem, r: RegionIndex) -> np.ndarray:
     return np.diag(sys.A_diag) + sys.W * np.asarray(r.bits, dtype=float)
 
 
-def plrnn_step(sys: PLRNNSystem, z) -> np.ndarray:
-    """One network step via the branch matrix of the current region."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return branch_matrix(sys, region_of(z)) @ z + sys.h
-
-
 def relu_step(sys: PLRNNSystem, z) -> np.ndarray:
-    """One network step via the relu form; must agree with plrnn_step."""
+    """One network step, diag(A_diag) z + W relu(z) + h."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     return sys.A_diag * z + sys.W @ np.maximum(z, 0.0) + sys.h
 
@@ -270,6 +260,29 @@ class LocalCycleReport:
     boundary_warnings: tuple
 
 
+_SWAP_RL = str.maketrans("RL", "LR")
+
+
+def _solve_family(can: CanonicalSystem, n: int) -> CycleSolution:
+    """The n-cycle of the family classify names for the sign of mu_hat:
+    R L^(n-1) for mu_hat >= 0, L R^(n-1) for mu_hat < 0.
+
+    With u = -x, a negative-offset system is the positive-offset system
+    (d, a, -e_vec, -b_vec, -mu_hat). Its R L^(n-1) cycle, with u negated
+    back and R and L swapped, is the L R^(n-1) cycle of can. Negation is
+    exact, so Y, the multipliers and the residual carry over unchanged.
+    """
+    if can.mu_hat >= 0:
+        return solve_cycle(can, n)
+    mirror = CanonicalSystem(
+        a=can.d, d=can.a, b_vec=-can.e_vec, e_vec=-can.b_vec,
+        A_block=can.A_block, h_Y=can.h_Y, mu_hat=-can.mu_hat,
+    )
+    sol = solve_cycle(mirror, n)
+    points = tuple(np.concatenate(([-p[0]], p[1:])) for p in sol.points)
+    return replace(sol, points=points, sequence=sol.sequence.translate(_SWAP_RL))
+
+
 def local_cycle_analysis(
     sys: PLRNNSystem,
     i: RegionIndex,
@@ -279,10 +292,11 @@ def local_cycle_analysis(
 ) -> LocalCycleReport:
     """Classify and solve the length-n cycle of the localized dynamics.
 
-    The reduction only describes the network where the non-boundary
-    coordinates stay inside the shared sign pattern of regions i and j,
-    so any solved cycle is checked for exactly that before it may be
-    trusted as a cycle of the full network.
+    A negative offset classifies and solves the mirrored family
+    L R^(n-1) (see _solve_family). The reduction only describes the
+    network where the non-boundary coordinates stay inside the shared
+    sign pattern of regions i and j, so any solved cycle is checked for
+    exactly that before it may be trusted as a cycle of the full network.
     """
     loc = localize(sys, i, j)
     can = loc.canonical
@@ -292,13 +306,8 @@ def local_cycle_analysis(
     solution = None
     solve_error = None
     try:
-        solution = solve_cycle(can, n)
-    except (
-        DegenerateOffsetError,
-        SingularDenominatorError,
-        NotAdmissibleError,
-        EigenvalueOneError,
-    ) as err:
+        solution = _solve_family(can, n)
+    except PwlcyclesError as err:
         # without its traceback: the traceback holds this frame, whose
         # solve_error would close a reference cycle around every failed solve
         solve_error = err.with_traceback(None)

@@ -7,6 +7,7 @@ the grid's two axes, broadcast against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .skew_tent import (
     DEFAULT_CURVE_TOL,
     _VERDICT_OF_FLAGS,
-    _existence_margins,
+    _bound,
     _exists,
     _flags,
     _margins,
@@ -143,6 +144,9 @@ def curve_samples(
     samples = _require_count(samples, "samples", 2)
     if a_min <= 0 or a_max <= 0:
         raise ValueError("curve parameterization requires positive slope range")
+    # NaN passes the test above, and an infinite bound gives inf and NaN rows
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
+        raise ValueError("slope bounds must be finite")
     _require_mu_sign(mu_sign)
     t = np.linspace(a_min, a_max, samples)
     bound = existence_bound(t, n)
@@ -163,7 +167,7 @@ def nesting_report(spec: GridSpec) -> dict:
     a, d = _oriented_axes(spec)
     a_values, d_values = spec.a_centers(), spec.d_centers()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        masks = {n: _exists(a, _existence_margins(a, d, n)[0]) for n in ns}
+        masks = {n: _exists(a, _bound(a, n)[0] - d) for n in ns}
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:

@@ -214,9 +214,6 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
     # A^2K, A^4K, ... from block end to block end
     within = powers[[(1 << i) - 1 for i in range(K.bit_length())]]
     across = [powers[-1]]
-    xbuf = np.empty(nb_max * K)
-    wbuf = np.empty((nb_max, 2, K))
-    buf = np.empty((nb_max * K, m))
     k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while 1 << len(across) <= nb_max:
@@ -231,10 +228,9 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
             nb = -(-n // K)
             # the x values that drive the chunk, one block per row,
             # padded with zeros to whole blocks
-            X = xbuf[: nb * K]
+            X = np.zeros(nb * K)
             X[:n] = xs[k0 - 1 : k1 - 1]
-            X[n:] = 0.0
-            W = wbuf[:nb]
+            W = np.empty((nb, 2, K))
             np.maximum(X.reshape(nb, K), 0.0, out=W[:, 0])
             np.minimum(X.reshape(nb, K), 0.0, out=W[:, 1])
             # P[r] is the start of block r and P[r + 1] its end
@@ -258,12 +254,11 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
                 # per row; each row becomes the block's states
                 k = k0 + r0 * K  # the step of blk[0]
                 cnt = k1 - k
-                blk = buf[: (nb - r0) * K]
+                blk = np.zeros(((nb - r0) * K, m))
                 xk = xs[k - 1 : k1 - 1]
                 np.take(gain, (xk <= 0.0).view(np.uint8), axis=0, out=blk[:cnt])
                 blk[:cnt] *= xk[:, None]
                 blk[:cnt] += h
-                blk[cnt:] = 0.0
                 V = blk.reshape(nb - r0, K, m)
                 V[:, 0] += P[r0:-1] @ A.T
                 _scan(V[:, :-1], within)
@@ -280,7 +275,7 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
                 lo = max(k, transient)
                 if lo < k1:
                     rec[lo - transient : k1 - transient] = blk[lo - k : cnt]
-                y = blk[cnt - 1].copy()  # the next chunk overwrites buf
+                y = blk[cnt - 1]
             else:
                 y = P[nb]
             k0 = k1

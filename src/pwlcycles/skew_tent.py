@@ -274,15 +274,6 @@ def existence_bound(a, n: int):
         return _bound(np.asarray(a, dtype=float), n)[0]
 
 
-def _existence_margins(a, d, n: int):
-    """The existence margin bound - d, and a^(n-2).
-
-    The caller silences floating-point warnings.
-    """
-    bound, power = _bound(a, n)
-    return bound - d, power
-
-
 def _margins(a, d, n: int):
     """The independent region quantities at (a, d) for mu_hat > 0.
 
@@ -300,7 +291,8 @@ def _margins(a, d, n: int):
     over- or underflows gives an infinite or zero margin, not a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ex, power = _existence_margins(a, d, n)
+        bound, power = _bound(a, n)
+        ex = bound - d
         power = power * a
         inv = 1.0 / power
         d2 = d * d
@@ -353,13 +345,12 @@ def _flags(a, m, tol: float):
     and |ex| <= tol, tested as two comparisons, with no array of |ex|.
     """
     ex, stab, cubic, quad = m[:4]
-    positive = a > 0
-    exists = positive & (ex > 0)
+    exists = _exists(a, ex)
     flags = _EXISTS * exists
     flags |= _TWONBAND * (exists & (stab < 0) & (cubic > 0))
     flags |= _NBAND * (exists & (cubic < 0) & (quad < 0))
     flags |= _STABLE * (exists & (stab > 0))
-    flags |= _CURVE * (positive & (-tol <= ex) & (ex <= tol))
+    flags |= _CURVE * ((a > 0) & (-tol <= ex) & (ex <= tol))
     return flags
 
 

@@ -255,7 +255,7 @@ def test_criterion_08_network_reduction_identities():
                     z[c] = abs(z[c]) + 1.0 / 64.0
                 if not want and z[c] > 0:
                     z[c] = -z[c]
-            expected = pl.plrnn_step(strict, z)
+            expected = pl.relu_step(strict, z)
             got = loc.to_original_state(
                 cs.step(loc.canonical, loc.to_canonical_state(z))
             )

@@ -97,7 +97,6 @@ def test_branch_step_equals_relu_step():
         r = pl.region_of(z)
         via_branch = pl.branch_matrix(sys, r) @ z + sys.h
         assert np.max(np.abs(via_branch - pl.relu_step(sys, z))) < 1e-12
-        assert np.array_equal(pl.plrnn_step(sys, z), via_branch)
 
 
 def test_adjacent_boundary_coordinate():
@@ -236,6 +235,80 @@ def test_local_cycle_analysis_consistent_pair():
         assert np.max(np.abs(nxt - pts[(k + 1) % 3])) < 1e-9
 
 
+def test_negative_offset_report_solves_the_family_it_classifies():
+    """mu_hat = -0.8 < 0: classify names the mirrored family L R^(n-1),
+    and the solution must be that cycle, not R L^(n-1) (which here has
+    the unstable multiplier 6.4)."""
+    net = pl.PLRNNSystem(
+        [-4.0, 0.5], [[4.4, 0.0], [0.3, 0.1]], [-0.8, 1.0], relaxed_diagonal=True
+    )
+    report = pl.local_cycle_analysis(
+        net, pl.RegionIndex.from_bits((0, 1)), pl.RegionIndex.from_bits((1, 1)), 3
+    )
+    sol = report.solution
+    assert report.classification.verdict is st.Verdict.EXISTS_STABLE
+    assert (sol.sequence, sol.stable, report.locality_ok) == ("LRR", True, True)
+    sym = cs.solve_symbolic_cycle(report.localized.canonical, "LRR")
+    assert sym.admissible
+    np.testing.assert_allclose(sol.points, sym.points, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sol.multipliers, sym.multipliers, rtol=1e-14)
+    # the network converges to the same 3-cycle
+    z = np.array([0.1, 1.0])
+    for _ in range(300):
+        z = pl.relu_step(net, z)
+    pts = [report.localized.to_original_state(p) for p in sol.points]
+    k = int(np.argmin([np.max(np.abs(z - p)) for p in pts]))
+    for step in range(3):
+        assert np.max(np.abs(z - pts[(k + step) % 3])) < 1e-12
+        z = pl.relu_step(net, z)
+
+
+def test_negative_offset_reports_agree_with_the_word_solver():
+    """On seeded negative-offset networks near the existence curve, the
+    report's cycle is the L R^(n-1) word solved directly, and its verdict
+    is ExistsStable exactly when that cycle is stable."""
+    rng = np.random.default_rng(41)
+    solved = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        M = int(rng.integers(2, 5))
+        d = float(rng.uniform(0.1, 1.5))  # slope on x >= 0
+        a = float(st.existence_bound(d, n) * np.exp(rng.uniform(-0.5, 0.5)))
+        W = rng.uniform(-0.3, 0.3, (M, M))
+        W[0, :] = 0.0
+        W[0, 0] = d - a
+        A_diag = rng.uniform(0.1, 0.6, M)
+        A_diag[0] = a
+        h = rng.uniform(-1.0, 1.0, M)
+        h[0] = -rng.uniform(0.2, 1.5)
+        net = pl.PLRNNSystem(A_diag, W, h, relaxed_diagonal=True)
+        bits = tuple(int(b) for b in rng.integers(0, 2, M - 1))
+        report = pl.local_cycle_analysis(
+            net, pl.RegionIndex.from_bits((0, *bits)),
+            pl.RegionIndex.from_bits((1, *bits)), n,
+        )
+        details = report.classification.details
+        bound = st.existence_bound(d, n)
+        if (abs(details["existence_margin"]) <= 1e-9 * abs(bound)
+                or abs(details["stability_lower_margin"]) <= 1e-9 * abs(a)):
+            continue
+        exists = details["existence_margin"] > 0
+        assert (report.solution is not None) == exists
+        if not exists:
+            continue
+        solved += 1
+        sol = report.solution
+        word = "L" + "R" * (n - 1)
+        assert sol.sequence == word
+        sym = cs.solve_symbolic_cycle(report.localized.canonical, word)
+        scale = max(1.0, max(np.max(np.abs(p)) for p in sym.points))
+        np.testing.assert_allclose(sol.points, sym.points, rtol=0, atol=1e-12 * scale)
+        assert (report.classification.verdict is st.Verdict.EXISTS_STABLE) == (
+            sol.stable
+        )
+    assert solved > 50
+
+
 def test_local_cycle_analysis_degenerate_offset():
     net = demo_network()
     zeroed = pl.PLRNNSystem(
@@ -309,7 +382,7 @@ def dyadic(rng, shape, scale=1.0):
 def test_localized_step_is_bit_exact_on_dyadic_inputs():
     """Round network weights and states to 1/64 grids: every product in
     both evaluation routes is then exact in binary floating point, so
-    the canonical reduction must reproduce plrnn_step bit for bit."""
+    the canonical reduction must reproduce relu_step bit for bit."""
     rng = np.random.default_rng(29)
     trials = 0
     while trials < 60:
@@ -336,7 +409,7 @@ def test_localized_step_is_bit_exact_on_dyadic_inputs():
                 z[c] = abs(z[c]) + 1.0 / 64.0
             if not want and z[c] > 0:
                 z[c] = -z[c]
-        expected = pl.plrnn_step(sys, z)
+        expected = pl.relu_step(sys, z)
 
         state = loc.to_canonical_state(z)
         got = loc.to_original_state(cs.step(loc.canonical, state))

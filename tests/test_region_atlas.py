@@ -185,6 +185,15 @@ def test_curve_samples_mirrored():
         ra.curve_samples(3, 0.1, 2.0, 1)
 
 
+@pytest.mark.parametrize("a_min, a_max", [
+    (float("nan"), 1.0), (0.1, float("nan")), (0.1, float("inf")),
+])
+def test_curve_samples_rejects_non_finite_slope_bounds(a_min, a_max):
+    # NaN passes the positivity test; an infinite bound gave inf and NaN rows
+    with pytest.raises(ValueError, match="slope bounds must be finite"):
+        ra.curve_samples(3, a_min, a_max, 3)
+
+
 def test_nesting_report_no_violations():
     spec = small_spec(a_steps=40, d_steps=40, n_list=tuple(range(3, 10)))
     report = ra.nesting_report(spec)
