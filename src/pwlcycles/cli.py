@@ -13,6 +13,7 @@ endings, sorted JSON keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys as _sys
@@ -247,8 +248,9 @@ def _cmd_plrnn(args) -> int:
 
 class _Command(NamedTuple):
     help: str
-    # the module-level _cmd_* function, looked up by name when a parser is
-    # built, so that a patched binding (a test double, a tracer) is called
+    # the name of the module-level _cmd_* function; main looks it up at each
+    # dispatch, so that a binding patched after the parser was built (a test
+    # double, a tracer) is the one called
     handler: str
     # (flag, keywords) pairs; a tuple of pairs is a required exclusive group
     args: tuple
@@ -320,21 +322,30 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     group.add_argument(flag, **options)
             else:
                 p.add_argument(arg[0], **arg[1])
-        p.set_defaults(func=globals()[spec.handler])
     return parser
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), built once per process for main.
+
+    parse_args leaves a parser as it found it, so main can reuse one;
+    build_parser itself keeps returning a fresh parser that a caller may
+    change.
+    """
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
     # no arguments, -h, an unknown name or a prefix of one need every subcommand
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return globals()[_COMMANDS[args.command].handler](args)
     except PwlcyclesError as err:
         print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
         return err.exit_code

@@ -25,6 +25,7 @@ from .errors import EigenvalueOneError, NotAdmissibleError, SingularDenominatorE
 from .skew_tent import (
     SINGULAR_TOL,
     SkewTentParams,
+    _require_tol,
     _sign_word,
     cycle_x_components,
     zero_tolerance,
@@ -301,14 +302,17 @@ def solve_symbolic_cycle(
     sequence; inadmissible solutions are returned, not raised, since they
     mark where a symbolic cycle ceases to exist.
 
-    Raises SingularDenominatorError when 1 - P is zero within
-    SINGULAR_TOL, NotAdmissibleError when the composition overflows, so
-    that P or a point is not finite, and EigenvalueOneError and the
-    A_block^n overflow as solve_cycle does.
+    Raises ValueError unless a given zero_tol is finite and positive,
+    SingularDenominatorError when 1 - P is zero within SINGULAR_TOL,
+    NotAdmissibleError when the composition overflows, so that P or a
+    point is not finite, and EigenvalueOneError and the A_block^n
+    overflow as solve_cycle does.
     """
     n = len(sequence)
     if zero_tol is None:
         zero_tol = zero_tolerance(sys.mu_hat)
+    else:
+        _require_tol(zero_tol, "zero_tol")
     slopes, _, product = word = _word(sys, sequence)
     den = 1.0 - product
     if abs(den) <= SINGULAR_TOL:

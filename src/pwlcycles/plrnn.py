@@ -21,7 +21,7 @@ from .errors import (
     SameRegionError,
     StructureViolationError,
 )
-from .skew_tent import ParamClassification, classify, zero_tolerance
+from .skew_tent import ParamClassification, _require_tol, classify, zero_tolerance
 
 __all__ = [
     "PLRNNSystem",
@@ -297,7 +297,10 @@ def local_cycle_analysis(
     network where the non-boundary coordinates stay inside the shared
     sign pattern of regions i and j, so any solved cycle is checked for
     exactly that before it may be trusted as a cycle of the full network.
+    A given zero_tol must be finite and positive (ValueError).
     """
+    if zero_tol is not None:
+        _require_tol(zero_tol, "zero_tol")
     loc = localize(sys, i, j)
     can = loc.canonical
     mu_sign = "-" if can.mu_hat < 0 else "+"

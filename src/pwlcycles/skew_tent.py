@@ -179,14 +179,18 @@ def cycle_x_components(
     terms, and for i >= 2
     x_i = mu_hat * (S_{i-1}(a) + a^(i-2) d S_{n-i+1}(a)) / (1 - a^(n-1) d).
 
-    Raises ValueError unless n is an integer >= 2,
-    SingularDenominatorError when 1 - a^(n-1) d is zero within
-    SINGULAR_TOL, DegenerateOffsetError for mu_hat = 0, and
+    Raises ValueError unless n is an integer >= 2 and a given zero_tol is
+    finite and positive, SingularDenominatorError when 1 - a^(n-1) d is
+    zero within SINGULAR_TOL, DegenerateOffsetError for mu_hat = 0, and
     NotAdmissibleError when the computed signs do not realize the
     R L^(n-1) pattern (the error carries the raw values) or when a^(n-1)
     overflows, so that no point is computed.
     """
     n = _require_count(n, "cycle length n", 2)
+    if zero_tol is None:
+        zero_tol = zero_tolerance(p.mu_hat)
+    else:
+        _require_tol(zero_tol, "zero_tol")
     if p.mu_hat == 0.0:
         raise DegenerateOffsetError("mu_hat = 0 collapses the cycle formulas")
     a, d, mu = p.a, p.d, p.mu_hat
@@ -196,8 +200,6 @@ def cycle_x_components(
         raise NotAdmissibleError((), "", f"a^{n - 1} overflows for a={a!r}") from None
     if abs(den) <= SINGULAR_TOL:
         raise SingularDenominatorError(a, d, n, den)
-    if zero_tol is None:
-        zero_tol = zero_tolerance(mu)
 
     # sums[k - 1] = S_k, accumulated in geometric_sum's order
     power = a * 0.0 + 1.0

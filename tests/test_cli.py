@@ -372,6 +372,25 @@ def test_simulate_non_finite_tolerance_exits_2(flag, value, write_doc, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # the eigenvalue-one config exits 3 once a valid zero_tol reaches the solver
+    ["cycle", "--config", "{eig1}", "--n", "3", "--zero-tol", "nan"],
+    ["cycle", "--config", "{can}", "--n", "3", "--zero-tol", "0"],
+    ["cycle", "--config", "{can}", "--sequence", "RLL", "--zero-tol=-1e-9"],
+    ["plrnn", "--config", "{net}", "--pair", "0000", "1000", "--n", "3",
+     "--zero-tol", "inf"],
+])
+def test_zero_tol_must_be_finite_and_positive(argv, write_doc, capsys):
+    paths = {"{eig1}": write_doc(EIG_ONE_DOC, "eig1.json"),
+             "{can}": write_doc(CANONICAL_DOC, "can.json"),
+             "{net}": write_doc(NET_DOC, "net.json")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: zero_tol must be a finite positive number")
+    assert captured.err.count("\n") == 1
+
+
 def test_simulate_zero_tol_defaults_to_the_cycle_tolerance(write_doc, capsys):
     # mu_hat = 10: the third point of the 3-cycle, about -5e-9, is inside
     # zero_tolerance(10) = 1e-8 but outside the absolute 1e-9
@@ -519,12 +538,12 @@ def test_top_level_usage_errors(argv, message, capsys):
 
 
 def _full_parser_call(argv):
-    """argv parsed by the parser of every subcommand, dispatched through args.func."""
+    """argv parsed by a fresh parser of every subcommand, dispatched by name."""
     try:
         args = cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    return args.func(args)
+    return getattr(cli, cli._COMMANDS[args.command].handler)(args)
 
 
 @pytest.mark.parametrize("argv", IDENTITY_CORPUS,
@@ -536,6 +555,35 @@ def test_main_matches_the_full_parser(argv, write_doc, capsys):
     argv = [paths.get(arg, arg) for arg in argv]
     got = (main(argv), *capsys.readouterr())
     assert got == (_full_parser_call(argv), *capsys.readouterr())
+
+
+def test_main_calls_a_handler_patched_after_its_parser_was_built(monkeypatch, capsys):
+    assert main(_CLASSIFY) == 0  # builds and keeps the classify parser
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_classify", lambda args: seen.append(args.n) or 7)
+    assert main(_CLASSIFY) == 7
+    assert seen == [3]
+
+
+def test_a_kept_parser_answers_each_call_afresh(capsys):
+    def call(argv):
+        return (main(argv), *capsys.readouterr())
+
+    first = {}
+    for argv in (_CLASSIFY, _CLASSIFY + ["--bogus"], _CLASSIFY, ["classify", "-h"]):
+        got = [call(argv) for _ in range(3)]
+        assert got == [first.setdefault(tuple(argv), got[0])] * 3
+    assert [first[key][0] for key in first] == [0, 2, 0]
+    # a list-valued flag holds only the values of the call that gave it
+    assert _SCAN[-3:] == ["--n", "3", "4"]
+    call(_SCAN)
+    fewer = _SCAN[:-2] + ["5"]
+    got = call(fewer)
+    assert {row.split(",")[2] for row in got[1].splitlines()[1:]} == {"5"}
+    assert got == (_full_parser_call(fewer), *capsys.readouterr())
+    # build_parser still hands every caller a parser of its own
+    assert cli.build_parser("scan") is not cli.build_parser("scan")
 
 
 def _subparsers(parser):

@@ -1,5 +1,7 @@
 """Tests for the canonical-form cycle solver."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -573,6 +575,23 @@ def test_solve_cycle_rejects_bad_sequences():
         cs.solve_symbolic_cycle(sys, "")
     with pytest.raises(ValueError):
         cs.solve_cycle(sys, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_explicit_zero_tol_must_be_finite_and_positive(bad):
+    # a NaN zero_tol fails every sign test: the closed form read the word
+    # '000' and raised NotAdmissibleError, the word solver returned an
+    # inadmissible cycle
+    sys = reference_system()
+    calls = (lambda: st.cycle_x_components(sys.skew_params(), 3, zero_tol=bad),
+             lambda: cs.solve_cycle(sys, 3, zero_tol=bad),
+             lambda: cs.solve_symbolic_cycle(sys, "RLL", zero_tol=bad))
+    for call in calls:
+        with pytest.raises(ValueError, match="zero_tol must be a finite positive"):
+            call()
+    for tol in (5e-324, 1e-9, 0.05):
+        assert cs.solve_cycle(sys, 3, zero_tol=tol).sequence == "RLL"
+        assert cs.solve_symbolic_cycle(sys, "RLL", zero_tol=tol).admissible
 
 
 def test_solve_cycle_multipliers_match_public_multipliers():

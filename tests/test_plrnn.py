@@ -4,6 +4,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pwlcycles import cycle_solver as cs
 from pwlcycles import plrnn as pl
@@ -11,6 +13,7 @@ from pwlcycles import skew_tent as st
 from pwlcycles.errors import (
     DegenerateOffsetError,
     NotAdjacentError,
+    PwlcyclesError,
     SameRegionError,
     StructureViolationError,
 )
@@ -309,6 +312,66 @@ def test_negative_offset_reports_agree_with_the_word_solver():
     assert solved > 50
 
 
+_UNIT = hs.floats(-1.0, 1.0)
+
+
+@hs.composite
+def _mirror_pair(draw):
+    """A positive-offset system with a contracting A_block, its mirror
+    (d, a, -e_vec, -b_vec, A_block, h_Y, -mu_hat), and a cycle length n."""
+    n = draw(hs.integers(3, 12))
+    m = draw(hs.integers(0, 3))
+    a = draw(hs.floats(0.05, 1.5))
+    d = float(st.existence_bound(a, n)) * draw(hs.floats(1.0, 4.0))
+    block = np.array(draw(hs.lists(_UNIT, min_size=m * m, max_size=m * m)))
+    block = block.reshape(m, m)
+    if m:
+        radius = float(np.max(np.abs(np.linalg.eigvals(block))))
+        block *= draw(hs.floats(0.0, 0.95)) / max(1.0, radius)
+    b, e, h = (np.array(draw(hs.lists(_UNIT, min_size=m, max_size=m)))
+               for _ in range(3))
+    mu = draw(hs.floats(0.1, 5.0))
+    plus = cs.CanonicalSystem(a, d, b, e, block, h, mu)
+    minus = cs.CanonicalSystem(d, a, -e, -b, block, h, -mu)
+    return n, plus, minus
+
+
+def test_mirror_relation_of_the_negative_offset_family():
+    """Wherever the R L^(n-1) cycle of a positive-offset system solves, the
+    mirrored system's L R^(n-1) cycle is the same orbit with x negated:
+    _solve_family gives it bit for bit, the word solver to within the
+    verify tolerance."""
+    solved = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_mirror_pair())
+    def check(pair):
+        n, plus, minus = pair
+        try:
+            sol = cs.solve_cycle(plus, n)
+        except PwlcyclesError:
+            return
+        solved.append(n)
+        swapped = sol.sequence.translate(str.maketrans("RL", "LR"))
+        flipped = np.array(sol.points)
+        flipped[:, 0] = -flipped[:, 0]
+
+        family = pl._solve_family(minus, n)
+        assert family.sequence == swapped
+        assert np.array_equal(np.array(family.points), flipped)
+        assert (family.multipliers, family.stable, family.residual) == (
+            sol.multipliers, sol.stable, sol.residual)
+
+        word = cs.solve_symbolic_cycle(minus, swapped)
+        assert word.admissible
+        scale = max(1.0, float(np.max(np.abs(flipped))))
+        tol = st.verify_tolerance(plus.mu_hat) * scale
+        assert np.max(np.abs(np.array(word.points) - flipped)) <= tol
+
+    check()
+    assert len(solved) >= 100
+
+
 def test_local_cycle_analysis_degenerate_offset():
     net = demo_network()
     zeroed = pl.PLRNNSystem(
@@ -323,6 +386,25 @@ def test_local_cycle_analysis_degenerate_offset():
     assert report.solution is None
     assert isinstance(report.solve_error, DegenerateOffsetError)
     assert report.locality_ok is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-9])
+def test_explicit_zero_tol_must_be_finite_and_positive(bad):
+    # checked before the network is localized and solved, so a failed
+    # solve, which reads no zero_tol, rejects it too
+    net = demo_network()
+    zeroed = pl.PLRNNSystem(
+        net.A_diag, net.W, [0.0, 1.0, 0.0, 1.0], relaxed_diagonal=True
+    )
+    for system in (net, zeroed):
+        with pytest.raises(ValueError, match="zero_tol must be a finite positive"):
+            pl.local_cycle_analysis(
+                system,
+                pl.RegionIndex.from_ordinal(0, 4),
+                pl.RegionIndex.from_ordinal(1, 4),
+                n=3,
+                zero_tol=bad,
+            )
 
 
 def test_failed_solve_leaves_no_reference_cycle():
