@@ -263,9 +263,12 @@ class LocalCycleReport:
 _SWAP_RL = str.maketrans("RL", "LR")
 
 
-def _solve_family(can: CanonicalSystem, n: int) -> CycleSolution:
+def _solve_family(
+    can: CanonicalSystem, n: int, zero_tol: float | None = None
+) -> CycleSolution:
     """The n-cycle of the family classify names for the sign of mu_hat:
-    R L^(n-1) for mu_hat >= 0, L R^(n-1) for mu_hat < 0.
+    R L^(n-1) for mu_hat >= 0, L R^(n-1) for mu_hat < 0, with zero_tol
+    as solve_cycle takes it.
 
     With u = -x, a negative-offset system is the positive-offset system
     (d, a, -e_vec, -b_vec, -mu_hat). Its R L^(n-1) cycle, with u negated
@@ -273,12 +276,12 @@ def _solve_family(can: CanonicalSystem, n: int) -> CycleSolution:
     exact, so Y, the multipliers and the residual carry over unchanged.
     """
     if can.mu_hat >= 0:
-        return solve_cycle(can, n)
+        return solve_cycle(can, n, zero_tol)
     mirror = CanonicalSystem(
         a=can.d, d=can.a, b_vec=-can.e_vec, e_vec=-can.b_vec,
         A_block=can.A_block, h_Y=can.h_Y, mu_hat=-can.mu_hat,
     )
-    sol = solve_cycle(mirror, n)
+    sol = solve_cycle(mirror, n, zero_tol)
     points = tuple(np.concatenate(([-p[0]], p[1:])) for p in sol.points)
     return replace(sol, points=points, sequence=sol.sequence.translate(_SWAP_RL))
 
@@ -297,7 +300,9 @@ def local_cycle_analysis(
     network where the non-boundary coordinates stay inside the shared
     sign pattern of regions i and j, so any solved cycle is checked for
     exactly that before it may be trusted as a cycle of the full network.
-    A given zero_tol must be finite and positive (ValueError).
+    zero_tol reads a cycle point as on the kink (letter 0) in the solve
+    and as on a boundary in the locality check, zero_tolerance(mu_hat)
+    by default; a given one must be finite and positive (ValueError).
     """
     if zero_tol is not None:
         _require_tol(zero_tol, "zero_tol")
@@ -309,7 +314,7 @@ def local_cycle_analysis(
     solution = None
     solve_error = None
     try:
-        solution = _solve_family(can, n)
+        solution = _solve_family(can, n, zero_tol)
     except PwlcyclesError as err:
         # without its traceback: the traceback holds this frame, whose
         # solve_error would close a reference cycle around every failed solve

@@ -47,10 +47,12 @@ DEFAULT_MAX_PERIOD = 64
 DEFAULT_CYCLE_TOL = 1e-7
 
 # Divergence is checked once per chunk of about _Y_CHUNK_VALUES values
-# (steps times m) of the Y recurrence, once per _X_CHUNK steps of the x
-# loop, or once per block of _SWEEP_BLOCK_VALUES values (steps times d
-# values) of the d sweep.
+# (steps times m) of the Y recurrence, once per chunk of the x loop, or
+# once per block of _SWEEP_BLOCK_VALUES values (steps times d values) of
+# the d sweep. The x chunks double from _X_FIRST_CHUNK steps up to
+# _X_CHUNK, and each is also searched for a repeat of its last x.
 _Y_CHUNK_VALUES = 1 << 14
+_X_FIRST_CHUNK = 1 << 6
 _X_CHUNK = 1 << 12
 _SWEEP_BLOCK_VALUES = 1 << 15
 # A block of K steps of the Y recurrence spans K * m values, at most
@@ -103,7 +105,8 @@ def trajectory(
 
     z0 defaults to (mu_hat / 2, 0, ..., 0), which sits inside the
     absorbing interval whenever an attractor exists. The map is
-    triangular: x runs on its own as a scalar loop, then Y follows as
+    triangular: x runs on its own as a scalar loop until its float orbit
+    repeats, from where the cycle is copied (see _x_orbit); Y follows as
     the linear recurrence Y' = A_block Y + u_k with inputs
     u_k = (b_vec or e_vec) x_k + h_Y, evaluated in blocks of steps.
     The block ends come first, straight from the x values; the states
@@ -149,22 +152,42 @@ def _x_orbit(sys, x, rec, threshold):
 
     Writes x_k to rec[k]. Returns (k, x_k) for the first k with
     |x_k| > threshold, or None when the orbit stays bounded.
+
+    The float map is a function of x's bits alone, so once x_k has the
+    bits of an earlier x_j the orbit repeats x_(j+1)..x_k from there on
+    (Brent, "An improved Monte Carlo factorization algorithm", 1980).
+    The steps run in chunks that double from _X_FIRST_CHUNK up to
+    _X_CHUNK; each chunk is screened for divergence and its last x
+    sought among its earlier values and the one before it, and a match
+    copies the period to the end of rec. Every copied value was
+    screened, so the first crossing is the one stepping would find.
     """
     a, d, mu = sys.a, sys.d, sys.mu_hat
-    # the loop only steps, and each chunk of _X_CHUNK values is screened
-    # after it: an orbit that leaves runs on to the end of its chunk
-    # (Python floats go to inf or NaN without raising). memoryview item
-    # assignment costs about half of ndarray's
+    # the loop only steps, and each chunk is screened after it: an orbit
+    # that leaves runs on to the end of its chunk (Python floats go to
+    # inf or NaN without raising). memoryview item assignment costs
+    # about half of ndarray's
     view = memoryview(rec)
+    # bits, not values: +0.0 == -0.0, yet a = -0.5, mu_hat = -0.0 steps
+    # 0.0 to -0.0 and back
+    bits = rec.view(np.int64)
     view[0] = x
-    for k0 in range(1, len(rec), _X_CHUNK):
-        for k in range(k0, min(k0 + _X_CHUNK, len(rec))):
+    k0, size = 1, _X_FIRST_CHUNK
+    while k0 < len(rec):
+        k1 = min(k0 + size, len(rec))
+        for k in range(k0, k1):
             x = a * x + mu if x <= 0.0 else d * x + mu
             view[k] = x
-        over = np.abs(rec[k0 : k + 1]) > threshold
+        over = np.abs(rec[k0:k1]) > threshold
         if over.any():
             k = k0 + int(over.argmax())
             return k, float(rec[k])
+        seen = np.flatnonzero(bits[k0 - 1 : k] == bits[k])
+        if seen.size:
+            p = k - (k0 - 1 + int(seen[-1]))  # x_k repeats x_(k-p)
+            rec[k1:] = np.resize(rec[k1 - p : k1], len(rec) - k1)
+            return None
+        k0, size = k1, min(2 * size, _X_CHUNK)
     return None
 
 
@@ -382,7 +405,7 @@ def band_count(orbit: Orbit) -> int:
     1,000-step transient counts 1), and a stable n-cycle whose
     multiplier is near -1 still alternates around each point when
     recorded, so it counts 2n (a = 0.4, d = -6.2464 gives 6). The
-    analytic count from the kink's orbit (ROADMAP item 3) needs no tail.
+    analytic count from the kink's orbit (ROADMAP item 4) needs no tail.
     Raises ValueError if an x-value is not finite.
     """
     xs = orbit.x_values

@@ -10,6 +10,8 @@ from hypothesis import strategies as hs
 from pwlcycles import cycle_solver as cs
 from pwlcycles import plrnn as pl
 from pwlcycles import skew_tent as st
+from pwlcycles.cli import main
+from pwlcycles.config import write_config
 from pwlcycles.errors import (
     DegenerateOffsetError,
     NotAdjacentError,
@@ -405,6 +407,44 @@ def test_explicit_zero_tol_must_be_finite_and_positive(bad):
                 n=3,
                 zero_tol=bad,
             )
+
+
+def test_zero_tol_reaches_the_cycle_solve(tmp_path, capsys):
+    # W[0][0] = -3.90001 reduces to a = 0.4, d = -3.50001, whose third
+    # cycle point, x = -2e-6, reads L at the default tolerance and 0 (on
+    # the kink) within zero_tol = 1e-3, in the solve as in the locality check
+    net = pl.PLRNNSystem(
+        A_diag=[0.4, 0.4, 0.5, 0.6],
+        W=[
+            [-3.90001, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+        ],
+        h=[0.8, 1.0, 0.0, 1.0],
+        relaxed_diagonal=True,
+    )
+    i = pl.RegionIndex.from_bits((0, 1, 1, 1))
+    j = pl.RegionIndex.from_bits((1, 1, 1, 1))
+    default = pl.local_cycle_analysis(net, i, j, 3)
+    wide = pl.local_cycle_analysis(net, i, j, 3, zero_tol=1e-3)
+    assert default.solution.sequence == "RLL"
+    assert wide.solution.sequence == "RL0"
+    assert np.array_equal(wide.solution.points, default.solution.points)
+    can = wide.localized.canonical
+    assert (can.a, can.d) == pytest.approx((0.4, -3.50001))
+    assert cs.solve_cycle(can, 3, zero_tol=1e-3).sequence == "RL0"
+
+    # the CLI: plrnn reads the letter that cycle reads on the reduced system
+    net_path, can_path = tmp_path / "net.json", tmp_path / "can.json"
+    write_config(str(net_path), net)
+    write_config(str(can_path), can)
+    for argv in (
+        ["plrnn", "--config", str(net_path), "--pair", "0111", "1111"],
+        ["cycle", "--config", str(can_path)],
+    ):
+        assert main(argv + ["--n", "3", "--zero-tol", "1e-3"]) == 0
+        assert "sequence: RL0" in capsys.readouterr().out.splitlines()
 
 
 def test_failed_solve_leaves_no_reference_cycle():

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pwlcycles import cycle_solver as cs
 from pwlcycles import region_atlas as ra
@@ -257,6 +259,110 @@ def test_x_divergence_after_the_first_x_chunk():
     # the 1D map alone, recorded from step 0
     tent = tent_system(0.4, 1.001)
     assert _assert_oracle_divergence(tent, [0.4], 30_000, 0)[0] == step
+
+
+def _x_steps(sys, x, count, threshold):
+    """Oracle: x_0.. of the 1D map, stepped one at a time up to count
+    values or the first x_k with |x_k| > threshold, and that (k, x_k)."""
+    xs = [x]
+    for k in range(1, count):
+        x = sys.a * x + sys.mu_hat if x <= 0.0 else sys.d * x + sys.mu_hat
+        xs.append(x)
+        if abs(x) > threshold:
+            return np.array(xs), (k, x)
+    return np.array(xs), None
+
+
+def _first_repeat(xs):
+    """The first k whose x_k has the bits of an earlier x, or None."""
+    seen = set()
+    for k, bits in enumerate(xs.view(np.int64).tolist()):
+        if bits in seen:
+            return k
+        seen.add(bits)
+    return None
+
+
+def _assert_x_orbit_matches_steps(sys, x0, count, threshold=sim.DIVERGENCE_THRESHOLD):
+    """_x_orbit writes the oracle's values bit for bit and returns its
+    first crossing; the values after a crossing are not compared."""
+    rec = np.empty(count)
+    hit = sim._x_orbit(sys, x0, rec, threshold)
+    xs, want = _x_steps(sys, x0, count, threshold)
+    assert np.array_equal(rec[: xs.size].view(np.int64), xs.view(np.int64))
+    assert hit == want
+    return xs, hit
+
+
+@pytest.mark.parametrize("a, d, mu, x0, count, repeat", [
+    # (first repeat step, or None) of the orbit's count values
+    (0.5, -2.0, 1.0, 0.3, 300, 7),  # inside the first chunk
+    (0.4, -4.0, 0.8, 0.4, 1000, 227),  # in the third chunk
+    (0.4, -4.0, 0.8, 0.4, 228, 227),  # at the last step
+    (0.4, -6.2, 0.8, 0.4, 20_000, 11_176),  # beyond _X_CHUNK
+    # a = 1 steps integers: 1, 1 + d, 2 + d, ..., 0, 1 has period 1 - d
+    (1.0, -63.0, 1.0, 1.0, 300, 64),  # x_64 repeats x_0, before the chunk
+    (1.0, -70.0, 1.0, 1.0, 1000, 71),
+    (1.0, -200.0, 1.0, 1.0, 1000, 201),
+    # +0.0 and -0.0 alternate; equal values are not a repeat
+    (-0.5, 0.3, -0.0, 0.0, 100, 2),
+    (-0.5, 0.3, -0.0, -0.0, 100, 2),
+    (-0.5, 0.3, 0.0, -0.0, 100, 2),
+    (0.5, 0.3, -0.0, -0.0, 100, 1),  # -0.0 is fixed
+    (0.4, -3.0, 0.8, 0.3, 20_000, None),  # chaotic bands
+    (0.6004, -1.9091, 0.8, 0.3, 20_000, None),
+    (0.4, -4.0, 0.8, 0.4, 1, None),
+    (0.4, -4.0, 0.8, 0.4, 2, None),
+    (0.5, 0.0, 0.0, 0.0, 2, 1),
+])
+def test_x_orbit_matches_stepping(a, d, mu, x0, count, repeat):
+    xs, hit = _assert_x_orbit_matches_steps(tent_system(a, d, mu), x0, count)
+    assert hit is None
+    assert _first_repeat(xs) == repeat
+
+
+@pytest.mark.parametrize("d, count, step", [
+    (3.0, 100, 26),
+    (1e300, 100, 1),  # then inf, which repeats inside the same chunk
+    (1.001, 30_000, 20_957),  # beyond _X_CHUNK
+])
+def test_x_orbit_divergence_matches_stepping(d, count, step):
+    _, hit = _assert_x_orbit_matches_steps(tent_system(0.4, d), 0.4, count)
+    assert hit[0] == step
+
+
+_X_SLOPES = hs.sampled_from([0.5, -0.5, 0.25, 0.4, -2.0, -4.0, 2.0, 1.0, 0.0, -0.0])
+_X_OFFSETS = hs.sampled_from([0.8, 1.0, -1.0, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    hs.one_of(_X_SLOPES, hs.floats(-5.0, 5.0)),
+    hs.one_of(_X_SLOPES, hs.floats(-5.0, 5.0)),
+    hs.one_of(_X_OFFSETS, hs.floats(-2.0, 2.0)),
+    hs.one_of(_X_OFFSETS, hs.floats(-3.0, 3.0)),
+    hs.integers(1, 700),
+    hs.sampled_from([sim.DIVERGENCE_THRESHOLD, 50.0, math.inf]),
+)
+def test_x_orbit_matches_stepping_on_drawn_maps(a, d, mu, x0, count, threshold):
+    _assert_x_orbit_matches_steps(tent_system(a, d, mu), x0, count, threshold)
+
+
+@pytest.mark.parametrize("a, d, mu, x0", [
+    (0.4, 3.0, 0.8, 0.4),  # runs to inf, which repeats
+    (0.4, -4.0, 0.8, 0.4),  # repeats at step 227
+    (-0.5, 0.3, -0.0, 0.0),  # +0.0, -0.0, +0.0, ...
+    (0.4, -3.0, 0.8, 0.3),  # chaotic
+])
+def test_cobweb_data_matches_stepping(a, d, mu, x0):
+    # threshold inf: the oracle never stops, and cobweb_data never screens
+    xs, _ = _x_steps(tent_system(a, d, mu), x0, 2001, math.inf)
+    bits = sim.cobweb_data(st.SkewTentParams(a, d, mu), x0, 2000).view(np.int64)
+    want = xs.view(np.int64)
+    # rows (x_k, x_(k+1)) and (x_(k+1), x_(k+1)) for k = 0..1999
+    assert np.array_equal(bits[1::2, 0], want[:-1])
+    for col in (bits[1::2, 1], bits[2::2, 0], bits[2::2, 1]):
+        assert np.array_equal(col, want[1:])
 
 
 def _cancelling_system(scale):
@@ -675,19 +781,22 @@ def test_bifurcation_scan_divergent_row_reported():
 
 @pytest.mark.parametrize("x0", [0.4, None])
 @pytest.mark.parametrize("transient", [0, 150])
-def test_bifurcation_scan_rows_match_trajectories(x0, transient):
-    # d in [-5, 3] crosses stable cycles, chaos and divergence (d > 1)
+@pytest.mark.parametrize("steps", [400, 5000])
+def test_bifurcation_scan_rows_match_trajectories(x0, transient, steps):
+    # d in [-5, 3] crosses stable cycles, chaos and divergence (d > 1).
+    # The sweep steps every value, so on the stable rows, which repeat
+    # bit for bit, it checks the cycles trajectory copies
     rows = sim.bifurcation_scan(
         a=0.4, mu_hat=0.8, d_min=-5.0, d_max=3.0, d_steps=33,
-        steps=400, transient=transient, x0=x0,
+        steps=steps, transient=transient, x0=x0,
     )
     assert len(rows) == 33
-    diverged = 0
+    diverged = repeated = 0
     for row in rows:
         z0 = None if x0 is None else [x0]
         try:
             orbit = sim.trajectory(
-                tent_system(0.4, row["d"]), steps=400, transient=transient, z0=z0
+                tent_system(0.4, row["d"]), steps=steps, transient=transient, z0=z0
             )
         except DivergenceError as err:
             diverged += 1
@@ -697,8 +806,10 @@ def test_bifurcation_scan_rows_match_trajectories(x0, transient):
             continue
         assert not row["diverged"]
         assert row["diverged_at"] is None
-        assert np.array_equal(row["xs"], orbit.x_values)
+        assert np.array_equal(row["xs"].view(np.int64), orbit.x_values.view(np.int64))
+        repeated += _first_repeat(row["xs"]) is not None
     assert 0 < diverged < len(rows)
+    assert repeated > 0
     kept = [row["xs"] for row in rows if not row["diverged"]]
     assert all(xs.base is kept[0].base for xs in kept)
 
