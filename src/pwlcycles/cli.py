@@ -31,6 +31,7 @@ from .simulator import (
     DEFAULT_MAX_PERIOD,
     DEFAULT_STEPS,
     DEFAULT_TRANSIENT,
+    Orbit,
     band_count,
     detect_cycle,
     itinerary,
@@ -191,13 +192,15 @@ def _cmd_simulate(args) -> int:
         return 0
 
     cycle = detect_cycle(orbit, max_period=args.max_period, tol=args.cycle_tol)
-    symbols = itinerary(orbit, zero_tol=args.zero_tol)
+    # only the printed prefix is read
+    head = Orbit(orbit.states[:_ITINERARY_PREFIX], orbit.transient, orbit.mu_hat)
+    symbols = itinerary(head, zero_tol=args.zero_tol)
     bands = band_count(orbit)
     if cycle is None:
         print(f"period: none (no cycle up to {args.max_period})")
     else:
         print(f"period: {cycle.period}")
-    print(f"itinerary: {symbols[:_ITINERARY_PREFIX]}")
+    print(f"itinerary: {symbols}")
     print(f"bands: {bands}")
 
     if args.emit_csv:

@@ -159,8 +159,9 @@ def _x_orbit(sys, x, rec, threshold):
     The steps run in chunks that double from _X_FIRST_CHUNK up to
     _X_CHUNK; each chunk is screened for divergence and its last x
     sought among its earlier values and the one before it, and a match
-    copies the period to the end of rec. Every copied value was
-    screened, so the first crossing is the one stepping would find.
+    copies the period to the end of rec with two array operations,
+    whatever the number of periods. Every copied value was screened, so
+    the first crossing is the one stepping would find.
     """
     a, d, mu = sys.a, sys.d, sys.mu_hat
     # the loop only steps, and each chunk is screened after it: an orbit
@@ -185,7 +186,10 @@ def _x_orbit(sys, x, rec, threshold):
         seen = np.flatnonzero(bits[k0 - 1 : k] == bits[k])
         if seen.size:
             p = k - (k0 - 1 + int(seen[-1]))  # x_k repeats x_(k-p)
-            rec[k1:] = np.resize(rec[k1 - p : k1], len(rec) - k1)
+            # whole periods by one broadcast into p columns, then the rest
+            q, r = divmod(len(rec) - k1, p)
+            rec[k1 : k1 + q * p].reshape(q, p)[...] = rec[k1 - p : k1]
+            rec[len(rec) - r :] = rec[k1 - p : k1 - p + r]
             return None
         k0, size = k1, min(2 * size, _X_CHUNK)
     return None
@@ -239,11 +243,13 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
     across = [powers[-1]]
     k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):
+        # every squaring the chunk could use, then all checked at once;
+        # the jumps end before the first that fails
         while 1 << len(across) <= nb_max:
-            J = across[-1] @ across[-1]
-            if not _passes_checks(J, across[-1], across[-1]):
-                break
-            across.append(J)
+            across.append(across[-1] @ across[-1])
+        stack = np.array(across)
+        ok = _passes_checks(stack[1:], stack[:-1], stack[:-1])
+        across = across[: _passing_prefix(ok) + 1]
         seg = (1 << len(across)) - 1  # the blocks one scan pass carries
         while k0 <= last:
             k1 = min(k0 + chunk, last + 1)
@@ -323,14 +329,21 @@ def _block_powers(A, cap):
     A matrix that grows by cancelling products gets a short block; a
     contracting one keeps the full cap however far from normal it is.
     """
-    powers = np.empty((cap,) + A.shape)
-    powers[0] = A
-    # powers past an overflow are inf or NaN and fail the checks below
+    powers = [A]
+    # powers past an overflow are inf or NaN and fail the checks below.
+    # ndarray.dot makes the same product as @ at about half its cost on
+    # small blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, cap):
-            np.matmul(powers[i - 1], A, out=powers[i])
+        for _ in range(1, cap):
+            powers.append(powers[-1].dot(A))
+        powers = np.array(powers)
         ok = _passes_checks(powers[1:], powers[:-1], A)
-    return powers[: 1 + int(np.argmin(np.append(ok, False)))]
+    return powers[: _passing_prefix(ok) + 1]
+
+
+def _passing_prefix(ok):
+    """The number of leading True values of the boolean array ok."""
+    return int(np.argmin(np.append(ok, False)))
 
 
 def _passes_checks(P, L, R):

@@ -314,6 +314,10 @@ def _assert_x_orbit_matches_steps(sys, x0, count, threshold=sim.DIVERGENCE_THRES
     (0.4, -4.0, 0.8, 0.4, 1, None),
     (0.4, -4.0, 0.8, 0.4, 2, None),
     (0.5, 0.0, 0.0, 0.0, 2, 1),
+    # long records of short periods: whole periods and a remainder
+    (0.4, 0.5, 0.8, 0.4, 200_001, 54),  # the fixed point 1.6
+    (-0.5, 0.3, -0.0, 0.0, 200_002, 2),
+    (0.5, -2.0, 1.0, 0.3, 200_003, 7),  # period 4, 2 values over
 ])
 def test_x_orbit_matches_stepping(a, d, mu, x0, count, repeat):
     xs, hit = _assert_x_orbit_matches_steps(tent_system(a, d, mu), x0, count)
@@ -398,21 +402,34 @@ def test_cancelling_block_diverges_inside_an_unrecorded_chunk():
     assert 2 * chunk < step < 3 * chunk - 1
 
 
-def test_trajectory_huge_block_eigenvalue_the_drive_never_enters():
-    # the powers of A reach 1e140 in the first coordinate, which stays
-    # exactly 0: a power that overflowed would make it inf * 0 = NaN
-    A = np.diag([1e20, 0.5])
+@pytest.mark.parametrize("top, steps, K, squares", [
+    # A^7 = 1e140 and no square of it passes
+    (1e20, 400, 7, 0),
+    # A^80 = 1.2e14 and its squares up to A^640 pass; A^1280 = 2.5e225
+    # fails, and the squarings a chunk of 102 blocks could use run on to
+    # inf and NaN past it
+    (1.5, 20_000, 80, 3),
+])
+def test_trajectory_huge_block_eigenvalue_the_drive_never_enters(top, steps, K, squares):
+    # the powers of A grow in the first coordinate, which stays exactly
+    # 0: a power or jump that overflowed would make it inf * 0 = NaN
+    A = np.diag([top, 0.5])
     sys = cs.CanonicalSystem(
         0.4, -4.0, [0.0, 1.0], [0.0, 0.5], A, [0.0, 1.0], 0.8,
     )
-    K, _ = _block_and_chunk(A)
-    assert K > 1
-    assert np.max(sim._block_powers(A, K)[-1]) <= sim._POWER_LIMIT
+    assert _block_and_chunk(A)[0] == K
+    J = sim._block_powers(A, K)[-1]
+    assert np.max(J) <= sim._POWER_LIMIT
+    passed = 0
+    with np.errstate(over="ignore"):
+        while sim._passes_checks(J @ J, J, J):
+            J, passed = J @ J, passed + 1
+    assert passed == squares
     z0 = [0.3, 0.0, -0.5]
-    expected = _stepped(sys, z0, 400)
+    expected = _stepped(sys, z0, steps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        orbit = sim.trajectory(sys, steps=400, transient=0, z0=z0)
+        orbit = sim.trajectory(sys, steps=steps, transient=0, z0=z0)
     assert np.all(np.isfinite(orbit.states))
     assert np.all(orbit.states[:, 1] == 0.0)
     assert np.array_equal(orbit.x_values, expected[:, 0])
