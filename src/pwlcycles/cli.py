@@ -250,17 +250,15 @@ def _cmd_plrnn(args) -> int:
 
 
 class _Command(NamedTuple):
+    """A subcommand: its help text and flags; main runs _cmd_<name>."""
+
     help: str
-    # the name of the module-level _cmd_* function; main looks it up at each
-    # dispatch, so that a binding patched after the parser was built (a test
-    # double, a tracer) is the one called
-    handler: str
     # (flag, keywords) pairs; a tuple of pairs is a required exclusive group
     args: tuple
 
 
 _COMMANDS = {
-    "classify": _Command("classify a parameter point", "_cmd_classify", (
+    "classify": _Command("classify a parameter point", (
         ("--a", dict(type=float, required=True)),
         ("--d", dict(type=float, required=True)),
         ("--n", dict(type=int, required=True)),
@@ -268,14 +266,14 @@ _COMMANDS = {
         ("--tol", dict(type=float, default=DEFAULT_CURVE_TOL)),
         ("--format", dict(choices=["text", "json"], default="text")),
     )),
-    "cycle": _Command("closed-form cycle of a configured system", "_cmd_cycle", (
+    "cycle": _Command("closed-form cycle of a configured system", (
         ("--config", dict(required=True)),
         (("--n", dict(type=int)), ("--sequence", dict())),
         ("--zero-tol", dict(type=float, default=None)),
         ("--emit", dict(choices=["csv", "json"], default=None)),
         ("--out", dict(default=None)),
     )),
-    "scan": _Command("classify a parameter-plane grid to CSV", "_cmd_scan", (
+    "scan": _Command("classify a parameter-plane grid to CSV", (
         ("--a-min", dict(type=float, required=True)),
         ("--a-max", dict(type=float, required=True)),
         ("--a-steps", dict(type=int, required=True)),
@@ -287,7 +285,7 @@ _COMMANDS = {
         ("--tol", dict(type=float, default=DEFAULT_CURVE_TOL)),
         ("--out", dict(default=None)),
     )),
-    "simulate": _Command("simulate a configured system", "_cmd_simulate", (
+    "simulate": _Command("simulate a configured system", (
         ("--config", dict(required=True)),
         ("--steps", dict(type=int, default=DEFAULT_STEPS)),
         ("--transient", dict(type=int, default=DEFAULT_TRANSIENT)),
@@ -297,7 +295,7 @@ _COMMANDS = {
         ("--zero-tol", dict(type=float, default=None)),
         ("--emit-csv", dict(default=None)),
     )),
-    "plrnn": _Command("localize a network at a switching boundary", "_cmd_plrnn", (
+    "plrnn": _Command("localize a network at a switching boundary", (
         ("--config", dict(required=True)),
         ("--pair", dict(nargs=2, type=_bits_word, required=True,
                         metavar=("BITS_I", "BITS_J"))),
@@ -307,16 +305,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the named subcommand only."""
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every subcommand."""
     parser = _ArgumentParser(
         prog="pwlcycles", description="Cycles and bifurcations of piecewise-linear maps")
-    # the full parser's usage line; the full parser itself sets no metavar,
-    # which would change its missing-command and invalid-choice messages
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        spec = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in _COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         for arg in spec.args:
             if isinstance(arg[0], tuple):
@@ -329,26 +323,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """build_parser(command), built once per process for main.
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call of main and kept for the process.
 
     parse_args leaves a parser as it found it, so main can reuse one;
     build_parser itself keeps returning a fresh parser that a caller may
     change.
     """
-    return build_parser(command)
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = _sys.argv[1:] if argv is None else list(argv)
-    # no arguments, -h, an unknown name or a prefix of one need every subcommand
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser(command).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return globals()[_COMMANDS[args.command].handler](args)
+        # looked up at each call, so a _cmd_* patched after the first call
+        # (a test double, a tracer) is the one that runs
+        return globals()[f"_cmd_{args.command}"](args)
     except PwlcyclesError as err:
         print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
         return err.exit_code

@@ -25,10 +25,9 @@ from .errors import EigenvalueOneError, NotAdmissibleError, SingularDenominatorE
 from .skew_tent import (
     SINGULAR_TOL,
     SkewTentParams,
-    _require_tol,
+    _kink_tol,
     _sign_word,
     cycle_x_components,
-    zero_tolerance,
 )
 
 __all__ = [
@@ -309,10 +308,7 @@ def solve_symbolic_cycle(
     overflow as solve_cycle does.
     """
     n = len(sequence)
-    if zero_tol is None:
-        zero_tol = zero_tolerance(sys.mu_hat)
-    else:
-        _require_tol(zero_tol, "zero_tol")
+    zero_tol = _kink_tol(zero_tol, sys.mu_hat)
     slopes, _, product = word = _word(sys, sequence)
     den = 1.0 - product
     if abs(den) <= SINGULAR_TOL:

@@ -21,7 +21,7 @@ from .errors import (
     SameRegionError,
     StructureViolationError,
 )
-from .skew_tent import ParamClassification, _require_tol, classify, zero_tolerance
+from .skew_tent import ParamClassification, _kink_tol, _require_tol, classify
 
 __all__ = [
     "PLRNNSystem",
@@ -324,8 +324,7 @@ def local_cycle_analysis(
     warnings = []
     locality_ok = None
     if solution is not None:
-        if zero_tol is None:
-            zero_tol = zero_tolerance(can.mu_hat)
+        zero_tol = _kink_tol(zero_tol, can.mu_hat)
         shared = loc.region_neg.bits
         for idx, point in enumerate(solution.points):
             for canon_coord in range(1, sys.M):

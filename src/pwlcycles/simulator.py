@@ -17,11 +17,11 @@ from .cycle_solver import CanonicalSystem
 from .errors import DivergenceError
 from .skew_tent import (
     SkewTentParams,
+    _kink_tol,
     _require_count,
     _require_int,
     _require_tol,
     _sign_word,
-    zero_tolerance,
 )
 
 __all__ = [
@@ -94,6 +94,15 @@ class DetectedCycle:
     tol_used: float
 
 
+def _run_window(steps, transient) -> tuple:
+    """steps and transient as ints; ValueError unless 0 <= transient < steps."""
+    steps = _require_count(steps, "steps", 1)
+    transient = _require_int(transient, "transient")
+    if not 0 <= transient < steps:
+        raise ValueError("need 0 <= transient < steps")
+    return steps, transient
+
+
 def trajectory(
     sys: CanonicalSystem,
     steps: int = DEFAULT_STEPS,
@@ -117,10 +126,7 @@ def trajectory(
     exceeds divergence_threshold, which must be a finite positive
     number. The returned Orbit carries sys.mu_hat for itinerary.
     """
-    steps = _require_count(steps, "steps", 1)
-    transient = _require_int(transient, "transient")
-    if not 0 <= transient < steps:
-        raise ValueError("need 0 <= transient < steps")
+    steps, transient = _run_window(steps, transient)
     m = sys.m
     if z0 is None:
         z0 = np.zeros(m + 1)
@@ -391,9 +397,7 @@ def itinerary(orbit: Orbit, zero_tol: float | None = None) -> str:
     zero_tol defaults to zero_tolerance(orbit.mu_hat), as the solvers'
     does, so a point near the kink reads the letter of their sequence.
     """
-    if zero_tol is None:
-        zero_tol = zero_tolerance(orbit.mu_hat)
-    _require_tol(zero_tol, "zero_tol")
+    zero_tol = _kink_tol(zero_tol, orbit.mu_hat)
     return _sign_word(orbit.x_values.tolist(), zero_tol)
 
 
@@ -494,10 +498,7 @@ def bifurcation_scan(
         ds = np.linspace(d_min, d_max, d_steps)
     # the checks and messages of SkewTentParams and trajectory, in their order
     SkewTentParams(a=a, d=ds[0], mu_hat=mu_hat)
-    steps = _require_count(steps, "steps", 1)
-    transient = _require_int(transient, "transient")
-    if not 0 <= transient < steps:
-        raise ValueError("need 0 <= transient < steps")
+    steps, transient = _run_window(steps, transient)
     x0 = float(mu_hat) / 2.0 if x0 is None else float(x0)
     if not math.isfinite(x0):
         raise ValueError("z0 must be finite")

@@ -56,6 +56,15 @@ def zero_tolerance(mu_hat: float) -> float:
     return 1e-9 * max(1.0, abs(mu_hat))
 
 
+def _kink_tol(zero_tol: float | None, mu_hat: float) -> float:
+    """zero_tol, or zero_tolerance(mu_hat) when None; ValueError unless the
+    tolerance is finite and positive."""
+    if zero_tol is None:
+        zero_tol = zero_tolerance(mu_hat)
+    _require_tol(zero_tol, "zero_tol")
+    return zero_tol
+
+
 def verify_tolerance(mu_hat: float) -> float:
     """Default tolerance for cycle-closure residuals."""
     return 1e-8 * max(1.0, abs(mu_hat))
@@ -187,10 +196,7 @@ def cycle_x_components(
     overflows, so that no point is computed.
     """
     n = _require_count(n, "cycle length n", 2)
-    if zero_tol is None:
-        zero_tol = zero_tolerance(p.mu_hat)
-    else:
-        _require_tol(zero_tol, "zero_tol")
+    zero_tol = _kink_tol(zero_tol, p.mu_hat)
     if p.mu_hat == 0.0:
         raise DegenerateOffsetError("mu_hat = 0 collapses the cycle formulas")
     a, d, mu = p.a, p.d, p.mu_hat

@@ -543,22 +543,28 @@ def _full_parser_call(argv):
         args = cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    return getattr(cli, cli._COMMANDS[args.command].handler)(args)
+    return getattr(cli, f"_cmd_{args.command}")(args)
+
+
+@pytest.fixture
+def with_configs(write_doc):
+    """argv with {can}, {scalar} and {net} replaced by written config paths."""
+    paths = {"{can}": write_doc(CANONICAL_DOC, "can.json"),
+             "{scalar}": write_doc(SCALAR_DOC, "scalar.json"),
+             "{net}": write_doc(NET_DOC, "net.json")}
+    return lambda argv: [paths.get(arg, arg) for arg in argv]
 
 
 @pytest.mark.parametrize("argv", IDENTITY_CORPUS,
                          ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_main_matches_the_full_parser(argv, write_doc, capsys):
-    paths = {"{can}": write_doc(CANONICAL_DOC, "can.json"),
-             "{scalar}": write_doc(SCALAR_DOC, "scalar.json"),
-             "{net}": write_doc(NET_DOC, "net.json")}
-    argv = [paths.get(arg, arg) for arg in argv]
+def test_main_matches_the_full_parser(argv, with_configs, capsys):
+    argv = with_configs(argv)
     got = (main(argv), *capsys.readouterr())
     assert got == (_full_parser_call(argv), *capsys.readouterr())
 
 
 def test_main_calls_a_handler_patched_after_its_parser_was_built(monkeypatch, capsys):
-    assert main(_CLASSIFY) == 0  # builds and keeps the classify parser
+    assert main(_CLASSIFY) == 0  # builds and keeps the parser
     capsys.readouterr()
     seen = []
     monkeypatch.setattr(cli, "_cmd_classify", lambda args: seen.append(args.n) or 7)
@@ -583,22 +589,25 @@ def test_a_kept_parser_answers_each_call_afresh(capsys):
     assert {row.split(",")[2] for row in got[1].splitlines()[1:]} == {"5"}
     assert got == (_full_parser_call(fewer), *capsys.readouterr())
     # build_parser still hands every caller a parser of its own
-    assert cli.build_parser("scan") is not cli.build_parser("scan")
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+def test_main_builds_one_parser_per_process(with_configs, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    calls = [*_VALID_CALLS, ["-h"], ["bogus"], _CLASSIFY + ["--bogus"]]
+    codes = [main(with_configs(argv)) for argv in calls]
+    capsys.readouterr()
+    assert codes == [0] * 6 + [2, 2]
+    assert len(built) == 1
 
 
 def _subparsers(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
-
-
-def test_build_parser_of_one_subcommand():
-    full = cli.build_parser()
-    assert list(_subparsers(full)) == SUBCOMMANDS
-    assert list(_subparsers(cli.build_parser("classify"))) == ["classify"]
-    for name, sub in _subparsers(full).items():
-        one = cli.build_parser(name)
-        assert one.format_usage() == full.format_usage()
-        assert _subparsers(one)[name].format_help() == sub.format_help()
 
 
 _TOKENS = st.one_of(
@@ -648,14 +657,29 @@ def _parse(parser, argv):
     return repr(sorted(vars(args).items()))  # repr, since nan != nan
 
 
+@st.composite
+def _argv_sequence(draw, subs, name):
+    """An argv of subcommand name, then up to three argv of any of subs
+    or of arbitrary tokens, in any order."""
+
+    def argv_of(sub):
+        return _subcommand_argv(sub, subs[sub]._actions[1:])  # all but -h
+
+    rest = draw(st.lists(st.one_of(st.sampled_from(list(subs)).flatmap(argv_of),
+                                   st.lists(_TOKENS, max_size=2)), max_size=3))
+    return draw(st.permutations([draw(argv_of(name)), *rest]))
+
+
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_one_subcommand_parser_parses_as_the_full_parser(name):
-    actions = _subparsers(cli.build_parser())[name]._actions[1:]  # all but -h
+    """main's kept parser reads each argv of a sequence as a fresh parser does."""
+    subs = _subparsers(cli.build_parser())
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(_subcommand_argv(name, actions))
-    def check(argv):
-        assert _parse(cli.build_parser(name), argv) == _parse(cli.build_parser(), argv)
+    @given(_argv_sequence(subs, name))
+    def check(sequence):
+        for argv in sequence:
+            assert _parse(cli._parser(), argv) == _parse(cli.build_parser(), argv)
 
     check()
 
