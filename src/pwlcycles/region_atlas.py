@@ -16,7 +16,6 @@ from .skew_tent import (
     DEFAULT_CURVE_TOL,
     _VERDICT_OF_FLAGS,
     _bound,
-    _exists,
     _flags,
     _margins,
     _require_count,
@@ -36,6 +35,9 @@ __all__ = [
 ]
 
 _VERDICT_NAMES = np.array([v.value for v in _VERDICT_OF_FLAGS], dtype=object)
+# scan runs the region kernel on tiles of whole a rows of about this many
+# cells, so one tile's margins stay in cache while its flags are read
+_TILE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class GridSpec:
         if not self.n_list:
             raise ValueError("n_list must be non-empty")
         n_list = tuple(_require_region_n(n) for n in self.n_list)
+        if len(set(n_list)) < len(n_list):
+            raise ValueError(f"n_list must not repeat a cycle length, got {n_list}")
         object.__setattr__(self, "n_list", n_list)
 
     def a_centers(self) -> np.ndarray:
@@ -114,19 +118,28 @@ def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     """Classify every grid cell for every n in spec.n_list.
 
     Runs skew_tent's region kernel on the grid's axes, which broadcast to
-    the full mesh. Every elementwise operation sees the same operands in
-    the same order as on a single point, so every cell gets the margins,
-    bit for bit, and the verdict classify gives at that point.
+    the mesh, one tile of whole a rows (about _TILE_CELLS cells) at a
+    time: the operand that carries the a axis is sliced, the kernel's a
+    for mu_sign '+' and its d for '-', so a tile's margins stay in cache
+    and only the uint8 flags of the whole grid are kept, one array per
+    n that _VERDICT_NAMES names once. Every elementwise operation sees
+    the same operands in the same order as on a single point, so every
+    cell gets the margins, bit for bit, and the verdict classify gives
+    at that point.
     """
     _require_tol(tol)
     a, d = _oriented_axes(spec)
+    step = max(1, _TILE_CELLS // spec.d_steps)
+    tiles = [
+        (rows, a[rows], d) if spec.mu_sign == "+" else (rows, a, d[rows])
+        for rows in (slice(s, s + step) for s in range(0, spec.a_steps, step))
+    ]
     cells = {}
     for n in spec.n_list:
-        m = _margins(a, d, n)
-        cells[n] = _VERDICT_NAMES[_flags(a, m, tol)]
-        # released only now, below the new verdicts, so the allocator
-        # hands their pages to the next n instead of returning them
-        del m
+        flags = np.empty((spec.a_steps, spec.d_steps), np.uint8)
+        for rows, tile_a, tile_d in tiles:
+            flags[rows] = _flags(tile_a, _margins(tile_a, tile_d, n), tol)
+        cells[n] = _VERDICT_NAMES[flags]
     return RegionGrid(
         spec=spec, a_values=spec.a_centers(), d_values=spec.d_centers(), cells=cells
     )
@@ -160,27 +173,52 @@ def nesting_report(spec: GridSpec) -> dict:
     larger n must also lie inside it for the next smaller n. Returns
     {'pairs': [(n_small, n_large), ...], 'cells_checked': int,
     'violations': [...]}; each violation records the cell center and the
-    offending pair. An empty violations list certifies the nesting on
-    this grid.
+    offending pair, in row-major (a, d) order. An empty violations list
+    certifies the nesting on this grid.
+
+    No grid of cells is formed. The kernel's slope axis (a for mu_sign
+    '+', d for '-') fixes the bound b of each line of cells, and the
+    cell exists where the slope is positive and fl(b - x) > 0 for the
+    other coordinate x. That holds exactly when b > x: x is a finite
+    centre, so for a finite b the rounded difference is zero only when
+    b == x and otherwise keeps its sign, and b = +-inf keeps the test
+    exact. The centres never decrease, so each line's existence cells
+    are a prefix of the other axis, counted by one searchsorted; a
+    slope <= 0 or a NaN bound counts none. A violation is a cell
+    between the counts of a pair.
     """
-    ns = sorted(set(spec.n_list))
-    a, d = _oriented_axes(spec)
+    ns = sorted(spec.n_list)
     a_values, d_values = spec.a_centers(), spec.d_centers()
+    slopes, other = a_values, d_values
+    if spec.mu_sign == "-":
+        slopes, other = other, slopes
+    counts = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        masks = {n: _exists(a, _bound(a, n)[0] - d) for n in ns}
+        for n in ns:
+            bound = _bound(slopes, n)[0]
+            inside = (slopes > 0) & ~np.isnan(bound)
+            counts[n] = np.where(inside, np.searchsorted(other, bound), 0)
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:
-        bad = masks[n_large] & ~masks[n_small]
-        for i, j in zip(*np.nonzero(bad)):
-            violations.append(
-                {
-                    "a": float(a_values[i]),
-                    "d": float(d_values[j]),
-                    "n_outer": n_small,
-                    "n_inner": n_large,
-                }
-            )
+        lo, hi = counts[n_small], counts[n_large]
+        # (slope index, other index) of each cell in the larger region only
+        cells = [
+            (k, l)
+            for k in np.flatnonzero(hi > lo).tolist()
+            for l in range(int(lo[k]), int(hi[k]))
+        ]
+        if spec.mu_sign == "-":
+            cells = sorted((l, k) for k, l in cells)
+        violations.extend(
+            {
+                "a": float(a_values[i]),
+                "d": float(d_values[j]),
+                "n_outer": n_small,
+                "n_inner": n_large,
+            }
+            for i, j in cells
+        )
     return {
         "pairs": pairs,
         "cells_checked": spec.a_steps * spec.d_steps * len(pairs),

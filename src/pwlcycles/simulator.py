@@ -332,8 +332,10 @@ def _block_powers(A, cap):
     """A^1..A^K as a (K, m, m) array, for the largest K <= cap whose
     products A^i = A^(i-1) A pass _passes_checks.
 
-    A matrix that grows by cancelling products gets a short block; a
-    contracting one keeps the full cap however far from normal it is.
+    A matrix whose products cancel gets a short block, whether it grows
+    or contracts: far from normal, a contracting A can fail the
+    cancellation test at A^2 and get K = 1 (spectral radius 0.53 with
+    ||A||_2 = 3.68 gives max(|A| |A|) = 6.5 against 5 * max|A^2| = 6.1).
     """
     powers = [A]
     # powers past an overflow are inf or NaN and fail the checks below.

@@ -268,6 +268,17 @@ def test_scan_rejects_bad_grid(capsys):
     capsys.readouterr()
 
 
+def test_scan_rejects_a_repeated_cycle_length(capsys):
+    # a repeated n used to write each of its rows twice
+    rc = main(["scan", "--a-min", "0.3", "--a-max", "0.5", "--a-steps", "2",
+               "--d-min", "-5.0", "--d-max", "-3.0", "--d-steps", "2",
+               "--n", "3", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_list must not repeat")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -299,15 +310,16 @@ def test_non_finite_tol_and_bounds_exit_2(argv, capsys):
         (("-4.6e+21", "-1e-05", "5", "1e-05", "3", "7", ("3", "30")), "-"),
         (("1e-05", "2e-05", "3", "-4.6e+21", "-4.5e+21", "2", ("3", "30")), "+"),
         (("-4.6e+21", "-4.5e+21", "2", "1e-05", "2e-05", "3", ("3", "30")), "-"),
-        # 1x1, 1xN and Nx1 grids, and a repeated n
+        # 1x1, 1xN and Nx1 grids, and an unsorted n_list (a repeated n
+        # exits 2: test_scan_rejects_a_repeated_cycle_length)
         (("0.1", "0.9", "1", "-12", "-1", "1", ("3", "30")), "+"),
         (("-12", "-1", "1", "0.1", "0.9", "1", ("3", "30")), "-"),
         (("0.1", "0.9", "1", "-12", "-1", "9", ("3", "4")), "+"),
         (("-12", "-1", "1", "0.1", "0.9", "9", ("3", "4")), "-"),
         (("0.1", "0.9", "9", "-12", "-1", "1", ("4", "3")), "+"),
         (("-12", "-1", "9", "0.1", "0.9", "1", ("4", "3")), "-"),
-        (("0.1", "0.9", "4", "-12", "-1", "3", ("3", "3")), "+"),
-        (("-12", "-1", "4", "0.1", "0.9", "3", ("3", "3")), "-"),
+        (("0.1", "0.9", "4", "-12", "-1", "3", ("5", "3", "4")), "+"),
+        (("-12", "-1", "4", "0.1", "0.9", "3", ("5", "3", "4")), "-"),
     ],
 )
 def test_scan_csv_matches_per_cell_oracle(bounds, mu_sign, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for parameter-plane scanning and region nesting."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,9 @@ def test_grid_spec_validation():
         small_spec(n_list=(2,))
     with pytest.raises(ValueError):
         small_spec(mu_sign="x")
+    for n_list in ((3, 3), (3, 5, np.int64(3))):
+        with pytest.raises(ValueError, match="must not repeat a cycle length"):
+            small_spec(n_list=n_list)
     # infinite bounds, or a span beyond the float range, give inf or NaN
     # cell centres
     for bounds in (
@@ -271,6 +275,15 @@ def test_classify_matches_one_cell_scan_at_extremes():
                 )
 
 
+# two tiles of 1000-cell rows, plus one row
+_TILE_PLUS_ONE = 2 * (ra._TILE_CELLS // 1000) + 1
+# the point of test_nesting_report_counts_real_violations, and slopes
+# two ulps either side of it: four of the five lie in the n = 10 region
+# and not in the n = 9 one, so violations fill several rows and columns
+_ULP_A = 216.820504
+_ULP_D = float(st.existence_bound(_ULP_A, 9))
+_ULP_SLOPES = _ULP_A - 2 * np.spacing(_ULP_A), _ULP_A + 2 * np.spacing(_ULP_A)
+
 AXIS_SPECS = [
     ra.GridSpec(0.01, 3.0, 400, -40.0, -0.01, 400, tuple(range(3, 10))),
     ra.GridSpec(-40.0, -0.01, 300, 0.01, 3.0, 250, (3, 4, 5, 9, 10), "-"),
@@ -280,9 +293,23 @@ AXIS_SPECS = [
     ra.GridSpec(0.01, 3.0, 1, -40.0, -0.01, 57, (3, 4, 9)),
     ra.GridSpec(0.01, 3.0, 57, -40.0, -0.01, 1, (3, 4, 9)),
     ra.GridSpec(-40.0, -0.01, 1, 0.01, 3.0, 57, (3, 4, 9), "-"),
+    # scan's tiles: a row longer than a tile (one row per tile), and one
+    # a row past a whole number of tiles
+    ra.GridSpec(0.01, 3.0, 3, -40.0, -0.01, ra._TILE_CELLS + 3, (3, 9)),
+    ra.GridSpec(-40.0, -0.01, 3, 0.01, 3.0, ra._TILE_CELLS + 3, (3, 9), "-"),
+    ra.GridSpec(0.01, 3.0, _TILE_PLUS_ONE, -40.0, -0.01, 1000, (3, 4, 9)),
+    ra.GridSpec(-40.0, -0.01, _TILE_PLUS_ONE, 0.01, 3.0, 1000, (3, 4, 9), "-"),
+    # every centre equal, one ulp inside the n = 10 region and outside
+    # the n = 9 one, so every cell is a nesting violation
+    ra.GridSpec(_ULP_A, _ULP_A, 3, _ULP_D, _ULP_D, 4, (9, 10)),
+    ra.GridSpec(_ULP_D, _ULP_D, 3, _ULP_A, _ULP_A, 4, (9, 10), "-"),
+    ra.GridSpec(*_ULP_SLOPES, 5, _ULP_D, _ULP_D, 3, (3, 9, 10)),
+    ra.GridSpec(_ULP_D, _ULP_D, 3, *_ULP_SLOPES, 5, (3, 9, 10), "-"),
 ]
 AXIS_IDS = ["atlas", "mirrored", "extreme", "extreme-mirrored", "row", "column",
-            "row-mirrored"]
+            "row-mirrored", "long-row", "long-row-mirrored", "tiles-plus-row",
+            "tiles-plus-row-mirrored", "equal-centres", "equal-centres-mirrored",
+            "ulp-slopes", "ulp-slopes-mirrored"]
 # inf * 0 and inf - inf make NaN margins on this grid
 NAN_SPEC = ra.GridSpec(-1e200, 1e200, 41, -1e300, 1e300, 43, (3, 9, 30, 200))
 
@@ -337,6 +364,40 @@ def test_scan_and_nesting_match_frozen_reference(spec):
         exists[n] = _reference_exists(m)
     assert report == _nesting_reference(spec, exists)
     assert nan_margins == (spec is NAN_SPEC)
+
+
+def test_ulp_grids_are_nesting_violations():
+    # the equal-centre grids, then the grids with four violating slopes
+    for spec, slopes in zip(AXIS_SPECS[-4:], (1, 1, 4, 4)):
+        violations = ra.nesting_report(spec)["violations"]
+        assert len(violations) == 12
+        key = "a" if spec.mu_sign == "+" else "d"
+        assert len({v[key] for v in violations}) == slopes
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_keeps_flags_not_margin_grids():
+    # the verdicts are 8 MB of pointers and the flags 1 MB; the four
+    # float64 margin grids of a whole n would add 32 MB
+    spec = ra.GridSpec(0.01, 3.0, 1000, -40.0, -0.01, 1000, (3,))
+    assert _traced_peak(lambda: ra.scan(spec)) < 16 * 2**20
+
+
+@pytest.mark.parametrize("mu_sign", ["+", "-"])
+def test_nesting_report_forms_no_grid(mu_sign):
+    # one existence mask of this grid is 4 MB
+    spec = ra.GridSpec(0.01, 3.0, 2000, -40.0, -0.01, 2000, (3, 4, 9))
+    if mu_sign == "-":
+        spec = ra.GridSpec(-40.0, -0.01, 2000, 0.01, 3.0, 2000, (3, 4, 9), "-")
+    assert _traced_peak(lambda: ra.nesting_report(spec)) < 2**20
 
 
 @pytest.mark.parametrize("mu_sign", ["+", "-"])

@@ -130,6 +130,15 @@ def _block_and_chunk(A):
 
 # contracting and far from normal: A^2 = 0.05 I, but max(|A| |A|) = 4
 _FAR_FROM_NORMAL = np.array([[0.5, 4.0], [-0.05, -0.5]])
+# contracting (spectral radius 0.53) but ||A||_2 = 3.68, so A^2 fails the
+# cancellation test and K = 1: every block end is one _scan call (the
+# first m = 3 state system of the orbits benchmark at seed 24105)
+_CONTRACTING_K1 = np.array([
+    [-0.17198677148194988, 0.11232235692416821, -1.3570052004741793],
+    [0.2789619127774106, -1.151936466650968, -3.125745058640513],
+    [-0.1084412812052728, 0.44746417305161257, 0.8097179129057871],
+])
+_NAMED_BLOCKS = {"far-from-normal": _FAR_FROM_NORMAL, "contracting-K1": _CONTRACTING_K1}
 
 _ORACLE_CASES = [(0, None), (3, None)] + [
     (m, radius) for m in (1, 2, 3, 16, 64) for radius in (0.3, 0.99, 1.0)
@@ -142,11 +151,11 @@ _ORACLE_IDS = [
 
 def _oracle_system(m, radius):
     """The system and start of one _ORACLE_CASES entry. radius None: the
-    diagonal block 0.6 I; a string: _FAR_FROM_NORMAL; else a dense
-    non-normal block of that spectral radius."""
+    diagonal block 0.6 I; a string: that block of _NAMED_BLOCKS; else a
+    dense non-normal block of that spectral radius."""
     if radius is None or isinstance(radius, str):
         rng = np.random.default_rng(7)
-        A = 0.6 * np.eye(m) if radius is None else _FAR_FROM_NORMAL
+        A = 0.6 * np.eye(m) if radius is None else _NAMED_BLOCKS[radius]
     else:
         rng = np.random.default_rng(100 * m + int(100 * radius))
         A = _dense_block(rng, m, radius)
@@ -188,9 +197,10 @@ def test_trajectory_matches_stepping_oracle(m, radius):
         assert np.allclose(orbit.states, want, rtol=1e-12, atol=1e-12)
 
 
+# the stepping oracle needs K > 1, so the K = 1 block is checked here only
 _WIDE_Y_CASES = [
     (m, r) for m, r in _ORACLE_CASES if r in (0.99, 1.0, "far-from-normal")
-]
+] + [(3, "contracting-K1")]
 
 
 @pytest.mark.skipif(
