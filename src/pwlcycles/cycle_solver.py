@@ -163,12 +163,14 @@ def step(sys: CanonicalSystem, state: np.ndarray) -> np.ndarray:
 
 
 def _word(sys: CanonicalSystem, sequence: str):
-    """The word's slope list, its mask of 'R' letters and its slope product.
+    """The word's slope list, its mask of 'R' letters and its x multiplier.
 
     'R' selects the x >= 0 branch (slope d), 'L' and '0' the x <= 0
-    branch (slope a), as in branch_affine. The product is taken left to
-    right from 1, in Python floats. Raises ValueError on an empty word
-    and on any other letter.
+    branch (slope a), as in branch_affine. The multiplier a^(#L) d^(#R)
+    takes each power as the region kernel does, multiplying left to right
+    from 1, so it is one float in every rotation and, for R L^(n-1), the
+    kernel's P d bit for bit. Raises ValueError on an empty word and on
+    any other letter.
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
@@ -176,17 +178,17 @@ def _word(sys: CanonicalSystem, sequence: str):
         right = np.array([_RIGHT[letter] for letter in sequence], dtype=bool)
     except KeyError as err:
         raise ValueError(f"invalid sequence letter {err.args[0]!r}") from None
-    slopes = np.where(right, sys.d, sys.a)
-    return slopes, right, math.prod(slopes.tolist())
+    k = sequence.count("R")
+    product = math.prod([sys.a] * (len(sequence) - k)) * math.prod([sys.d] * k)
+    return np.where(right, sys.d, sys.a), right, product
 
 
 def _period_spectrum(sys: CanonicalSystem, sequence: str, product, check_eig: bool):
     """A_block^n and the sorted multipliers of the sequence (n = its length).
 
-    The x multiplier is the word's slope product. A_block^n is decomposed
-    once. Raises NotAdmissibleError when it overflows, and, with
-    check_eig, EigenvalueOneError when one of its eigenvalues lies within
-    EIG_TOL of 1.
+    product is the word's x multiplier. A_block^n is decomposed once.
+    Raises NotAdmissibleError when it overflows, and, with check_eig,
+    EigenvalueOneError when one of its eigenvalues lies within EIG_TOL of 1.
     """
     n = len(sequence)
     A_n, block_eigs = sys.A_block, ()
@@ -208,10 +210,10 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     """Eigenvalues of the composed one-period Jacobian for the sequence.
 
     The branch Jacobians are block lower-triangular with a zero row above
-    the Y block, so the composed spectrum splits exactly into the scalar
-    slope product (a per 'L'/'0', d per 'R') and the eigenvalues of
-    A_block^n. Sorted by real part, then imaginary part. Raises
-    NotAdmissibleError when A_block^n overflows.
+    the Y block, so the composed spectrum splits exactly into the x
+    multiplier a^(#L) d^(#R) of _word, which classify compares with -1
+    for R L^(n-1), and the eigenvalues of A_block^n, sorted by real then
+    imaginary part. Raises NotAdmissibleError when A_block^n overflows.
     """
     return _period_spectrum(sys, sequence, _word(sys, sequence)[2], False)[1]
 
@@ -278,12 +280,38 @@ def solve_cycle(
     decomposed once. Its eigenvalues decide the one precondition check,
     EigenvalueOneError when one lies within EIG_TOL of 1 (the Y_1 solve
     is singular; an eigenvalue of A_block at 1 is caught here too), and
-    together with the slope product they are the cycle's multipliers.
+    together with the x multiplier they are the cycle's multipliers.
     Raises everything the 1D closed form raises, and NotAdmissibleError
     when A_block^n overflows.
     """
     xc = cycle_x_components(sys.skew_params(), n, zero_tol=zero_tol)
     return _solution(sys, xc.xs, xc.sequence, _word(sys, xc.sequence), True)
+
+
+_SWAP_RL = str.maketrans("RL", "LR")
+
+
+def _solve_family(sys: CanonicalSystem, n: int, zero_tol: float | None = None):
+    """The n-cycle of the family classify names for the sign of mu_hat:
+    R L^(n-1) for mu_hat >= 0, else L R^(n-1), with x from the tent map
+    (d, a, -mu_hat) negated and R, L swapped, solved on sys itself (a
+    kink point takes the x <= 0 branch). A failed closed form raises in
+    sys's terms, outside the handler, so it holds no mirrored error.
+    """
+    if sys.mu_hat >= 0:
+        return solve_cycle(sys, n, zero_tol)
+    try:
+        xc = cycle_x_components(SkewTentParams(sys.d, sys.a, -sys.mu_hat), n, zero_tol)
+    except SingularDenominatorError as err:
+        error = SingularDenominatorError(sys.a, sys.d, n, err.denominator)
+    except NotAdmissibleError as err:  # only an overflow has no points
+        message = "" if err.xs else f"d^{n - 1} overflows for d={sys.d!r}"
+        xs, letters = [-x for x in err.xs], err.letters.translate(_SWAP_RL)
+        error = NotAdmissibleError(xs, letters, message)
+    else:
+        sequence = xc.sequence.translate(_SWAP_RL)
+        return _solution(sys, [-x for x in xc.xs], sequence, _word(sys, sequence), True)
+    raise error
 
 
 def solve_symbolic_cycle(
@@ -293,7 +321,7 @@ def solve_symbolic_cycle(
 
     x runs the skew tent map on its own: x_k = c_k / (1 - P) is the fixed
     point of the word rotated to start at point k, the scalar composition
-    x -> P x + c_k (P the slope product, c_k by Horner's rule). All n
+    x -> P x + c_k (P the x multiplier, c_k by Horner's rule). All n
     rotations run at once over the slope list laid twice end to end, so
     no point inherits another's rounding and the cost is quadratic in the
     word length. Y is then solved as in solve_cycle. The admissible flag

@@ -10,11 +10,11 @@ into the canonical x/Y split handled by cycle_solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_solver import CanonicalSystem, CycleSolution, solve_cycle
+from .cycle_solver import CanonicalSystem, CycleSolution, _solve_family
 from .errors import (
     NotAdjacentError,
     PwlcyclesError,
@@ -260,32 +260,6 @@ class LocalCycleReport:
     boundary_warnings: tuple
 
 
-_SWAP_RL = str.maketrans("RL", "LR")
-
-
-def _solve_family(
-    can: CanonicalSystem, n: int, zero_tol: float | None = None
-) -> CycleSolution:
-    """The n-cycle of the family classify names for the sign of mu_hat:
-    R L^(n-1) for mu_hat >= 0, L R^(n-1) for mu_hat < 0, with zero_tol
-    as solve_cycle takes it.
-
-    With u = -x, a negative-offset system is the positive-offset system
-    (d, a, -e_vec, -b_vec, -mu_hat). Its R L^(n-1) cycle, with u negated
-    back and R and L swapped, is the L R^(n-1) cycle of can. Negation is
-    exact, so Y, the multipliers and the residual carry over unchanged.
-    """
-    if can.mu_hat >= 0:
-        return solve_cycle(can, n, zero_tol)
-    mirror = CanonicalSystem(
-        a=can.d, d=can.a, b_vec=-can.e_vec, e_vec=-can.b_vec,
-        A_block=can.A_block, h_Y=can.h_Y, mu_hat=-can.mu_hat,
-    )
-    sol = solve_cycle(mirror, n, zero_tol)
-    points = tuple(np.concatenate(([-p[0]], p[1:])) for p in sol.points)
-    return replace(sol, points=points, sequence=sol.sequence.translate(_SWAP_RL))
-
-
 def local_cycle_analysis(
     sys: PLRNNSystem,
     i: RegionIndex,
@@ -320,9 +294,7 @@ def local_cycle_analysis(
         # solve_error would close a reference cycle around every failed solve
         solve_error = err.with_traceback(None)
 
-    violations = []
-    warnings = []
-    locality_ok = None
+    violations, warnings, locality_ok = [], [], None
     if solution is not None:
         zero_tol = _kink_tol(zero_tol, can.mu_hat)
         shared = loc.region_neg.bits

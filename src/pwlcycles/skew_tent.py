@@ -132,9 +132,9 @@ class BandRegionResult:
 class ParamClassification:
     """Single classification verdict for a parameter point, with residuals.
 
-    Every entry of details is a margin that is positive exactly when the
-    corresponding strict inequality is satisfied, except curve_distance,
-    which is the absolute distance to the bifurcation curve.
+    Each detail is positive exactly when its strict inequality holds,
+    except curve_distance, the absolute distance to the curve. Where the
+    cycle exists, the stability margin 1 + a^(n-1) d is 1 - |x multiplier|.
     """
 
     verdict: Verdict
@@ -285,33 +285,32 @@ def existence_bound(a, n: int):
 def _margins(a, d, n: int):
     """The independent region quantities at (a, d) for mu_hat > 0.
 
-    Returns (ex, stab, cubic, quad, inv) with P = a^(n-1) and inv = 1/P:
-    ex = bound - d (existence), stab = d + 1/P (stability), cubic =
+    Returns (ex, pd, cubic, quad) with P = a^(n-1): ex = bound - d
+    (existence), pd = P d (the cycle's x multiplier), cubic =
     P^2 d^3 + a - d and quad = P d^2 + d - a (the band inequalities).
     Every other margin is one of them negated or one step away (see
-    _point), so a grid gets four arrays of its size and inv gets the
-    size of the a axis. The same code runs on numpy scalars (single
-    points), on arrays, and on a column of a and a row of d that
-    broadcast to a grid, so the chain runs once per a value. Every
-    power is a product of the chain in _bound, augmented assignment
-    keeps each operation's operands and order, and broadcasting keeps
-    them too, so a point and a grid cell agree bit for bit. A power that
-    over- or underflows gives an infinite or zero margin, not a warning.
+    _point), so a grid gets four arrays of its size. The same code runs
+    on numpy scalars (single points), on arrays, and on a column of a
+    and a row of d that broadcast to a grid, so the chain runs once per
+    a value. Every power is a product of the chain in _bound, augmented
+    assignment keeps each operation's operands and order, and
+    broadcasting keeps them too, so a point and a grid cell agree bit
+    for bit. A power that over- or underflows gives an infinite or zero
+    margin, not a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound, power = _bound(a, n)
         ex = bound - d
         power = power * a
-        inv = 1.0 / power
         d2 = d * d
-        stab = d + inv
+        pd = power * d
         cubic = power * power * (d2 * d)
         cubic += a
         cubic -= d
         quad = power * d2
         quad += d
         quad -= a
-    return ex, stab, cubic, quad, inv
+    return ex, pd, cubic, quad
 
 
 # Region flags: one bit per verdict above OutsideRegion, in rising
@@ -347,41 +346,41 @@ def _flags(a, m, tol: float):
     """Region flags at slope a with the quantities m of _margins: a uint8
     for floats, a uint8 array for arrays.
 
-    Each test reads a sign: stability is stab > 0, NBand cubic < 0 and
-    quad < 0, TwoNBand stab < 0 and cubic > 0. Stability and both bands
-    lie inside the existence region; the curve needs a positive slope
-    and |ex| <= tol, tested as two comparisons, with no array of |ex|.
+    Each test reads a sign: stability is pd > -1, NBand cubic < 0 and
+    quad < 0, TwoNBand pd < -1 and cubic > 0. Stability and both bands
+    lie inside the existence region, where pd < 0; the curve needs a
+    positive slope and |ex| <= tol, tested as two comparisons.
     """
-    ex, stab, cubic, quad = m[:4]
+    ex, pd, cubic, quad = m
     exists = _exists(a, ex)
     flags = _EXISTS * exists
-    flags |= _TWONBAND * (exists & (stab < 0) & (cubic > 0))
+    flags |= _TWONBAND * (exists & (pd < -1.0) & (cubic > 0))
     flags |= _NBAND * (exists & (cubic < 0) & (quad < 0))
-    flags |= _STABLE * (exists & (stab > 0))
+    flags |= _STABLE * (exists & (pd > -1.0))
     flags |= _CURVE * ((a > 0) & (-tol <= ex) & (ex <= tol))
     return flags
 
 
 def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL):
-    """Margins, as floats, and flags at one point; mu_sign '-' swaps (a, d)."""
+    """Margins, as floats, and flags at one point; mu_sign '-' swaps (a, d).
+    The stability margin is 1 + pd and the flip margin -1 - pd."""
     _require_mu_sign(mu_sign)
     if not (math.isfinite(a) and math.isfinite(d)):
         raise ValueError(f"a and d must be finite, got a={a!r}, d={d!r}")
     aa, dd = (float(a), float(d)) if mu_sign == "+" else (float(d), float(a))
     n = _require_region_n(n)
     m = [float(v) for v in _margins(np.float64(aa), np.float64(dd), n)]
-    ex, stab, cubic, quad, inv = m
+    ex, pd, cubic, quad = m
     # negation is exact and rounding symmetric, so each derived margin has
-    # the bits of its direct formula; the flip margin is -(1/P) - d, since
-    # -stab would give its zero the other sign
+    # the bits of its direct formula; 1 + pd and -1 - pd have exact signs
     details = {
         "slope_sign_margin": aa,
         "existence_margin": ex,
         "curve_distance": abs(ex),
-        "stability_lower_margin": stab,
+        "stability_lower_margin": 1.0 + pd,
         "nband_cubic_margin": -cubic,
         "nband_quadratic_margin": -quad,
-        "twonband_flip_margin": -inv - dd,
+        "twonband_flip_margin": -1.0 - pd,
         "twonband_cubic_margin": cubic,
     }
     return details, _flags(aa, m, tol)
@@ -408,7 +407,7 @@ def on_bifurcation_curve(
 def region_stable(a: float, d: float, n: int) -> bool:
     """True when the R L^(n-1) cycle exists and is attracting (mu_hat > 0).
 
-    Equivalent to interior existence together with |a^(n-1) d| < 1.
+    Equivalent, bit for bit, to existence with solve_cycle's |a^(n-1) d| < 1.
     """
     return bool(_point(a, d, n)[1] & _STABLE)
 
@@ -418,7 +417,7 @@ def chaotic_band_region(a: float, d: float, n: int) -> BandRegionResult:
 
     NBand: the cycle exists (a > 0 and d below the existence bound),
     a^(2(n-1)) d^3 + a - d < 0 and a^(n-1) d^2 + d - a < 0 (an n-band
-    chaotic attractor). TwoNBand: the cycle exists, d < -1/a^(n-1) and
+    chaotic attractor). TwoNBand: the cycle exists, a^(n-1) d < -1 and
     the cubic expression is positive (a 2n-band attractor). Neither
     otherwise. The margins of the band inequalities are reported in the
     result's details.

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pwlcycles import cycle_solver as cs
 from pwlcycles import skew_tent as st
@@ -455,6 +457,19 @@ def test_symbolic_overflow_raises_typed_error(m, a, d, word):
         cs.solve_symbolic_cycle(sys, word)
 
 
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+@pytest.mark.parametrize("word", ["RLLR", "RLRLRLL"])
+def test_grouped_power_overflow_raises_typed_error(signs, word):
+    # a^(#L) overflows while d^(#R) does not underflow (RLLR, whose true
+    # multiplier is 1), or d^(#R) underflows to 0 and the product is NaN
+    sys = cs.CanonicalSystem.from_skew_tent(
+        st.SkewTentParams(signs[0] * 1e160, signs[1] * 1e-160, 0.8))
+    x_multiplier = cs.multipliers(sys, word)[0]
+    assert not math.isfinite(abs(x_multiplier))
+    with pytest.raises(NotAdmissibleError, match="overflows"):
+        cs.solve_symbolic_cycle(sys, word)
+
+
 def test_block_power_overflow_raises_typed_error():
     # every x point is finite; only A_block^n overflows
     word = "R" + "L" * 29
@@ -541,8 +556,8 @@ def test_exists_stable_iff_solved_cycle_is_stable():
     """classify says ExistsStable exactly where solve_cycle returns a
     stable cycle, on 30,000 seeded 1D points drawn around the existence
     curve and the stability boundary d = -1/a^(n-1). Points within 1e-9
-    of either are skipped: there the kernel's sign of d + 1/P and the
-    solver's |P d| < 1 round apart."""
+    of the curve are skipped: there the kernel's |bound - d| in d units
+    and the solver's |x_n| in x units round apart."""
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(30_000):
@@ -552,8 +567,7 @@ def test_exists_stable_iff_solved_cycle_is_stable():
         bound = float(st.existence_bound(a, n))
         centre = bound if rng.random() < 0.5 else -1.0 / a ** (n - 1)
         d = centre * float(np.exp(rng.uniform(-0.5, 0.5)))
-        if (abs(1.0 + a ** (n - 1) * d) <= 1e-9
-                or abs(bound - d) <= 1e-9 * max(1.0, abs(d))):
+        if abs(bound - d) <= 1e-9 * max(1.0, abs(d)):
             continue
         sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
         try:
@@ -564,6 +578,61 @@ def test_exists_stable_iff_solved_cycle_is_stable():
         assert (verdict is st.Verdict.EXISTS_STABLE) == stable, (a, d, n, mu)
         checked += 1
     assert checked > 29_000
+
+
+def test_stability_verdict_and_solver_agree_next_to_the_boundary():
+    """At d0 = -1/a^(n-1) and 3 ulps either side, wherever d0 lies in
+    the existence region, classify's ExistsStable and solve_cycle's
+    stable read the same x multiplier a^(n-1) d and agree."""
+    rng = np.random.default_rng(8)
+    disagree = []
+    points = 0
+    for _ in range(1000):
+        n = int(rng.integers(3, 20))
+        a = float(rng.uniform(0.05, 2.0))
+        mu = float(rng.uniform(0.2, 2.0))
+        d0 = -1.0 / a ** (n - 1)
+        if not st.region_exists(a, d0, n):
+            continue
+        ds = [d0]
+        for _ in range(3):
+            ds = [math.nextafter(ds[0], -math.inf), *ds, math.nextafter(ds[-1], math.inf)]
+        for d in ds:
+            points += 1
+            sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
+            try:
+                stable = cs.solve_cycle(sys, n).stable
+            except NotAdmissibleError:
+                stable = False
+            verdict = st.classify(a, d, n).verdict
+            if (verdict is st.Verdict.EXISTS_STABLE) != stable:
+                disagree.append((a, d, n, mu))
+    assert points == 1666
+    assert disagree == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    word=hs.text("RL0", min_size=3, max_size=11),
+    a=hs.floats(-3.0, 3.0),
+    d=hs.floats(-3.0, 3.0),
+    m=hs.integers(0, 1),
+)
+def test_x_multiplier_and_stability_are_rotation_invariant(word, a, d, m):
+    """A word's x multiplier, and with it stable, is one float in every
+    rotation of the word: each power is formed in one chain, not in
+    word order."""
+    block = np.eye(m) * 0.5
+    sys = cs.CanonicalSystem(a, d, [1.0] * m, [0.5] * m, block, [0.1] * m, 0.8)
+    rotations = [word[k:] + word[:k] for k in range(len(word))]
+    assert len({cs.multipliers(sys, w)[0] for w in rotations}) == 1
+    outcomes = set()
+    for w in rotations:
+        try:
+            outcomes.add(cs.solve_symbolic_cycle(sys, w).stable)
+        except (NotAdmissibleError, SingularDenominatorError) as err:
+            outcomes.add(type(err))
+    assert len(outcomes) == 1
 
 
 def test_solve_cycle_rejects_bad_sequences():

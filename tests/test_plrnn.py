@@ -15,8 +15,10 @@ from pwlcycles.config import write_config
 from pwlcycles.errors import (
     DegenerateOffsetError,
     NotAdjacentError,
+    NotAdmissibleError,
     PwlcyclesError,
     SameRegionError,
+    SingularDenominatorError,
     StructureViolationError,
 )
 
@@ -294,8 +296,7 @@ def test_negative_offset_reports_agree_with_the_word_solver():
         )
         details = report.classification.details
         bound = st.existence_bound(d, n)
-        if (abs(details["existence_margin"]) <= 1e-9 * abs(bound)
-                or abs(details["stability_lower_margin"]) <= 1e-9 * abs(a)):
+        if abs(details["existence_margin"]) <= 1e-9 * abs(bound):
             continue
         exists = details["existence_margin"] > 0
         assert (report.solution is not None) == exists
@@ -342,8 +343,12 @@ def test_mirror_relation_of_the_negative_offset_family():
     """Wherever the R L^(n-1) cycle of a positive-offset system solves, the
     mirrored system's L R^(n-1) cycle is the same orbit with x negated:
     _solve_family gives it bit for bit, the word solver to within the
-    verify tolerance."""
+    verify tolerance. A point on the kink (letter 0) steps on the x <= 0
+    branch of each system, which is a different branch of the orbit, so
+    there the points agree within the verify tolerance and the
+    multipliers are those of the mirrored system's own word."""
     solved = []
+    kinks = []
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_mirror_pair())
@@ -360,18 +365,55 @@ def test_mirror_relation_of_the_negative_offset_family():
 
         family = pl._solve_family(minus, n)
         assert family.sequence == swapped
-        assert np.array_equal(np.array(family.points), flipped)
-        assert (family.multipliers, family.stable, family.residual) == (
-            sol.multipliers, sol.stable, sol.residual)
+        scale = max(1.0, float(np.max(np.abs(flipped))))
+        tol = st.verify_tolerance(plus.mu_hat) * scale
+        if "0" in swapped:
+            kinks.append(n)
+            assert family.multipliers == cs.multipliers(minus, swapped)
+            assert np.max(np.abs(np.array(family.points) - flipped)) <= tol
+        else:
+            assert np.array_equal(np.array(family.points), flipped)
+            assert (family.multipliers, family.stable, family.residual) == (
+                sol.multipliers, sol.stable, sol.residual)
 
         word = cs.solve_symbolic_cycle(minus, swapped)
         assert word.admissible
-        scale = max(1.0, float(np.max(np.abs(flipped))))
-        tol = st.verify_tolerance(plus.mu_hat) * scale
         assert np.max(np.abs(np.array(word.points) - flipped)) <= tol
 
     check()
     assert len(solved) >= 100
+    assert kinks
+
+
+def _one_unit_report(a, d, mu_hat, n=3):
+    """local_cycle_analysis of the one-unit network whose reduced map has
+    slopes a (x <= 0) and d (x >= 0) and offset mu_hat."""
+    net = pl.PLRNNSystem([a], [[d - a]], [mu_hat], relaxed_diagonal=True)
+    return pl.local_cycle_analysis(
+        net, pl.RegionIndex.from_bits((0,)), pl.RegionIndex.from_bits((1,)), n)
+
+
+def test_negative_offset_family_answers_in_the_callers_terms():
+    # the third point sits on the kink and steps on the x <= 0 branch, so
+    # the x multiplier of LR0 is a^2 d = 4, as multipliers reads the word
+    report = _one_unit_report(-2.0, 1.0, -1.0)
+    sol = report.solution
+    assert sol.sequence == "LR0"
+    assert sol.multipliers == cs.multipliers(report.localized.canonical, "LR0")
+    assert sol.multipliers == (4 + 0j,)
+    assert sol.residual == 0.0
+    # a failed closed form names the caller's slopes, x values and letters
+    err = _one_unit_report(0.25, 2.0, -0.8).solve_error
+    assert isinstance(err, SingularDenominatorError)
+    assert (err.a, err.d, err.n) == (0.25, 2.0, 3)
+    err = _one_unit_report(-0.5, 0.4, -0.8).solve_error
+    assert isinstance(err, NotAdmissibleError)
+    assert err.letters == "LLL"
+    assert len(err.xs) == 3 and all(x < 0 for x in err.xs)
+    err = _one_unit_report(0.5, 1e200, -0.8).solve_error
+    assert isinstance(err, NotAdmissibleError)
+    assert str(err) == "d^2 overflows for d=1e+200"
+    assert err.__context__ is None
 
 
 def test_local_cycle_analysis_degenerate_offset():

@@ -22,6 +22,8 @@ def small_spec(**kw):
 # The region kernel as it was when it formed all eight margins on the
 # grid, frozen here as the reference: every verdict of scan and
 # nesting_report, and every bit of classify's details, must equal it.
+# The stability and flip margins are 1 + P d and -1 - P d, with P d the
+# cycle's x multiplier.
 def _reference_margins(a, d, n):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         power = a * 0.0 + 1.0
@@ -38,10 +40,10 @@ def _reference_margins(a, d, n):
             "slope_sign_margin": a,
             "existence_margin": bound - d,
             "curve_distance": abs(d - bound),
-            "stability_lower_margin": d + 1.0 / power,
+            "stability_lower_margin": 1.0 + power * d,
             "nband_cubic_margin": -cubic,
             "nband_quadratic_margin": -quad,
-            "twonband_flip_margin": -1.0 / power - d,
+            "twonband_flip_margin": -1.0 - power * d,
             "twonband_cubic_margin": cubic,
         }
 
@@ -257,8 +259,12 @@ def test_classify_matches_one_cell_scan_at_extremes():
     # kernel's own quantities, and every detail of the frozen reference
     spec = small_spec(n_list=(3, 4, 9, 17, 29))
     AA, DD = np.meshgrid(spec.a_centers(), spec.d_centers(), indexing="ij")
-    # details that are the kernel's own quantities, by position in its tuple
-    own = {"existence_margin": 0, "stability_lower_margin": 1, "twonband_cubic_margin": 2}
+    # details that are the kernel's own quantities, read from its tuple
+    own = {
+        "existence_margin": lambda m: m[0],
+        "stability_lower_margin": lambda m: 1.0 + m[1],
+        "twonband_cubic_margin": lambda m: m[2],
+    }
     for n in spec.n_list:
         margins = _reference_margins(AA, DD, n)
         kernel = st._margins(AA, DD, n)
@@ -269,8 +275,9 @@ def test_classify_matches_one_cell_scan_at_extremes():
                 assert np.float64(value).tobytes() == margins[key][i, j].tobytes(), (
                     key, AA[i, j], DD[i, j], n,
                 )
-            for key, k in own.items():
-                assert np.float64(details[key]).tobytes() == kernel[k][i, j].tobytes(), (
+            for key, read in own.items():
+                want = read(kernel)[i, j]
+                assert np.float64(details[key]).tobytes() == want.tobytes(), (
                     key, AA[i, j], DD[i, j], n,
                 )
 
@@ -414,8 +421,8 @@ def test_classify_details_match_frozen_reference(mu_sign):
         -300, 300, wide.sum())
     d[wide] = rng.choice([-1.0, 1.0], wide.sum()) * 10 ** rng.uniform(
         -300, 300, wide.sum())
-    # and points on the stability curve d = -1/a^(n-1), where the flip
-    # margin is often a signed zero
+    # and points on the stability curve d = -1/a^(n-1), where the
+    # stability and flip margins are often zero
     on_curve = ~wide & (rng.random(k) < 0.3)
     a[on_curve] = rng.uniform(0.05, 3.0, on_curve.sum())
     d[on_curve] = -1.0 / a[on_curve] ** (ns[on_curve] - 1)

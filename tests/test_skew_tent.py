@@ -295,12 +295,13 @@ def test_tolerances_scale_with_offset():
 
 
 def test_classify_when_slope_power_underflows():
-    # a^(n-1) underflows to 0: the stability bound -1/a^(n-1) is -inf, and
-    # the true multiplier a^2 d = -1e-100 makes the cycle attracting
+    # a^(n-1) underflows to 0, so the x multiplier a^(n-1) d reads -0.0
+    # and the stability margin 1 + a^(n-1) d is 1; the true multiplier
+    # a^2 d = -1e-100 makes the cycle attracting
     a, d = 1e-200, -1e300
     result = st.classify(a, d, 3)
     assert result.verdict is st.Verdict.EXISTS_STABLE
-    assert result.details["stability_lower_margin"] == np.inf
+    assert result.details["stability_lower_margin"] == 1.0
     assert st.region_stable(a, d, 3)
     xc = st.cycle_x_components(st.SkewTentParams(a, d, 0.8), 3)
     assert xc.sequence == "RLL"
