@@ -294,22 +294,24 @@ _SWAP_RL = str.maketrans("RL", "LR")
 def _solve_family(sys: CanonicalSystem, n: int, zero_tol: float | None = None):
     """The n-cycle of the family classify names for the sign of mu_hat:
     R L^(n-1) for mu_hat >= 0, else L R^(n-1), with x from the tent map
-    (d, a, -mu_hat) negated and R, L swapped, solved on sys itself (a
-    kink point takes the x <= 0 branch). A failed closed form raises in
-    sys's terms, outside the handler, so it holds no mirrored error.
+    (d, a, -mu_hat) negated and R, L swapped, solved on sys itself; a
+    kink point keeps the family's 'R', so the x multiplier is classify's
+    a d^(n-1). A failed closed form raises in sys's terms, outside the
+    handler, so it holds no mirrored error.
     """
     if sys.mu_hat >= 0:
         return solve_cycle(sys, n, zero_tol)
     try:
         xc = cycle_x_components(SkewTentParams(sys.d, sys.a, -sys.mu_hat), n, zero_tol)
     except SingularDenominatorError as err:
-        error = SingularDenominatorError(sys.a, sys.d, n, err.denominator)
+        power = f"a^1*d^{n - 1}"
+        error = SingularDenominatorError(sys.a, sys.d, n, err.denominator, power)
     except NotAdmissibleError as err:  # only an overflow has no points
         message = "" if err.xs else f"d^{n - 1} overflows for d={sys.d!r}"
         xs, letters = [-x for x in err.xs], err.letters.translate(_SWAP_RL)
         error = NotAdmissibleError(xs, letters, message)
     else:
-        sequence = xc.sequence.translate(_SWAP_RL)
+        sequence = xc.sequence.translate(_SWAP_RL).replace("0", "R")
         return _solution(sys, [-x for x in xc.xs], sequence, _word(sys, sequence), True)
     raise error
 
@@ -337,10 +339,11 @@ def solve_symbolic_cycle(
     """
     n = len(sequence)
     zero_tol = _kink_tol(zero_tol, sys.mu_hat)
-    slopes, _, product = word = _word(sys, sequence)
+    slopes, right, product = word = _word(sys, sequence)
     den = 1.0 - product
     if abs(den) <= SINGULAR_TOL:
-        raise SingularDenominatorError(sys.a, sys.d, n, den)
+        power = f"a^{n - right.sum()}*d^{right.sum()}"
+        raise SingularDenominatorError(sys.a, sys.d, n, den, power)
     ring = np.concatenate((slopes, slopes))
     offsets = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,17 +22,17 @@ class PwlcyclesError(Exception):
 
 
 class SingularDenominatorError(PwlcyclesError):
-    """The cycle denominator 1 - a^(n-1)*d is zero within tolerance."""
+    """The cycle denominator 1 - power (a^(n-1)*d by default) is about zero."""
 
     exit_code = 3
 
-    def __init__(self, a: float, d: float, n: int, denominator: float):
+    def __init__(self, a: float, d: float, n: int, denominator: float, power=None):
         self.a = a
         self.d = d
         self.n = n
         self.denominator = denominator
         super().__init__(
-            f"singular denominator 1 - a^{n - 1}*d = {denominator!r} "
+            f"singular denominator 1 - {power or f'a^{n - 1}*d'} = {denominator!r} "
             f"for a={a!r}, d={d!r}, n={n}"
         )
 

@@ -274,9 +274,9 @@ def local_cycle_analysis(
     network where the non-boundary coordinates stay inside the shared
     sign pattern of regions i and j, so any solved cycle is checked for
     exactly that before it may be trusted as a cycle of the full network.
-    zero_tol reads a cycle point as on the kink (letter 0) in the solve
-    and as on a boundary in the locality check, zero_tolerance(mu_hat)
-    by default; a given one must be finite and positive (ValueError).
+    zero_tol reads a point as on the kink in the solve (letter 0, or the
+    family's 'R') and as on a boundary in the locality check, by default
+    zero_tolerance(mu_hat); a given one must be finite and > 0 (ValueError).
     """
     if zero_tol is not None:
         _require_tol(zero_tol, "zero_tol")
@@ -294,7 +294,9 @@ def local_cycle_analysis(
         # solve_error would close a reference cycle around every failed solve
         solve_error = err.with_traceback(None)
 
-    violations, warnings, locality_ok = [], [], None
+    violations = []
+    warnings = []
+    locality_ok = None
     if solution is not None:
         zero_tol = _kink_tol(zero_tol, can.mu_hat)
         shared = loc.region_neg.bits

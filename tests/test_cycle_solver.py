@@ -442,6 +442,12 @@ def test_symbolic_singular_composition():
     sys = cs.CanonicalSystem(2.0, 0.5, [1.0], [0.5], [[0.5]], [0.1], 1.0)
     with pytest.raises(SingularDenominatorError):
         cs.solve_symbolic_cycle(sys, "RL")
+    # the message names the word's own x multiplier: 1 - a d^2 vanishes
+    # at a = 0.25, d = 2, where the R L^2 form 1 - a^2 d would be 0.875
+    sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(0.25, 2.0, 1.0))
+    with pytest.raises(SingularDenominatorError, match=r"^singular denominator "
+                       r"1 - a\^1\*d\^2 = 0\.0 for a=0\.25, d=2\.0, n=3$"):
+        cs.solve_symbolic_cycle(sys, "RLR")
 
 
 @pytest.mark.parametrize("m", [0, 1])

@@ -343,10 +343,9 @@ def test_mirror_relation_of_the_negative_offset_family():
     """Wherever the R L^(n-1) cycle of a positive-offset system solves, the
     mirrored system's L R^(n-1) cycle is the same orbit with x negated:
     _solve_family gives it bit for bit, the word solver to within the
-    verify tolerance. A point on the kink (letter 0) steps on the x <= 0
-    branch of each system, which is a different branch of the orbit, so
-    there the points agree within the verify tolerance and the
-    multipliers are those of the mirrored system's own word."""
+    verify tolerance. A point on the kink (letter 0 of R L^(n-1)) keeps
+    its family's branch on both sides, so the family's word reads 'R'
+    there, while the word solver steps the signed word's 0 on x <= 0."""
     solved = []
     kinks = []
 
@@ -360,24 +359,22 @@ def test_mirror_relation_of_the_negative_offset_family():
             return
         solved.append(n)
         swapped = sol.sequence.translate(str.maketrans("RL", "LR"))
+        if "0" in swapped:
+            kinks.append(n)
         flipped = np.array(sol.points)
         flipped[:, 0] = -flipped[:, 0]
 
         family = pl._solve_family(minus, n)
-        assert family.sequence == swapped
-        scale = max(1.0, float(np.max(np.abs(flipped))))
-        tol = st.verify_tolerance(plus.mu_hat) * scale
-        if "0" in swapped:
-            kinks.append(n)
-            assert family.multipliers == cs.multipliers(minus, swapped)
-            assert np.max(np.abs(np.array(family.points) - flipped)) <= tol
-        else:
-            assert np.array_equal(np.array(family.points), flipped)
-            assert (family.multipliers, family.stable, family.residual) == (
-                sol.multipliers, sol.stable, sol.residual)
+        assert family.sequence == swapped.replace("0", "R")
+        assert family.multipliers == cs.multipliers(minus, family.sequence)
+        assert np.array_equal(np.array(family.points), flipped)
+        assert (family.multipliers, family.stable, family.residual) == (
+            sol.multipliers, sol.stable, sol.residual)
 
+        scale = max(1.0, float(np.max(np.abs(flipped))))
         word = cs.solve_symbolic_cycle(minus, swapped)
         assert word.admissible
+        tol = st.verify_tolerance(plus.mu_hat) * scale
         assert np.max(np.abs(np.array(word.points) - flipped)) <= tol
 
     check()
@@ -385,27 +382,29 @@ def test_mirror_relation_of_the_negative_offset_family():
     assert kinks
 
 
-def _one_unit_report(a, d, mu_hat, n=3):
+def _one_unit_report(a, d, mu_hat, n=3, zero_tol=None):
     """local_cycle_analysis of the one-unit network whose reduced map has
     slopes a (x <= 0) and d (x >= 0) and offset mu_hat."""
     net = pl.PLRNNSystem([a], [[d - a]], [mu_hat], relaxed_diagonal=True)
     return pl.local_cycle_analysis(
-        net, pl.RegionIndex.from_bits((0,)), pl.RegionIndex.from_bits((1,)), n)
+        net, pl.RegionIndex.from_bits((0,)), pl.RegionIndex.from_bits((1,)), n,
+        zero_tol)
 
 
 def test_negative_offset_family_answers_in_the_callers_terms():
-    # the third point sits on the kink and steps on the x <= 0 branch, so
-    # the x multiplier of LR0 is a^2 d = 4, as multipliers reads the word
+    # the third point sits on the kink and keeps the family's 'R', so the
+    # x multiplier of LRR is a d^2 = -2, as multipliers reads the word
     report = _one_unit_report(-2.0, 1.0, -1.0)
     sol = report.solution
-    assert sol.sequence == "LR0"
-    assert sol.multipliers == cs.multipliers(report.localized.canonical, "LR0")
-    assert sol.multipliers == (4 + 0j,)
+    assert sol.sequence == "LRR"
+    assert sol.multipliers == cs.multipliers(report.localized.canonical, "LRR")
+    assert sol.multipliers == (-2 + 0j,)
     assert sol.residual == 0.0
     # a failed closed form names the caller's slopes, x values and letters
     err = _one_unit_report(0.25, 2.0, -0.8).solve_error
     assert isinstance(err, SingularDenominatorError)
     assert (err.a, err.d, err.n) == (0.25, 2.0, 3)
+    assert str(err) == "singular denominator 1 - a^1*d^2 = 0.0 for a=0.25, d=2.0, n=3"
     err = _one_unit_report(-0.5, 0.4, -0.8).solve_error
     assert isinstance(err, NotAdmissibleError)
     assert err.letters == "LLL"
@@ -414,6 +413,20 @@ def test_negative_offset_family_answers_in_the_callers_terms():
     assert isinstance(err, NotAdmissibleError)
     assert str(err) == "d^2 overflows for d=1e+200"
     assert err.__context__ is None
+
+
+@pytest.mark.parametrize("zero_tol", [None, 1e-3])
+def test_negative_offset_kink_is_as_stable_as_its_verdict(zero_tol):
+    """4e-9 inside the existence curve, outside its 1e-9 tolerance, so the
+    verdict is ExistsStable (a d^2 = -0.75); the third point, 9.1e-10,
+    is within the kink tolerance and must keep the family's slope d."""
+    report = _one_unit_report(-3.000000004, 0.5, -0.8, zero_tol=zero_tol)
+    sol = report.solution
+    assert report.classification.verdict is st.Verdict.EXISTS_STABLE
+    assert abs(sol.points[2][0]) < 1e-9
+    assert sol.sequence == "LRR"
+    assert sol.multipliers == cs.multipliers(report.localized.canonical, "LRR")
+    assert sol.stable is True
 
 
 def test_local_cycle_analysis_degenerate_offset():
