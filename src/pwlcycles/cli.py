@@ -4,10 +4,12 @@ Subcommands: classify (parameter-point verdict), cycle (closed-form cycle
 of a configured system), scan (parameter-plane CSV), simulate (orbit tail
 CSV plus summary), plrnn (boundary localization and cycle analysis).
 
-Exit codes: 0 success, 2 flag error, 4 I/O failure; a typed error exits
-with the exit_code of its class (2 config, 3 solver precondition, 5
-structural). All machine output is deterministic: repr floats, LF line
-endings, sorted JSON keys.
+Exit codes: 0 success (or a reader that closed stdout early), 2 flag
+error, 4 I/O failure; a typed error exits with the exit_code of its class
+(2 config, 3 solver precondition, 5 structural). cycle --n solves the
+family the sign of mu_hat names, as classify --mu-sign reads it. All
+machine output is deterministic: repr floats, LF line endings, sorted
+JSON keys.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys as _sys
 from typing import NamedTuple
@@ -341,7 +344,12 @@ def main(argv=None) -> int:
     try:
         # looked up at each call, so a _cmd_* patched after the first call
         # (a test double, a tracer) is the one that runs
-        return globals()[f"_cmd_{args.command}"](args)
+        code = globals()[f"_cmd_{args.command}"](args)
+        _sys.stdout.flush()  # a reader's closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # quiet; the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 0
     except PwlcyclesError as err:
         print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
         return err.exit_code

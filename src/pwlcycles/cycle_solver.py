@@ -8,10 +8,11 @@ remaining block Y is driven linearly by x,
 
 The system is triangular, so every cycle is solved in two halves. The
 x-components come from the 1D map alone: the closed form for the
-canonical R L^(n-1) word (solve_cycle), and for any R/L word the scalar
-composition of the word rotated to start at each point
-(solve_symbolic_cycle). The Y-components then follow from one linear
-solve for Y_1 plus forward recursion, a step both entry points share.
+canonical R L^(n-1) word, L R^(n-1) for mu_hat < 0 (solve_cycle), and
+for any R/L word the scalar composition of the word rotated to start at
+each point (solve_symbolic_cycle). The Y-components then follow from one
+linear solve for Y_1 plus forward recursion, a step both entry points
+share.
 """
 
 from __future__ import annotations
@@ -273,47 +274,23 @@ def _solution(
 def solve_cycle(
     sys: CanonicalSystem, n: int, zero_tol: float | None = None
 ) -> CycleSolution:
-    """Closed-form R L^(n-1) n-cycle of the canonical system.
+    """Closed-form n-cycle of the family the sign of mu_hat names, as
+    classify's mu_sign does: R L^(n-1) for mu_hat > 0, else L R^(n-1).
 
     The x-components come from the 1D closed form, the Y-components from
-    one linear solve for Y_1 plus forward recursion. A_block^n is
-    decomposed once. Its eigenvalues decide the one precondition check,
-    EigenvalueOneError when one lies within EIG_TOL of 1 (the Y_1 solve
-    is singular; an eigenvalue of A_block at 1 is caught here too), and
-    together with the x multiplier they are the cycle's multipliers.
+    one linear solve for Y_1 plus forward recursion. A kink point keeps
+    its family's branch, letter 0 in R L^(n-1) and 'R' in L R^(n-1), so
+    the x multiplier is classify's. A_block^n is decomposed once. Its
+    eigenvalues decide the one precondition check, EigenvalueOneError
+    when one lies within EIG_TOL of 1 (the Y_1 solve is singular; an
+    eigenvalue of A_block at 1 is caught here too), and together with the
+    x multiplier they are the cycle's multipliers.
     Raises everything the 1D closed form raises, and NotAdmissibleError
     when A_block^n overflows.
     """
     xc = cycle_x_components(sys.skew_params(), n, zero_tol=zero_tol)
-    return _solution(sys, xc.xs, xc.sequence, _word(sys, xc.sequence), True)
-
-
-_SWAP_RL = str.maketrans("RL", "LR")
-
-
-def _solve_family(sys: CanonicalSystem, n: int, zero_tol: float | None = None):
-    """The n-cycle of the family classify names for the sign of mu_hat:
-    R L^(n-1) for mu_hat >= 0, else L R^(n-1), with x from the tent map
-    (d, a, -mu_hat) negated and R, L swapped, solved on sys itself; a
-    kink point keeps the family's 'R', so the x multiplier is classify's
-    a d^(n-1). A failed closed form raises in sys's terms, outside the
-    handler, so it holds no mirrored error.
-    """
-    if sys.mu_hat >= 0:
-        return solve_cycle(sys, n, zero_tol)
-    try:
-        xc = cycle_x_components(SkewTentParams(sys.d, sys.a, -sys.mu_hat), n, zero_tol)
-    except SingularDenominatorError as err:
-        power = f"a^1*d^{n - 1}"
-        error = SingularDenominatorError(sys.a, sys.d, n, err.denominator, power)
-    except NotAdmissibleError as err:  # only an overflow has no points
-        message = "" if err.xs else f"d^{n - 1} overflows for d={sys.d!r}"
-        xs, letters = [-x for x in err.xs], err.letters.translate(_SWAP_RL)
-        error = NotAdmissibleError(xs, letters, message)
-    else:
-        sequence = xc.sequence.translate(_SWAP_RL).replace("0", "R")
-        return _solution(sys, [-x for x in xc.xs], sequence, _word(sys, sequence), True)
-    raise error
+    sequence = xc.sequence if sys.mu_hat > 0 else xc.sequence.replace("0", "R")
+    return _solution(sys, xc.xs, sequence, _word(sys, sequence), True)
 
 
 def solve_symbolic_cycle(

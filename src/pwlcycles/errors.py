@@ -22,17 +22,17 @@ class PwlcyclesError(Exception):
 
 
 class SingularDenominatorError(PwlcyclesError):
-    """The cycle denominator 1 - power (a^(n-1)*d by default) is about zero."""
+    """The cycle denominator 1 - power is about zero (power: such as a^2*d)."""
 
     exit_code = 3
 
-    def __init__(self, a: float, d: float, n: int, denominator: float, power=None):
+    def __init__(self, a: float, d: float, n: int, denominator: float, power: str):
         self.a = a
         self.d = d
         self.n = n
         self.denominator = denominator
         super().__init__(
-            f"singular denominator 1 - {power or f'a^{n - 1}*d'} = {denominator!r} "
+            f"singular denominator 1 - {power} = {denominator!r} "
             f"for a={a!r}, d={d!r}, n={n}"
         )
 

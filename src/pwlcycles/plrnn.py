@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_solver import CanonicalSystem, CycleSolution, _solve_family
+from .cycle_solver import CanonicalSystem, CycleSolution, solve_cycle
 from .errors import (
     NotAdjacentError,
     PwlcyclesError,
@@ -270,10 +270,11 @@ def local_cycle_analysis(
     """Classify and solve the length-n cycle of the localized dynamics.
 
     A negative offset classifies and solves the mirrored family
-    L R^(n-1) (see _solve_family). The reduction only describes the
-    network where the non-boundary coordinates stay inside the shared
-    sign pattern of regions i and j, so any solved cycle is checked for
-    exactly that before it may be trusted as a cycle of the full network.
+    L R^(n-1), as classify's mu_sign and solve_cycle read it. The
+    reduction only describes the network where the non-boundary
+    coordinates stay inside the shared sign pattern of regions i and j,
+    so any solved cycle is checked for exactly that before it may be
+    trusted as a cycle of the full network.
     zero_tol reads a point as on the kink in the solve (letter 0, or the
     family's 'R') and as on a boundary in the locality check, by default
     zero_tolerance(mu_hat); a given one must be finite and > 0 (ValueError).
@@ -288,7 +289,7 @@ def local_cycle_analysis(
     solution = None
     solve_error = None
     try:
-        solution = _solve_family(can, n, zero_tol)
+        solution = solve_cycle(can, n, zero_tol)
     except PwlcyclesError as err:
         # without its traceback: the traceback holds this frame, whose
         # solve_error would close a reference cycle around every failed solve

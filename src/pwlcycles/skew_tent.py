@@ -1,8 +1,8 @@
 """Analysis of the 1D skew tent map x' = a*x + mu_hat (x <= 0), d*x + mu_hat (x >= 0).
 
-Provides the closed-form n-cycle with symbolic sequence R L^(n-1), the
-parameter-plane regions where that cycle exists / is attracting / has
-just collided with the boundary, the chaotic-band regions, and a
+Provides the closed-form n-cycle R L^(n-1) (L R^(n-1) for mu_hat < 0),
+the parameter-plane regions where that cycle exists / is attracting /
+has just collided with the boundary, the chaotic-band regions, and a
 period-three chaos flag.
 
 Every (1 - a^k)/(1 - a) factor is evaluated as the explicit geometric sum
@@ -90,7 +90,8 @@ class SkewTentParams:
 
 @dataclass(frozen=True)
 class XCycle:
-    """x-components of a candidate R L^(n-1) cycle, ordered from the R-point.
+    """x-components of a candidate cycle, ordered from its first point:
+    the R-point of R L^(n-1), or the L-point of L R^(n-1) (mu_hat < 0).
 
     sequence holds one letter per point: 'R' for x > 0, 'L' for x < 0,
     '0' for a point on the kink (within the zero tolerance used).
@@ -182,43 +183,50 @@ def cycle_x_components(
     n: int,
     zero_tol: float | None = None,
 ) -> XCycle:
-    """Closed-form x-components of the R L^(n-1) candidate n-cycle.
+    """Closed-form x-components of the candidate n-cycle of the family
+    the sign of mu_hat names: R L^(n-1) for mu_hat > 0, else L R^(n-1).
 
-    x1 = mu_hat * S_n(a) / (1 - a^(n-1) d) with S_k the geometric sum of k
-    terms, and for i >= 2
+    For R L^(n-1), x1 = mu_hat * S_n(a) / (1 - a^(n-1) d) with S_k the
+    geometric sum of k terms, and for i >= 2
     x_i = mu_hat * (S_{i-1}(a) + a^(i-2) d S_{n-i+1}(a)) / (1 - a^(n-1) d).
+    L R^(n-1) swaps a and d, so its points are, bit for bit, the negated
+    R L^(n-1) points of (d, a, -mu_hat) (the conjugacy x -> -x).
 
     Raises ValueError unless n is an integer >= 2 and a given zero_tol is
-    finite and positive, SingularDenominatorError when 1 - a^(n-1) d is
+    finite and positive, SingularDenominatorError when the denominator is
     zero within SINGULAR_TOL, DegenerateOffsetError for mu_hat = 0, and
     NotAdmissibleError when the computed signs do not realize the
-    R L^(n-1) pattern (the error carries the raw values) or when a^(n-1)
-    overflows, so that no point is computed.
+    family's pattern (the error carries the raw values) or when the
+    slope's power overflows, so that no point is computed.
     """
     n = _require_count(n, "cycle length n", 2)
     zero_tol = _kink_tol(zero_tol, p.mu_hat)
     if p.mu_hat == 0.0:
         raise DegenerateOffsetError("mu_hat = 0 collapses the cycle formulas")
-    a, d, mu = p.a, p.d, p.mu_hat
+    mu = p.mu_hat
+    first, name, a, d = ("R", "a", p.a, p.d) if mu > 0 else ("L", "d", p.d, p.a)
     try:
         den = 1.0 - a ** (n - 1) * d
     except OverflowError:
-        raise NotAdmissibleError((), "", f"a^{n - 1} overflows for a={a!r}") from None
+        den = None  # raised below, outside the handler, so with no context
+    if den is None:
+        raise NotAdmissibleError((), "", f"{name}^{n - 1} overflows for {name}={a!r}")
     if abs(den) <= SINGULAR_TOL:
-        raise SingularDenominatorError(a, d, n, den)
+        power = f"a^{n - 1}*d" if mu > 0 else f"a^1*d^{n - 1}"
+        raise SingularDenominatorError(p.a, p.d, n, den, power)
 
     # sums[k - 1] = S_k, accumulated in geometric_sum's order
-    power = a * 0.0 + 1.0
-    sums = [power]
+    term = a * 0.0 + 1.0
+    sums = [term]
     for _ in range(n - 1):
-        power = power * a
-        sums.append(sums[-1] + power)
+        term = term * a
+        sums.append(sums[-1] + term)
     xs = [sums[n - 1] * mu / den]
     for i in range(2, n + 1):
         xs.append((sums[i - 2] + a ** (i - 2) * d * sums[n - i]) * mu / den)
 
     sequence = _sign_word(xs, zero_tol)
-    if sequence[0] != "R" or any(c == "R" for c in sequence[1:]):
+    if sequence[0] != first or first in sequence[1:]:
         raise NotAdmissibleError(xs, sequence)
     return XCycle(n=n, xs=tuple(xs), sequence=sequence)
 

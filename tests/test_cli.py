@@ -5,7 +5,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -463,6 +466,54 @@ def test_plrnn_consistent_pair_reports_ok(write_doc, capsys):
     assert rc == 0
     assert "locality: ok (0 boundary warnings)" in out
     assert "point 1: 0.760976" in out
+
+
+def test_cycle_n_solves_the_family_of_the_offset_sign(write_doc, capsys):
+    # the tent that the negative-offset network reduces to: cycle --n
+    # solves L R^(n-1) there, as plrnn does for the network and as
+    # classify --mu-sign - reads the point
+    net = ('{"kind": "plrnn", "M": 2, "A_diag": [-4.0, 0.5],'
+           ' "W": [[4.4, 0.0], [0.3, 0.1]], "h": [-0.8, 1.0],'
+           ' "relaxed_diagonal": true}')
+    tent = SCALAR_DOC.replace('"a": 0.4, "d": -4.0, "mu_hat": 0.8',
+                              '"a": -4.0, "d": 0.4, "mu_hat": -0.8')
+    runs = (
+        ["classify", "--a", "-4.0", "--d", "0.4", "--n", "3", "--mu-sign", "-"],
+        ["plrnn", "--config", write_doc(net, "net.json"), "--pair", "01", "11"],
+        ["cycle", "--config", write_doc(tent, "tent.json")],
+    )
+    outs = []
+    for argv in runs:
+        assert main(argv + ["--n", "3"]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert "verdict: ExistsStable" in outs[0]
+    for lines in outs[1:]:
+        assert "sequence: LRR" in lines
+        assert "stable: True" in lines
+        assert any(line.startswith("point 1: -0.760976") for line in lines)
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["classify", "--a", "0.5", "--d", "-3.9", "--n", "3"], 0),
+    (["scan", "--a-min", "0.01", "--a-max", "3", "--a-steps", "200", "--d-min",
+      "-40", "--d-max", "-0.01", "--d-steps", "200", "--n", "3"], 1),
+])
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly(
+        argv, lines_read):
+    # classify's few lines sit in the buffer until main flushes them; the
+    # scan's 1.5 MB block on the pipe after the reader's first line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from pwlcycles.cli import entry_point; entry_point()",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == b"a,d,n,verdict\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert _readme_exit_codes()["BrokenPipeError"] == 0
 
 
 def test_plrnn_degenerate_kink_line(write_doc, capsys):

@@ -558,12 +558,32 @@ def test_stability_flag_matches_region_predicate():
         checked += 1
 
 
+def _solved_stable(a, d, n, mu):
+    """solve_cycle's stable on the 1D map (a, d, mu), False where the
+    family's cycle is not admissible."""
+    sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
+    try:
+        return cs.solve_cycle(sys, n).stable
+    except NotAdmissibleError:
+        return False
+
+
+def _verdict_and_stable(a, d, n, mu):
+    """(classify says ExistsStable, solve_cycle's stable) at (a, d, mu) and
+    at its mirror (d, a, -mu), where classify reads mu_sign '-'."""
+    yield (st.classify(a, d, n).verdict is st.Verdict.EXISTS_STABLE,
+           _solved_stable(a, d, n, mu))
+    yield (st.classify(d, a, n, mu_sign="-").verdict is st.Verdict.EXISTS_STABLE,
+           _solved_stable(d, a, n, -mu))
+
+
 def test_exists_stable_iff_solved_cycle_is_stable():
     """classify says ExistsStable exactly where solve_cycle returns a
     stable cycle, on 30,000 seeded 1D points drawn around the existence
-    curve and the stability boundary d = -1/a^(n-1). Points within 1e-9
-    of the curve are skipped: there the kernel's |bound - d| in d units
-    and the solver's |x_n| in x units round apart."""
+    curve and the stability boundary d = -1/a^(n-1), and on their 30,000
+    mirrors (a and d swapped, mu_hat < 0, the L R^(n-1) family). Points
+    within 1e-9 of the curve are skipped: there the kernel's |bound - d|
+    in d units and the solver's |x_n| in x units round apart."""
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(30_000):
@@ -575,21 +595,17 @@ def test_exists_stable_iff_solved_cycle_is_stable():
         d = centre * float(np.exp(rng.uniform(-0.5, 0.5)))
         if abs(bound - d) <= 1e-9 * max(1.0, abs(d)):
             continue
-        sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
-        try:
-            stable = cs.solve_cycle(sys, n).stable
-        except NotAdmissibleError:
-            stable = False
-        verdict = st.classify(a, d, n).verdict
-        assert (verdict is st.Verdict.EXISTS_STABLE) == stable, (a, d, n, mu)
-        checked += 1
-    assert checked > 29_000
+        for exists_stable, stable in _verdict_and_stable(a, d, n, mu):
+            assert exists_stable == stable, (a, d, n, mu)
+            checked += 1
+    assert checked > 58_000
 
 
 def test_stability_verdict_and_solver_agree_next_to_the_boundary():
     """At d0 = -1/a^(n-1) and 3 ulps either side, wherever d0 lies in
-    the existence region, classify's ExistsStable and solve_cycle's
-    stable read the same x multiplier a^(n-1) d and agree."""
+    the existence region, and at the mirrors of these points, classify's
+    ExistsStable and solve_cycle's stable read the same x multiplier
+    a^(n-1) d and agree."""
     rng = np.random.default_rng(8)
     disagree = []
     points = 0
@@ -604,16 +620,11 @@ def test_stability_verdict_and_solver_agree_next_to_the_boundary():
         for _ in range(3):
             ds = [math.nextafter(ds[0], -math.inf), *ds, math.nextafter(ds[-1], math.inf)]
         for d in ds:
-            points += 1
-            sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
-            try:
-                stable = cs.solve_cycle(sys, n).stable
-            except NotAdmissibleError:
-                stable = False
-            verdict = st.classify(a, d, n).verdict
-            if (verdict is st.Verdict.EXISTS_STABLE) != stable:
-                disagree.append((a, d, n, mu))
-    assert points == 1666
+            for exists_stable, stable in _verdict_and_stable(a, d, n, mu):
+                points += 1
+                if exists_stable != stable:
+                    disagree.append((a, d, n, mu))
+    assert points == 2 * 1666
     assert disagree == []
 
 

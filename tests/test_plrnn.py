@@ -342,7 +342,7 @@ def _mirror_pair(draw):
 def test_mirror_relation_of_the_negative_offset_family():
     """Wherever the R L^(n-1) cycle of a positive-offset system solves, the
     mirrored system's L R^(n-1) cycle is the same orbit with x negated:
-    _solve_family gives it bit for bit, the word solver to within the
+    solve_cycle gives it bit for bit, the word solver to within the
     verify tolerance. A point on the kink (letter 0 of R L^(n-1)) keeps
     its family's branch on both sides, so the family's word reads 'R'
     there, while the word solver steps the signed word's 0 on x <= 0."""
@@ -364,7 +364,7 @@ def test_mirror_relation_of_the_negative_offset_family():
         flipped = np.array(sol.points)
         flipped[:, 0] = -flipped[:, 0]
 
-        family = pl._solve_family(minus, n)
+        family = cs.solve_cycle(minus, n)
         assert family.sequence == swapped.replace("0", "R")
         assert family.multipliers == cs.multipliers(minus, family.sequence)
         assert np.array_equal(np.array(family.points), flipped)
@@ -391,28 +391,42 @@ def _one_unit_report(a, d, mu_hat, n=3, zero_tol=None):
         zero_tol)
 
 
+def _negative_offset_answers(a, d, mu_hat):
+    """The 3-cycle answer, a solution or the error, and the system it was
+    solved on: once through local_cycle_analysis of the one-unit network,
+    once through solve_cycle on the canonical tent of the same slopes."""
+    report = _one_unit_report(a, d, mu_hat)
+    yield report.solution or report.solve_error, report.localized.canonical
+    tent = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu_hat))
+    try:
+        answer = cs.solve_cycle(tent, 3)
+    except PwlcyclesError as err:
+        answer = err
+    yield answer, tent
+
+
 def test_negative_offset_family_answers_in_the_callers_terms():
     # the third point sits on the kink and keeps the family's 'R', so the
     # x multiplier of LRR is a d^2 = -2, as multipliers reads the word
-    report = _one_unit_report(-2.0, 1.0, -1.0)
-    sol = report.solution
-    assert sol.sequence == "LRR"
-    assert sol.multipliers == cs.multipliers(report.localized.canonical, "LRR")
-    assert sol.multipliers == (-2 + 0j,)
-    assert sol.residual == 0.0
+    for sol, can in _negative_offset_answers(-2.0, 1.0, -1.0):
+        assert sol.sequence == "LRR"
+        assert sol.multipliers == cs.multipliers(can, "LRR")
+        assert sol.multipliers == (-2 + 0j,)
+        assert sol.residual == 0.0
     # a failed closed form names the caller's slopes, x values and letters
-    err = _one_unit_report(0.25, 2.0, -0.8).solve_error
-    assert isinstance(err, SingularDenominatorError)
-    assert (err.a, err.d, err.n) == (0.25, 2.0, 3)
-    assert str(err) == "singular denominator 1 - a^1*d^2 = 0.0 for a=0.25, d=2.0, n=3"
-    err = _one_unit_report(-0.5, 0.4, -0.8).solve_error
-    assert isinstance(err, NotAdmissibleError)
-    assert err.letters == "LLL"
-    assert len(err.xs) == 3 and all(x < 0 for x in err.xs)
-    err = _one_unit_report(0.5, 1e200, -0.8).solve_error
-    assert isinstance(err, NotAdmissibleError)
-    assert str(err) == "d^2 overflows for d=1e+200"
-    assert err.__context__ is None
+    for err, _ in _negative_offset_answers(0.25, 2.0, -0.8):
+        assert isinstance(err, SingularDenominatorError)
+        assert (err.a, err.d, err.n) == (0.25, 2.0, 3)
+        assert str(err) == (
+            "singular denominator 1 - a^1*d^2 = 0.0 for a=0.25, d=2.0, n=3")
+    for err, _ in _negative_offset_answers(-0.5, 0.4, -0.8):
+        assert isinstance(err, NotAdmissibleError)
+        assert err.letters == "LLL"
+        assert len(err.xs) == 3 and all(x < 0 for x in err.xs)
+    for err, _ in _negative_offset_answers(0.5, 1e200, -0.8):
+        assert isinstance(err, NotAdmissibleError)
+        assert str(err) == "d^2 overflows for d=1e+200"
+        assert err.__context__ is None
 
 
 @pytest.mark.parametrize("zero_tol", [None, 1e-3])

@@ -6,11 +6,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pwlcycles import skew_tent as st
 from pwlcycles.errors import (
     DegenerateOffsetError,
     NotAdmissibleError,
+    PwlcyclesError,
     SingularDenominatorError,
 )
 
@@ -130,6 +133,78 @@ def test_cycle_x_error_conditions():
     for a, n in ((1e200, 3), (-1e200, 4), (1e11, 30)):
         with pytest.raises(NotAdmissibleError, match="overflows"):
             st.cycle_x_components(st.SkewTentParams(a, -1.0, 0.8), n)
+
+
+_SWAP_RL = str.maketrans("RL", "LR")
+
+
+@hs.composite
+def _negative_offset_point(draw):
+    """(a, d, mu_hat < 0, n): a free draw, a point on the L R^(n-1)
+    existence curve (its last point on the kink), a zero denominator
+    1 - a d^(n-1), or a d^(n-1) that overflows."""
+    n = draw(hs.integers(3, 12))
+    mu = -draw(hs.floats(0.05, 5.0))
+    d = draw(hs.floats(0.05, 2.0))
+    kind = draw(hs.sampled_from(["free", "kink", "singular", "overflow"]))
+    if kind == "kink":
+        return float(st.existence_bound(d, n)), d, mu, n
+    if kind == "singular":
+        d = 2.0 ** draw(hs.integers(-3, 3))
+        return d ** (1 - n), d, mu, n
+    if kind == "overflow":
+        d = 1e200
+    return draw(hs.floats(-40.0, 40.0)), d * draw(hs.sampled_from([1, -1])), mu, n
+
+
+def _outcome(p, n):
+    """cycle_x_components' x bits and sequence, or its error's type,
+    message, attributes and context."""
+    try:
+        xc = st.cycle_x_components(p, n)
+    except PwlcyclesError as err:
+        return type(err), str(err), vars(err), err.__context__
+    return [x.hex() for x in xc.xs], xc.sequence
+
+
+def _mirrored(a, d, mu, n):
+    """The R L^(n-1) closed form of (d, a, -mu) with x negated and R, L
+    swapped, its errors named in the terms of (a, d)."""
+    try:
+        xc = st.cycle_x_components(st.SkewTentParams(d, a, -mu), n)
+    except SingularDenominatorError as err:
+        return SingularDenominatorError(a, d, n, err.denominator, f"a^1*d^{n - 1}")
+    except NotAdmissibleError as err:  # only an overflow has no points
+        message = "" if err.xs else f"d^{n - 1} overflows for d={d!r}"
+        return NotAdmissibleError([-x for x in err.xs], err.letters.translate(_SWAP_RL),
+                                  message)
+    return st.XCycle(n, tuple(-x for x in xc.xs), xc.sequence.translate(_SWAP_RL))
+
+
+def test_negative_offset_closed_form_is_the_negated_mirror():
+    """At mu_hat < 0, cycle_x_components answers L R^(n-1) with the bits of
+    the R L^(n-1) closed form of (d, a, -mu_hat) negated, R and L swapped,
+    kink letters and every typed error included; each error is raised
+    with no context."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_negative_offset_point())
+    def check(point):
+        a, d, mu, n = point
+        got = _outcome(st.SkewTentParams(a, d, mu), n)
+        want = _mirrored(a, d, mu, n)
+        if isinstance(want, st.XCycle):
+            assert got == ([x.hex() for x in want.xs], want.sequence)
+            assert want.sequence[0] == "L" and "L" not in want.sequence[1:]
+            seen.add("kink" if "0" in want.sequence else "solved")
+        else:
+            assert got == (type(want), str(want), vars(want), None)
+            seen.add(type(want).__name__ + " overflow" * (vars(want).get("xs") == ()))
+
+    check()
+    assert seen == {"solved", "kink", "SingularDenominatorError",
+                    "NotAdmissibleError", "NotAdmissibleError overflow"}
 
 
 def test_existence_bound_values():
