@@ -269,8 +269,10 @@ def local_cycle_analysis(
 ) -> LocalCycleReport:
     """Classify and solve the length-n cycle of the localized dynamics.
 
-    A negative offset classifies and solves the mirrored family
-    L R^(n-1), as classify's mu_sign and solve_cycle read it. The
+    n must be an integer >= 3, as classify's region tests need; a
+    smaller n raises ValueError before the cycle is solved. A negative
+    offset classifies and solves the mirrored family L R^(n-1), as
+    classify's mu_sign and solve_cycle read it. The
     reduction only describes the network where the non-boundary
     coordinates stay inside the shared sign pattern of regions i and j,
     so any solved cycle is checked for exactly that before it may be

@@ -52,15 +52,17 @@ SINGULAR_TOL = 1e-12
 
 
 def zero_tolerance(mu_hat: float) -> float:
-    """Default tolerance below which an x-value counts as sitting on the kink."""
-    return 1e-9 * max(1.0, abs(mu_hat))
+    """Default tolerance below which an x-value counts as sitting on the
+    kink: DEFAULT_CURVE_TOL in units of |mu_hat|, as classify reads it."""
+    return DEFAULT_CURVE_TOL * abs(mu_hat)
 
 
 def _kink_tol(zero_tol: float | None, mu_hat: float) -> float:
-    """zero_tol, or zero_tolerance(mu_hat) when None; ValueError unless the
-    tolerance is finite and positive."""
+    """zero_tol, or zero_tolerance(mu_hat) when None; ValueError unless a
+    given zero_tol is finite and positive. The default is not checked, so
+    mu_hat = 0 reaches the caller's DegenerateOffsetError."""
     if zero_tol is None:
-        zero_tol = zero_tolerance(mu_hat)
+        return zero_tolerance(mu_hat)
     _require_tol(zero_tol, "zero_tol")
     return zero_tol
 
@@ -134,8 +136,10 @@ class ParamClassification:
     """Single classification verdict for a parameter point, with residuals.
 
     Each detail is positive exactly when its strict inequality holds,
-    except curve_distance, the absolute distance to the curve. Where the
-    cycle exists, the stability margin 1 + a^(n-1) d is 1 - |x multiplier|.
+    except curve_distance, the distance of the cycle's last point from
+    the kink in units of |mu_hat| (to first order; see _margins), which
+    the verdict compares with tol. Where the cycle exists, the stability
+    margin 1 + a^(n-1) d is 1 - |x multiplier|.
     """
 
     verdict: Verdict
@@ -293,13 +297,17 @@ def existence_bound(a, n: int):
 def _margins(a, d, n: int):
     """The independent region quantities at (a, d) for mu_hat > 0.
 
-    Returns (ex, pd, cubic, quad) with P = a^(n-1): ex = bound - d
-    (existence), pd = P d (the cycle's x multiplier), cubic =
-    P^2 d^3 + a - d and quad = P d^2 + d - a (the band inequalities).
-    Every other margin is one of them negated or one step away (see
-    _point), so a grid gets four arrays of its size. The same code runs
-    on numpy scalars (single points), on arrays, and on a column of a
-    and a row of d that broadcast to a grid, so the chain runs once per
+    Returns (ex, kink, pd, cubic, quad) with P = a^(n-1): ex = bound - d
+    (existence), kink = ex (1 / (a - bound)) (the curve), pd = P d (the
+    cycle's x multiplier), cubic = P^2 d^3 + a - d and quad =
+    P d^2 + d - a (the band inequalities). The cycle's last point is
+    x_n = -mu_hat ex / (a - bound + a ex), so kink is x_n / -mu_hat to
+    first order, and |kink| <= tol is the solvers' kink rule
+    |x_n| <= tol |mu_hat| (zero_tolerance). Every other margin is one of
+    them negated or one step away (see _point), so a grid gets five
+    arrays of its size. The same code runs on numpy scalars (single
+    points), on arrays, and on a column of a and a row of d that
+    broadcast to a grid, so the chain and the reciprocal run once per
     a value. Every power is a product of the chain in _bound, augmented
     assignment keeps each operation's operands and order, and
     broadcasting keeps them too, so a point and a grid cell agree bit
@@ -309,6 +317,7 @@ def _margins(a, d, n: int):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound, power = _bound(a, n)
         ex = bound - d
+        kink = ex * (1.0 / (a - bound))
         power = power * a
         d2 = d * d
         pd = power * d
@@ -318,7 +327,7 @@ def _margins(a, d, n: int):
         quad = power * d2
         quad += d
         quad -= a
-    return ex, pd, cubic, quad
+    return ex, kink, pd, cubic, quad
 
 
 # Region flags: one bit per verdict above OutsideRegion, in rising
@@ -357,15 +366,15 @@ def _flags(a, m, tol: float):
     Each test reads a sign: stability is pd > -1, NBand cubic < 0 and
     quad < 0, TwoNBand pd < -1 and cubic > 0. Stability and both bands
     lie inside the existence region, where pd < 0; the curve needs a
-    positive slope and |ex| <= tol, tested as two comparisons.
+    positive slope and |kink| <= tol, tested as two comparisons.
     """
-    ex, pd, cubic, quad = m
+    ex, kink, pd, cubic, quad = m
     exists = _exists(a, ex)
     flags = _EXISTS * exists
     flags |= _TWONBAND * (exists & (pd < -1.0) & (cubic > 0))
     flags |= _NBAND * (exists & (cubic < 0) & (quad < 0))
     flags |= _STABLE * (exists & (pd > -1.0))
-    flags |= _CURVE * ((a > 0) & (-tol <= ex) & (ex <= tol))
+    flags |= _CURVE * ((a > 0) & (-tol <= kink) & (kink <= tol))
     return flags
 
 
@@ -378,13 +387,13 @@ def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL
     aa, dd = (float(a), float(d)) if mu_sign == "+" else (float(d), float(a))
     n = _require_region_n(n)
     m = [float(v) for v in _margins(np.float64(aa), np.float64(dd), n)]
-    ex, pd, cubic, quad = m
+    ex, kink, pd, cubic, quad = m
     # negation is exact and rounding symmetric, so each derived margin has
     # the bits of its direct formula; 1 + pd and -1 - pd have exact signs
     details = {
         "slope_sign_margin": aa,
         "existence_margin": ex,
-        "curve_distance": abs(ex),
+        "curve_distance": abs(kink),
         "stability_lower_margin": 1.0 + pd,
         "nband_cubic_margin": -cubic,
         "nband_quadratic_margin": -quad,
@@ -407,7 +416,8 @@ def region_exists(a: float, d: float, n: int, mu_sign: str = "+") -> bool:
 def on_bifurcation_curve(
     a: float, d: float, n: int, mu_sign: str = "+", tol: float = DEFAULT_CURVE_TOL
 ) -> bool:
-    """True when (a, d) lies on the border-collision curve within tol."""
+    """True when (a, d) lies on the border-collision curve: the cycle's last
+    point lies within tol |mu_hat| of the kink (curve_distance <= tol)."""
     _require_tol(tol)
     return bool(_point(a, d, n, mu_sign, tol)[1] & _CURVE)
 
@@ -455,7 +465,8 @@ def classify(
     Verdict precedence: OnBifurcationCurve, then ExistsStable, then
     NBandChaos / TwoNBandChaos, then ExistsUnstable, then OutsideRegion.
     details carries the margin of every inequality evaluated (positive
-    means satisfied) plus the absolute curve distance.
+    means satisfied) plus curve_distance, which OnBifurcationCurve bounds
+    by tol.
     """
     _require_tol(tol)
     m, flags = _point(a, d, n, mu_sign, tol)

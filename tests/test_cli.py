@@ -493,6 +493,22 @@ def test_cycle_n_solves_the_family_of_the_offset_sign(write_doc, capsys):
         assert any(line.startswith("point 1: -0.760976") for line in lines)
 
 
+def test_classify_cycle_and_simulate_read_one_kink_rule(write_doc, capsys):
+    # one ulp below -536870911 at n = 30 the last cycle point lies within
+    # 1e-9 mu_hat of the kink, as the closed form's letter 0 says; and a
+    # tent with mu_hat = 1e-9 has the cycle of mu_hat = 0.8, scaled
+    assert main(["classify", "--a", "0.5", "--d", "-536870911.00000006",
+                 "--n", "30"]) == 0
+    assert "verdict: OnBifurcationCurve" in capsys.readouterr().out.splitlines()
+    tent = write_doc(SCALAR_DOC.replace('"mu_hat": 0.8', '"mu_hat": 1e-9'))
+    assert main(["cycle", "--config", tent, "--n", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "sequence: RLL" in lines
+    assert "stable: True" in lines
+    assert main(["simulate", "--config", tent]) == 0
+    assert "itinerary: " + "RLL" * 10 + "RL" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("argv, lines_read", [
     (["classify", "--a", "0.5", "--d", "-3.9", "--n", "3"], 0),
     (["scan", "--a-min", "0.01", "--a-max", "3", "--a-steps", "200", "--d-min",

@@ -1,11 +1,12 @@
 """Tests for the canonical-form cycle solver."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from pwlcycles import cycle_solver as cs
@@ -15,6 +16,7 @@ from pwlcycles.errors import (
     NotAdmissibleError,
     SingularDenominatorError,
 )
+from pwlcycles.simulator import Orbit, itinerary
 
 
 def reference_system():
@@ -558,32 +560,41 @@ def test_stability_flag_matches_region_predicate():
         checked += 1
 
 
-def _solved_stable(a, d, n, mu):
-    """solve_cycle's stable on the 1D map (a, d, mu), False where the
-    family's cycle is not admissible."""
+def _solved(a, d, n, mu):
+    """solve_cycle on the 1D map (a, d, mu), None where the family's
+    cycle is not admissible."""
     sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
     try:
-        return cs.solve_cycle(sys, n).stable
+        return cs.solve_cycle(sys, n)
     except NotAdmissibleError:
-        return False
+        return None
 
 
-def _verdict_and_stable(a, d, n, mu):
-    """(classify says ExistsStable, solve_cycle's stable) at (a, d, mu) and
-    at its mirror (d, a, -mu), where classify reads mu_sign '-'."""
-    yield (st.classify(a, d, n).verdict is st.Verdict.EXISTS_STABLE,
-           _solved_stable(a, d, n, mu))
-    yield (st.classify(d, a, n, mu_sign="-").verdict is st.Verdict.EXISTS_STABLE,
-           _solved_stable(d, a, n, -mu))
+def _verdicts_agree(a, d, n, mu):
+    """The three-way check at (a, d, mu) and at its mirror (d, a, -mu),
+    where classify reads mu_sign '-': OnBifurcationCurve exactly where
+    the solved last point lies within zero_tolerance(mu_hat), and
+    elsewhere ExistsStable exactly where the solved cycle is stable."""
+    for verdict, sol, mu_hat in (
+        (st.classify(a, d, n).verdict, _solved(a, d, n, mu), mu),
+        (st.classify(d, a, n, mu_sign="-").verdict, _solved(d, a, n, -mu), -mu),
+    ):
+        tol = st.zero_tolerance(mu_hat)
+        on_kink = sol is not None and abs(sol.points[-1][0]) <= tol
+        if on_kink:
+            yield verdict is st.Verdict.ON_BIFURCATION_CURVE
+        else:
+            yield (verdict is st.Verdict.EXISTS_STABLE) == (
+                sol is not None and sol.stable)
 
 
 def test_exists_stable_iff_solved_cycle_is_stable():
-    """classify says ExistsStable exactly where solve_cycle returns a
-    stable cycle, on 30,000 seeded 1D points drawn around the existence
-    curve and the stability boundary d = -1/a^(n-1), and on their 30,000
-    mirrors (a and d swapped, mu_hat < 0, the L R^(n-1) family). Points
-    within 1e-9 of the curve are skipped: there the kernel's |bound - d|
-    in d units and the solver's |x_n| in x units round apart."""
+    """classify says OnBifurcationCurve exactly where solve_cycle's last
+    point lies on the kink, and elsewhere ExistsStable exactly where
+    solve_cycle returns a stable cycle, on 30,000 seeded 1D points drawn
+    around the existence curve and the stability boundary
+    d = -1/a^(n-1), and on their 30,000 mirrors (a and d swapped,
+    mu_hat < 0, the L R^(n-1) family)."""
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(30_000):
@@ -593,12 +604,10 @@ def test_exists_stable_iff_solved_cycle_is_stable():
         bound = float(st.existence_bound(a, n))
         centre = bound if rng.random() < 0.5 else -1.0 / a ** (n - 1)
         d = centre * float(np.exp(rng.uniform(-0.5, 0.5)))
-        if abs(bound - d) <= 1e-9 * max(1.0, abs(d)):
-            continue
-        for exists_stable, stable in _verdict_and_stable(a, d, n, mu):
-            assert exists_stable == stable, (a, d, n, mu)
+        for agree in _verdicts_agree(a, d, n, mu):
+            assert agree, (a, d, n, mu)
             checked += 1
-    assert checked > 58_000
+    assert checked == 60_000
 
 
 def test_stability_verdict_and_solver_agree_next_to_the_boundary():
@@ -620,12 +629,116 @@ def test_stability_verdict_and_solver_agree_next_to_the_boundary():
         for _ in range(3):
             ds = [math.nextafter(ds[0], -math.inf), *ds, math.nextafter(ds[-1], math.inf)]
         for d in ds:
-            for exists_stable, stable in _verdict_and_stable(a, d, n, mu):
+            for agree in _verdicts_agree(a, d, n, mu):
                 points += 1
-                if exists_stable != stable:
+                if not agree:
                     disagree.append((a, d, n, mu))
     assert points == 2 * 1666
     assert disagree == []
+
+
+def _exact_last_point(a, d, n):
+    """x_n / mu_hat of the R L^(n-1) cycle at the float inputs (a, d), in
+    exact rationals: (S_(n-1)(a) + a^(n-2) d) / (1 - a^(n-1) d). Its
+    mirror (d, a, -mu_hat) has the negated points over the negated
+    offset, so the same ratio."""
+    a, d = Fraction(a), Fraction(d)
+    total = sum(a**k for k in range(n - 1))
+    return (total + a ** (n - 2) * d) / (1 - a ** (n - 1) * d)
+
+
+def _kink_letter(a, d, n, mu):
+    """The closed form's letter for the last cycle point of the family
+    the sign of mu names, admissible or not."""
+    try:
+        return st.cycle_x_components(st.SkewTentParams(a, d, mu), n).sequence[-1]
+    except NotAdmissibleError as err:
+        return err.letters[-1]
+
+
+@hs.composite
+def _near_curve_point(draw):
+    """(a, d, n, mu_hat, mu_sign) with d a relative 1e-16..1e-6 either
+    side of the R L^(n-1) existence curve and |mu_hat| in 1e-12..1e6; for
+    mu_sign '-' the mirror (a and d swapped, mu_hat < 0), on the curve
+    of L R^(n-1)."""
+    n = draw(hs.integers(3, 30))
+    a = draw(hs.floats(0.05, 2.0))
+    offset = 10.0 ** draw(hs.floats(-16.0, -6.0)) * draw(hs.sampled_from([1.0, -1.0]))
+    d = float(st.existence_bound(a, n)) * (1.0 + offset)
+    mu = 10.0 ** draw(hs.floats(-12.0, 6.0))
+    if draw(hs.booleans()):
+        return a, d, n, mu, "+"
+    return d, a, n, -mu, "-"
+
+
+def test_curve_verdict_iff_the_last_cycle_point_is_a_kink_point():
+    """classify says OnBifurcationCurve exactly where the closed form
+    reads the last cycle point as on the kink (letter 0), in both
+    families, and both agree with the exact |x_n| <= 1e-9 |mu_hat| at
+    the float inputs. Points whose exact |x_n| / |mu_hat| lies within
+    1e-12 of 1e-9 are left out: there both float answers may round
+    either way (deciding them exactly is ROADMAP item 3)."""
+    seen = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_near_curve_point())
+    def check(point):
+        a, d, n, mu, mu_sign = point
+        kernel_a, kernel_d = (a, d) if mu_sign == "+" else (d, a)
+        exact = abs(_exact_last_point(kernel_a, kernel_d, n))
+        tol = Fraction(st.DEFAULT_CURVE_TOL)
+        assume(abs(exact - tol) > Fraction(1, 10**12))
+        curve = st.classify(a, d, n, mu_sign).verdict is st.Verdict.ON_BIFURCATION_CURVE
+        kink = _kink_letter(a, d, n, mu) == "0"
+        assert curve == kink == (exact <= tol), point
+        seen.add((mu_sign, curve))
+
+    check()
+    assert seen == {("+", True), ("+", False), ("-", True), ("-", False)}
+
+
+# (a, d, n): inside the existence region, on the curve, a relative 1e-7
+# and 1e-11 inside it (|x_n| / mu_hat about 9e-8 and 9e-12), and 1e-7
+# outside it, where the closed form's last point reads R
+_SCALED_POINTS = [
+    (0.4, -4.0, 3),
+    (0.4, -3.5, 3),
+    (0.4, -3.5 * (1 + 1e-7), 3),
+    (0.4, -3.5 * (1 + 1e-11), 3),
+    (0.4, -3.5 * (1 - 1e-7), 3),
+    (0.5, float(st.existence_bound(0.5, 12)) * (1 + 1e-11), 12),
+]
+
+
+def _scaled_outcome(a, d, n, mu, mu_sign):
+    """classify's verdict, solve_cycle's sequence (or the closed form's
+    letters where the cycle is not admissible) and the itinerary of the
+    cycle's x values."""
+    verdict = st.classify(a, d, n, mu_sign).verdict
+    sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
+    try:
+        sol = cs.solve_cycle(sys, n)
+    except NotAdmissibleError as err:
+        sequence, xs = ("not admissible", err.letters), err.xs
+    else:
+        sequence, xs = sol.sequence, [p[0] for p in sol.points]
+    return verdict, sequence, itinerary(Orbit(np.array(xs)[:, None], 0, mu))
+
+
+@pytest.mark.parametrize("a, d, n", _SCALED_POINTS)
+def test_kink_rule_is_invariant_under_scaling_the_offset(a, d, n):
+    """x is linear in mu_hat, so mu_hat -> lambda mu_hat scales every
+    point and the kink tolerance alike: the verdict, the sequence and
+    the itinerary stay the same for lambda from 1e-12 to 1e6, in both
+    families."""
+    for args in ((a, d, n, 0.8, "+"), (d, a, n, -0.8, "-")):
+        *point, mu, mu_sign = args
+        outcomes = {
+            _scaled_outcome(*point, scale * mu, mu_sign)
+            for scale in (1e-12, 1e-6, 1.0, 1e6)
+        }
+        assert len(outcomes) == 1, outcomes
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

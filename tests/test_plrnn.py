@@ -273,7 +273,9 @@ def test_negative_offset_report_solves_the_family_it_classifies():
 def test_negative_offset_reports_agree_with_the_word_solver():
     """On seeded negative-offset networks near the existence curve, the
     report's cycle is the L R^(n-1) word solved directly, and its verdict
-    is ExistsStable exactly when that cycle is stable."""
+    is OnBifurcationCurve exactly when the cycle's last point lies within
+    zero_tolerance(mu_hat) of the kink, and otherwise ExistsStable
+    exactly when that cycle is stable."""
     rng = np.random.default_rng(41)
     solved = 0
     for _ in range(300):
@@ -294,24 +296,23 @@ def test_negative_offset_reports_agree_with_the_word_solver():
             net, pl.RegionIndex.from_bits((0, *bits)),
             pl.RegionIndex.from_bits((1, *bits)), n,
         )
-        details = report.classification.details
-        bound = st.existence_bound(d, n)
-        if abs(details["existence_margin"]) <= 1e-9 * abs(bound):
-            continue
-        exists = details["existence_margin"] > 0
-        assert (report.solution is not None) == exists
-        if not exists:
+        verdict = report.classification.verdict
+        sol = report.solution
+        tol = st.zero_tolerance(report.localized.canonical.mu_hat)
+        on_kink = sol is not None and abs(sol.points[-1][0]) <= tol
+        assert (verdict is st.Verdict.ON_BIFURCATION_CURVE) == on_kink
+        exists = report.classification.details["existence_margin"] > 0
+        assert (sol is not None) == (exists or on_kink)
+        if sol is None:
             continue
         solved += 1
-        sol = report.solution
         word = "L" + "R" * (n - 1)
         assert sol.sequence == word
         sym = cs.solve_symbolic_cycle(report.localized.canonical, word)
         scale = max(1.0, max(np.max(np.abs(p)) for p in sym.points))
         np.testing.assert_allclose(sol.points, sym.points, rtol=0, atol=1e-12 * scale)
-        assert (report.classification.verdict is st.Verdict.EXISTS_STABLE) == (
-            sol.stable
-        )
+        if not on_kink:
+            assert (verdict is st.Verdict.EXISTS_STABLE) == sol.stable
     assert solved > 50
 
 
@@ -514,6 +515,23 @@ def test_zero_tol_reaches_the_cycle_solve(tmp_path, capsys):
     ):
         assert main(argv + ["--n", "3", "--zero-tol", "1e-3"]) == 0
         assert "sequence: RL0" in capsys.readouterr().out.splitlines()
+
+
+def test_local_cycle_analysis_needs_n_of_at_least_3(tmp_path, capsys):
+    # classify's region tests are defined for n >= 3, so n = 2 raises
+    # before the cycle is solved, and the CLI reads it as a flag error
+    i = pl.RegionIndex.from_bits((0, 1, 1, 1))
+    j = pl.RegionIndex.from_bits((1, 1, 1, 1))
+    with pytest.raises(ValueError, match="region tests are defined for n >= 3"):
+        pl.local_cycle_analysis(demo_network(), i, j, 2)
+    assert pl.local_cycle_analysis(demo_network(), i, j, 3).solution.sequence == "RLL"
+    path = tmp_path / "net.json"
+    write_config(str(path), demo_network())
+    assert main(["plrnn", "--config", str(path), "--pair", "0111", "1111",
+                 "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: region tests are defined for n >= 3\n"
 
 
 def test_failed_solve_leaves_no_reference_cycle():

@@ -23,7 +23,12 @@ def small_spec(**kw):
 # grid, frozen here as the reference: every verdict of scan and
 # nesting_report, and every bit of classify's details, must equal it.
 # The stability and flip margins are 1 + P d and -1 - P d, with P d the
-# cycle's x multiplier.
+# cycle's x multiplier. The curve distance is the cycle's last point in
+# units of mu_hat: the closed form x_n = mu_hat (S_(n-1) + a^(n-2) d) /
+# (1 - a^(n-1) d), with S_(n-1) = -bound a^(n-2) and 1 - a^(n-1) d =
+# a^(n-2) (a - bound + a (bound - d)), is -mu_hat (bound - d) /
+# (a - bound + a (bound - d)), and to first order in bound - d it is
+# -mu_hat (bound - d) / (a - bound).
 def _reference_margins(a, d, n):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         power = a * 0.0 + 1.0
@@ -39,7 +44,7 @@ def _reference_margins(a, d, n):
         return {
             "slope_sign_margin": a,
             "existence_margin": bound - d,
-            "curve_distance": abs(d - bound),
+            "curve_distance": abs((bound - d) * (1.0 / (a - bound))),
             "stability_lower_margin": 1.0 + power * d,
             "nband_cubic_margin": -cubic,
             "nband_quadratic_margin": -quad,
@@ -262,8 +267,9 @@ def test_classify_matches_one_cell_scan_at_extremes():
     # details that are the kernel's own quantities, read from its tuple
     own = {
         "existence_margin": lambda m: m[0],
-        "stability_lower_margin": lambda m: 1.0 + m[1],
-        "twonband_cubic_margin": lambda m: m[2],
+        "curve_distance": lambda m: abs(m[1]),
+        "stability_lower_margin": lambda m: 1.0 + m[2],
+        "twonband_cubic_margin": lambda m: m[3],
     }
     for n in spec.n_list:
         margins = _reference_margins(AA, DD, n)

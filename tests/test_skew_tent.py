@@ -261,10 +261,13 @@ def test_on_bifurcation_curve_tolerance():
     assert st.on_bifurcation_curve(0.4, -3.5, 3, tol=1e-9)
     assert st.on_bifurcation_curve(0.4, -3.5 + 0.9e-9, 3, tol=1e-9)
     assert not st.on_bifurcation_curve(0.4, -3.5 + 1e-6, 3, tol=1e-9)
-    # |bound - d| <= tol is closed at both ends: tol is the exact distance
+    # curve_distance <= tol is closed at both ends: tol is the distance
+    # itself, the last point |x_3| / mu_hat = |bound - d| / (a - bound)
+    # to first order, here 1e-9 / 3.9
     bound = float(st.existence_bound(0.4, 3))
     for d in (bound + 1e-9, bound - 1e-9):
-        tol = abs(d - bound)
+        tol = st.classify(0.4, d, 3).details["curve_distance"]
+        assert tol == pytest.approx(1e-9 / 3.9, rel=1e-6)
         assert st.on_bifurcation_curve(0.4, d, 3, tol=tol)
         assert not st.on_bifurcation_curve(0.4, d, 3, tol=math.nextafter(tol, 0.0))
     # a NaN tol fails every curve test, so it would drop the verdict silently
@@ -363,8 +366,12 @@ def test_li_yorke_chaos_flag():
 
 
 def test_tolerances_scale_with_offset():
-    assert st.zero_tolerance(0.5) == 1e-9
+    # the kink tolerance is DEFAULT_CURVE_TOL in units of |mu_hat|, with
+    # no floor; the residual tolerance keeps its floor of 1e-8
+    assert st.zero_tolerance(0.5) == 5e-10
     assert st.zero_tolerance(10.0) == 1e-8
+    assert st.zero_tolerance(-10.0) == 1e-8
+    assert st.zero_tolerance(0.0) == 0.0
     assert st.verify_tolerance(0.5) == 1e-8
     assert st.verify_tolerance(-10.0) == 1e-7
 
@@ -387,7 +394,9 @@ def test_classify_emits_no_warnings():
         warnings.simplefilter("error")
         # a^(2(n-1)) d^3 overflows, or a^(n-1) underflows
         assert st.classify(1e200, -1.0, 3).verdict is st.Verdict.ON_BIFURCATION_CURVE
-        assert st.classify(1e200, -2.0, 3).verdict is st.Verdict.EXISTS_UNSTABLE
+        # the last point is mu_hat (1 - a) / (1 + 2 a^2), about -5e-201
+        # mu_hat, so on the kink
+        assert st.classify(1e200, -2.0, 3).verdict is st.Verdict.ON_BIFURCATION_CURVE
         assert st.classify(1e-200, -1e300, 30).verdict is st.Verdict.OUTSIDE_REGION
         assert st.classify(0.0, -4.0, 3).verdict is st.Verdict.OUTSIDE_REGION
         assert st.existence_bound(0.0, 3) == -np.inf
