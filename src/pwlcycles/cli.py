@@ -183,13 +183,11 @@ def _cmd_scan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     system = _read_system(args, "canonical")
-    z0 = None
-    if args.x0 is not None:
-        z0 = [args.x0] + [0.0] * system.m
+    z0 = None if args.x0 is None else [args.x0] + [0.0] * system.m
     try:
         orbit = trajectory(system, steps=args.steps, transient=args.transient, z0=z0)
     except DivergenceError as err:
-        print(f"diverged at step {err.step}")
+        print(f"diverged at step {err.step} (threshold {err.threshold!r})")
         if args.emit_csv:
             _write_lines(args.emit_csv, _state_lines("t", system.m, ()))
         return 0

@@ -67,14 +67,19 @@ class EigenvalueOneError(PwlcyclesError):
 
 
 class DivergenceError(PwlcyclesError):
-    """An orbit coordinate exceeded the divergence threshold."""
+    """An orbit coordinate exceeded the divergence threshold.
+
+    threshold is the absolute bound the state crossed: the simulator's
+    DIVERGENCE_THRESHOLD times the run's scale.
+    """
 
     exit_code = 3
 
-    def __init__(self, step: int, state):
+    def __init__(self, step: int, state, threshold: float):
         self.step = int(step)
         self.state = state
-        super().__init__(f"orbit diverged at step {step}")
+        self.threshold = float(threshold)
+        super().__init__(f"orbit diverged at step {step}: |state| > {self.threshold!r}")
 
 
 class StructureViolationError(PwlcyclesError):

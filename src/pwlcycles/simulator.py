@@ -86,7 +86,9 @@ class Orbit:
 class DetectedCycle:
     """A numerically detected periodic attractor.
 
-    points has shape (period, m + 1).
+    points has shape (period, m + 1). tol_used is the absolute tolerance
+    detect_cycle applied: its relative tol times the largest |value| it
+    compared.
     """
 
     period: int
@@ -108,7 +110,6 @@ def trajectory(
     steps: int = DEFAULT_STEPS,
     transient: int = DEFAULT_TRANSIENT,
     z0=None,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> Orbit:
     """Iterate the canonical map and record states transient..steps-1.
 
@@ -121,10 +122,14 @@ def trajectory(
     The block ends come first, straight from the x values; the states
     inside a block are formed only where they are recorded, or where a
     norm bound does not keep them inside the threshold. m = 0 simply
-    has no Y. Raises DivergenceError (carrying the application count
-    and the offending state) at the first step where any coordinate
-    exceeds divergence_threshold, which must be a finite positive
-    number. The returned Orbit carries sys.mu_hat for itinerary.
+    has no Y. Raises DivergenceError (carrying the application count,
+    the offending state and the threshold) at the first step where any
+    coordinate exceeds DIVERGENCE_THRESHOLD times the run's scale,
+    max(|mu_hat|, max|h_Y|, max|z0|): scaling mu_hat, h_Y and z0 by a
+    power of two scales every state, and the threshold, by it. The
+    threshold is capped at the largest float, so an orbit that
+    overflows still crosses it. The returned Orbit carries sys.mu_hat
+    for itinerary.
     """
     steps, transient = _run_window(steps, transient)
     m = sys.m
@@ -137,20 +142,27 @@ def trajectory(
             raise ValueError(f"z0 must have shape ({m + 1},)")
         if not np.all(np.isfinite(z0)):
             raise ValueError("z0 must be finite")
-    _require_tol(divergence_threshold, "divergence_threshold")
+    threshold = _divergence_threshold(sys.mu_hat, *sys.h_Y, *z0)
 
     out = np.empty((steps - transient, m + 1))
     xs = np.empty(steps)  # Y is driven by every x from step 0
-    hit = _x_orbit(sys, float(z0[0]), xs, divergence_threshold)
+    hit = _x_orbit(sys, float(z0[0]), xs, threshold)
     y = z0[1:]
     if m > 0:
         last = steps - 1 if hit is None else hit[0]
-        y = _y_orbit(sys, xs, y, last, transient, out[:, 1:],
-                     divergence_threshold)
+        y = _y_orbit(sys, xs, y, last, transient, out[:, 1:], threshold)
     if hit is not None:
-        raise DivergenceError(hit[0], np.concatenate(([hit[1]], y)))
+        raise DivergenceError(hit[0], np.concatenate(([hit[1]], y)), threshold)
     out[:, 0] = xs[transient:]
     return Orbit(states=out, transient=transient, mu_hat=sys.mu_hat)
+
+
+def _divergence_threshold(*scales):
+    """DIVERGENCE_THRESHOLD times the run's scale, the largest |scale|,
+    capped at the largest float, the one below inf, so that an orbit
+    that overflows to inf still crosses it."""
+    scale = float(max(map(abs, scales)))
+    return min(DIVERGENCE_THRESHOLD * scale, math.nextafter(math.inf, 0.0))
 
 
 def _x_orbit(sys, x, rec, threshold):
@@ -304,9 +316,8 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
                     over = np.abs(blk[:cnt]).max(axis=1) > threshold
                     if over.any():
                         j = int(over.argmax())
-                        raise DivergenceError(
-                            k + j, np.concatenate(([xs[k + j]], blk[j]))
-                        )
+                        raise DivergenceError(k + j, np.concatenate(
+                            ([xs[k + j]], blk[j])), threshold)
                 lo = max(k, transient)
                 if lo < k1:
                     rec[lo - transient : k1 - transient] = blk[lo - k : cnt]
@@ -376,16 +387,24 @@ def detect_cycle(
 
     Compares the last p states against the p before them for
     p = 1..max_period and reports the smallest p that matches within
-    tol. Chaotic orbits and periods above max_period yield None.
+    tol. tol is relative, as classify's is: its unit is the largest
+    |value| among the states compared, the last 2 top with
+    top = min(max_period, len(states) // 2), so a cycle scaled by a
+    power of two is found at the same p. tol_used is the absolute
+    tolerance applied. Chaotic orbits, periods above max_period and a
+    compared window that holds inf or NaN yield None.
     """
     max_period = _require_count(max_period, "max_period", 1)
     _require_tol(tol)
     states = orbit.states
     top = min(max_period, states.shape[0] // 2)
+    unit = float(np.abs(states[len(states) - 2 * top :]).max(initial=0.0))
+    if not math.isfinite(unit):
+        return None
+    tol = tol * unit
     # max|states[-1] - states[-1-p]| for p = 1..top rules most p out at
     # once; the full comparison below includes that row
-    with np.errstate(invalid="ignore"):
-        last = np.abs(states[-1 - top : -1][::-1] - states[-1:]).max(axis=1)
+    last = np.abs(states[-1 - top : -1][::-1] - states[-1:]).max(axis=1)
     for p in (np.flatnonzero(last <= tol) + 1).tolist():
         if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
             return DetectedCycle(period=p, points=states[-p:].copy(), tol_used=tol)
@@ -479,13 +498,14 @@ def bifurcation_scan(
     steps: int = DEFAULT_STEPS,
     transient: int = DEFAULT_TRANSIENT,
     x0: float | None = None,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
 ) -> list:
     """Sweep d over an inclusive grid and record the x attractor per value.
 
     Every d value is stepped together as one array, with the same
     arithmetic as trajectory on the 1D system, so each row matches that
-    trajectory bit for bit. x0 defaults to mu_hat / 2.
+    trajectory bit for bit: the divergence threshold is trajectory's,
+    DIVERGENCE_THRESHOLD times the run's scale max(|mu_hat|, |x0|).
+    x0 defaults to mu_hat / 2.
 
     Returns one dict per d with keys 'd', 'xs' (recorded tail values,
     empty when diverged), 'diverged', and 'diverged_at' (application
@@ -506,9 +526,8 @@ def bifurcation_scan(
         raise ValueError("z0 must be finite")
     if not np.all(np.isfinite(ds)):
         raise ValueError("d must be finite")
-    _require_tol(divergence_threshold, "divergence_threshold")
 
-    a, mu = float(a), float(mu_hat)
+    a, mu, threshold = float(a), float(mu_hat), _divergence_threshold(mu_hat, x0)
     out = np.empty((d_steps, steps - transient))
     diverged_at = np.zeros(d_steps, dtype=np.int64)
     x = np.full(d_steps, x0)
@@ -523,7 +542,7 @@ def bifurcation_scan(
                 np.multiply(np.where(x <= 0.0, a, ds), x, out=row)
                 row += mu
                 x = row
-            over = (blk > divergence_threshold) | (blk < -divergence_threshold)
+            over = (blk > threshold) | (blk < -threshold)
             for i in np.flatnonzero(over.any(axis=0)):
                 diverged_at[i] = k0 + int(over[:, i].argmax())
             lo = max(k0, transient)

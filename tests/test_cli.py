@@ -431,8 +431,21 @@ def test_simulate_divergence_is_reported_not_fatal(write_doc, tmp_path, capsys):
                "--emit-csv", str(out)])
     stdout = capsys.readouterr().out
     assert rc == 0
-    assert "diverged at step 26" in stdout
+    # the threshold is 1e12 times the run's scale, max(|mu_hat|, |x0|)
+    assert stdout == "diverged at step 26 (threshold 800000000000.0)\n"
     assert out.read_bytes() == b"t,x\n"
+
+
+@pytest.mark.parametrize("mu_hat", ["1e-9", "1e13"])
+def test_simulate_finds_the_cycle_at_any_scale_of_mu_hat(mu_hat, write_doc, capsys):
+    # the orbit scales with mu_hat, and so do the cycle tolerance and the
+    # divergence threshold: at 1e-9 the whole 3-cycle lies within an
+    # absolute 1e-7, and at 1e13 its points lie beyond an absolute 1e12
+    tent = write_doc(SCALAR_DOC.replace('"mu_hat": 0.8', f'"mu_hat": {mu_hat}'))
+    assert main(["simulate", "--config", tent]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "period: 3" in lines
+    assert "bands: 3" in lines
 
 
 def test_simulate_no_cycle_reported(write_doc, capsys):

@@ -55,7 +55,10 @@ def test_trajectory_divergence():
     with pytest.raises(DivergenceError) as info:
         sim.trajectory(sys, steps=1000, transient=0, z0=[0.4])
     assert info.value.step == 26
-    assert abs(info.value.state[0]) > 1e12
+    # the run's scale is max(|mu_hat|, |x0|) = 0.8
+    assert info.value.threshold == sim.DIVERGENCE_THRESHOLD * 0.8
+    assert abs(info.value.state[0]) > info.value.threshold
+    assert str(info.value).startswith("orbit diverged at step 26")
     # the same divergence, inside an unrecorded transient
     with pytest.raises(DivergenceError) as inside:
         sim.trajectory(sys, steps=1000, transient=500, z0=[0.4])
@@ -81,10 +84,14 @@ def test_detect_cycle_three_cycle_both_methods():
     assert got == pytest.approx(expected, abs=1e-6)
 
 
-def _stepped(sys, z0, steps, threshold=sim.DIVERGENCE_THRESHOLD):
+def _stepped(sys, z0, steps):
     """Oracle: iterate cycle_solver.step, returning the states or the
-    (step, state) at which any coordinate first exceeds the threshold."""
+    (step, state) at which any coordinate first exceeds the run's
+    threshold, DIVERGENCE_THRESHOLD times the largest of |mu_hat|,
+    |h_Y| and |z0|."""
     z = np.asarray(z0, dtype=float)
+    scale = max([abs(sys.mu_hat)] + [abs(v) for v in sys.h_Y] + [abs(v) for v in z])
+    threshold = sim.DIVERGENCE_THRESHOLD * scale
     states = [z]
     for k in range(1, steps):
         z = cs.step(sys, z)
@@ -258,17 +265,21 @@ def test_y_divergence_between_block_ends_in_an_unrecorded_chunk():
 
 
 def test_x_divergence_after_the_first_x_chunk():
-    # x' = 1.001 x + 0.8 crosses 1e12 after about 21k steps, beyond the
-    # first screened chunk of x values; the small drive keeps Y inside
+    # x' = 1.001 x + 0.8 crosses 1e12 (the scale is |h_Y| = 1) after
+    # about 21k steps, beyond the first screened chunk of x values; the
+    # small drive keeps Y inside
     sys = cs.CanonicalSystem(
         0.4, 1.001, [0.1, 0.2], [0.1, 0.2], np.diag([0.4, 0.5]), [1.0, 0.0], 0.8
     )
     step, state = _assert_oracle_divergence(sys, [0.4, 0.0, 0.0], 30_000, 29_999)
     assert step > sim._X_CHUNK
     assert abs(state[0]) > 1e12 and np.max(np.abs(state[1:])) < 1e12
-    # the 1D map alone, recorded from step 0
+    # the 1D map alone, recorded from step 0: its scale is mu_hat = 0.8,
+    # so it crosses 8e11 a little earlier
     tent = tent_system(0.4, 1.001)
-    assert _assert_oracle_divergence(tent, [0.4], 30_000, 0)[0] == step
+    tent_step, tent_state = _assert_oracle_divergence(tent, [0.4], 30_000, 0)
+    assert sim._X_CHUNK < tent_step < step
+    assert abs(tent_state[0]) > 8e11
 
 
 def _x_steps(sys, x, count, threshold):
@@ -482,32 +493,15 @@ def test_simulator_tolerances_must_be_finite(bad):
             sim.itinerary(orbit, zero_tol=tol)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_divergence_threshold_must_be_finite_positive(bad):
-    # a NaN or infinite threshold is never exceeded, so these diverging
-    # orbits came back as bounded ones full of inf
-    match = "divergence_threshold must be a finite positive number"
-    block = cs.CanonicalSystem(0.4, -4.0, [1.0], [0.5], [[1.5]], [1.0], 0.8)
-    for system, z0 in ((tent_system(0.4, 3.0), [0.4]), (block, None)):
-        with pytest.raises(ValueError, match=match):
-            sim.trajectory(system, steps=2000, transient=0, z0=z0,
-                           divergence_threshold=bad)
-    with pytest.raises(ValueError, match=match):
-        sim.bifurcation_scan(a=0.4, mu_hat=0.8, d_min=3.0, d_max=3.0, d_steps=1,
-                             steps=1000, transient=0, x0=0.4,
-                             divergence_threshold=bad)
-    # the older checks still come first
-    with pytest.raises(ValueError, match="steps must be >= 1"):
-        sim.trajectory(block, steps=0, divergence_threshold=bad)
-    with pytest.raises(ValueError, match="d must be finite"):
-        sim.bifurcation_scan(a=0.4, mu_hat=0.8, d_min=-math.inf, d_max=3.0,
-                             d_steps=2, divergence_threshold=bad)
-
-
 def _detect_cycle_loop(orbit, max_period, tol):
     """Reference: compare the last p states with the p before them for
-    each p in turn."""
+    each p in turn, within tol times the largest |value| of the last
+    2 min(max_period, rows // 2) states; None when those hold inf or NaN."""
     states = orbit.states
+    window = states[states.shape[0] - 2 * min(max_period, states.shape[0] // 2):]
+    if not np.isfinite(window).all():
+        return None
+    tol = tol * max((abs(v) for v in window.ravel().tolist()), default=0.0)
     for p in range(1, max_period + 1):
         if 2 * p > states.shape[0]:
             break
@@ -859,6 +853,86 @@ def test_bifurcation_scan_validation(kwargs, message):
     args.update(kwargs)
     with pytest.raises(ValueError, match=message):
         sim.bifurcation_scan(**args)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _run(sys, z0, steps, transient):
+    """trajectory's orbit, or its DivergenceError."""
+    try:
+        return sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+    except DivergenceError as err:
+        return err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hs.integers(0, 3), hs.integers(-60, 60), hs.integers(0, 2**32 - 1))
+def test_simulator_is_covariant_under_power_of_two_scaling(m, k, seed):
+    # scaling mu_hat, h_Y and z0 by lam = 2^k scales every state by lam
+    # without rounding, so every threshold on a state must scale with
+    # the run: the same crossing or cycle, period, bands and letters
+    rng = np.random.default_rng(seed)
+    lam = 2.0**k
+    a = float(rng.uniform(0.05, 0.95))
+    # mostly cycles and chaos; d > 1 and a growing block diverge
+    d = float(rng.uniform(-8.0, -0.5) if rng.random() < 0.8 else rng.uniform(0.9, 1.2))
+    radius = float(rng.uniform(0.3, 1.1))
+    A = _dense_block(rng, m, radius) if m else np.zeros((0, 0))
+    b, e, h = (rng.uniform(-1, 1, m) for _ in range(3))
+    mu = float(rng.uniform(0.2, 1.5))
+    z0 = np.append(rng.uniform(-1.0, 1.5), rng.uniform(-1, 1, m))
+    steps, transient = int(rng.integers(50, 1500)), int(rng.integers(0, 40))
+    base = _run(cs.CanonicalSystem(a, d, b, e, A, h, mu), z0, steps, transient)
+    scaled = _run(cs.CanonicalSystem(a, d, b, e, A, lam * h, lam * mu),
+                  lam * z0, steps, transient)
+    assert type(scaled) is type(base)
+    if isinstance(base, DivergenceError):
+        assert scaled.step == base.step
+        assert _bits(scaled.state) == _bits(lam * base.state)
+        assert scaled.threshold == lam * base.threshold
+    else:
+        assert _bits(scaled.states) == _bits(lam * base.states)
+        want, got = sim.detect_cycle(base), sim.detect_cycle(scaled)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.period == want.period
+            assert got.tol_used == lam * want.tol_used
+        assert sim.band_count(scaled) == sim.band_count(base)
+        assert sim.itinerary(scaled) == sim.itinerary(base)
+    sweep = dict(d_min=-8.0, d_max=1.2, d_steps=9, steps=steps, transient=transient)
+    rows = sim.bifurcation_scan(a, mu, x0=z0[0], **sweep)
+    scaled_rows = sim.bifurcation_scan(a, lam * mu, x0=lam * z0[0], **sweep)
+    for row, got in zip(rows, scaled_rows, strict=True):
+        assert got["diverged_at"] == row["diverged_at"]
+        assert _bits(got["xs"]) == _bits(lam * row["xs"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detect_cycle_window_holding_a_non_finite_value_finds_no_cycle(bad):
+    # an infinite unit would let every finite comparison pass; the
+    # window is the last 2 * 64 of the 300 states
+    orbit = sim.trajectory(tent_system(0.4, -4.0), steps=400, transient=100)
+    assert sim.detect_cycle(orbit).period == 3
+    for row, found in ((-1, False), (-128, False), (-129, True), (0, True)):
+        states = orbit.states.copy()
+        states[row, 0] = bad
+        cycle = sim.detect_cycle(sim.Orbit(states=states, transient=0))
+        assert (cycle is not None) == found, row
+        if found:
+            assert cycle.period == 3
+
+
+def test_divergence_threshold_is_capped_at_the_largest_float():
+    # mu_hat = 1e300: 1e12 times the scale overflows, and the orbit runs
+    # to inf, which must still cross the threshold
+    with pytest.raises(DivergenceError) as info:
+        sim.trajectory(tent_system(0.4, 3.0, 1e300), steps=100, transient=0)
+    assert info.value.threshold == np.finfo(float).max
+    assert info.value.state[0] == math.inf
+    rows = sim.bifurcation_scan(0.4, 1e300, 3.0, 3.0, 1, steps=100, transient=0)
+    assert rows[0]["diverged_at"] == info.value.step
 
 
 def _count_calls():
