@@ -14,6 +14,11 @@ import numpy as np
 
 from .skew_tent import (
     DEFAULT_CURVE_TOL,
+    _CURVE,
+    _EXISTS,
+    _NBAND,
+    _STABLE,
+    _TWONBAND,
     _VERDICT_OF_FLAGS,
     _bound,
     _flags,
@@ -35,9 +40,9 @@ __all__ = [
 ]
 
 _VERDICT_NAMES = np.array([v.value for v in _VERDICT_OF_FLAGS], dtype=object)
-# scan runs the region kernel on tiles of whole a rows of about this many
-# cells, so one tile's margins stay in cache while its flags are read
-_TILE_CELLS = 1 << 15
+# |fl(margin)| above this multiple of the sum of its absolute terms fixes
+# the sign of the kernel's band margins (see scan)
+_BAND_FILTER = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -114,35 +119,256 @@ def _oriented_axes(spec: GridSpec):
     return a, d
 
 
+def _existence_counts(slopes, bound, other):
+    """The existence cells of each line of constant slope, counted.
+
+    A cell exists where the slope is positive and fl(bound - x) > 0 for
+    its other coordinate x. That holds exactly when bound > x: x is a
+    finite centre, so for a finite bound the rounded difference is zero
+    only when bound == x and otherwise keeps its sign, and bound = +-inf
+    keeps the test exact. The centres never decrease, so each line's
+    existence cells are a prefix of the other axis, counted by one
+    searchsorted; a slope <= 0 or a NaN bound counts none.
+    """
+    return np.where((slopes > 0) & ~np.isnan(bound), np.searchsorted(other, bound), 0)
+
+
+def _first(test, guess, size):
+    """The first cell of each line at which test(lines, cells) holds, or
+    size where it never does, for a test that fails and then holds
+    along every line, from a guessed cell in [0, size] per line.
+
+    A guessed cell is kept where the test holds on it and fails on the
+    cell before; the other lines are bisected on the side those two
+    cells point to, so a poor guess costs time, never a wrong cell.
+    """
+    k = guess
+    holds = (k == size) | test(slice(None), np.minimum(k, size - 1))
+    before = (k > 0) & test(slice(None), np.maximum(k - 1, 0))
+    low = np.where(holds, np.where(before, 0, k), k + 1)
+    high = np.where(holds, np.where(before, k - 1, k), size)
+    while (open_ := np.flatnonzero(low < high)).size:
+        mid = (low[open_] + high[open_]) // 2
+        at = test(open_, mid)
+        high[open_] = np.where(at, mid, high[open_])
+        low[open_] = np.where(at, low[open_], mid + 1)
+    return low
+
+
+def _window(margin, guess, end):
+    """The cells [low, high) of each line, around the guessed cell, that
+    the filter leaves uncertain, for a margin that rises along the cells
+    below end: certainly negative on [0, low), positive on [high, end).
+
+    From the guess the search walks down to a cell certified negative
+    and up to one certified positive, in steps that double, and stops
+    at -1 or end where there is none; margin(lines, cells) gives the
+    value and the rounded sum of its absolute terms.
+    """
+    k = np.minimum(guess, end)
+    count = k.size
+    cell = np.concatenate([k - 1, k])
+    stop = np.concatenate([np.full_like(k, -1), end])
+    side = np.repeat([-1, 1], count)
+    lines = np.flatnonzero(cell != stop)
+    step = 1
+    while lines.size:
+        value, scale = margin(lines % count, cell[lines])
+        lines = lines[~(side[lines] * value > _BAND_FILTER * scale)]
+        left = side[lines] * (stop[lines] - cell[lines]) - step
+        cell[lines] = stop[lines] - side[lines] * np.maximum(left, 0)
+        lines = lines[cell[lines] != stop[lines]]
+        step *= 2
+    return cell[:count] + 1, cell[count:]
+
+
+def _bands(a, p, pp, d):
+    """The region kernel's band cubic and quadratic at slope a, P = p,
+    PP = pp and offset d, with the kernel's bits, and the rounded sums
+    of their absolute terms on d < 0."""
+    d2 = d * d
+    t = pp * (d2 * d)
+    cubic = t + a
+    cubic -= d
+    w = p * d2
+    quad = w + d
+    quad -= a
+    return cubic, quad, (a - t) - d, (w - d) + a
+
+
+def _cells(starts, ends):
+    """(line, cell) of every cell in [starts, ends) of each line."""
+    counts = ends - starts
+    lines = np.repeat(np.arange(counts.size), counts)
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return lines, np.arange(lines.size) + offsets
+
+
+def _runs(slopes, d, n_list, tol):
+    """The verdict runs of every line, for the ascending kernel offsets d.
+
+    A line is one n of n_list and one kernel slope a, n outermost; along
+    it each region boundary is a breakpoint, found from an approximate
+    threshold and fixed by evaluating the kernel's own expression on the
+    cells around it. The line constants bound, r = 1 / (a - bound),
+    P = a^(n-1) and PP = fl(P P) come from the kernel's chain, so every
+    expression below has the kernel's operands and bits.
+
+    - Existence is the prefix d < bound (_existence_counts).
+    - Stability fl(P d) > -1 and the flip fl(P d) < -1 are a suffix and
+      a prefix, and the curve test |fl(fl(bound - d) r)| <= tol is one
+      run: P > 0 and r > 0, so each rounded value is monotone in d,
+      because rounding is monotone. _first finds each end exactly on any
+      grid, one ulp apart or with equal centres.
+    - The bands matter only where the cycle exists and is not stable,
+      the prefix of cells below min(existence end, stability start).
+      There d < bound <= -1 (the rounded S_(n-1) is at least a^(n-2))
+      and fl(P d) <= -1, so P |d| >= 1 - 2^-54, the exact cubic
+      c(d) = PP d^3 + a - d rises with d (c' = 3 PP d^2 - 1 > 0, as
+      PP >= 2 P^2 / 3 even where PP is subnormal) and the exact
+      quadratic q(d) = P d^2 + d - a falls (q' = 2 P d + 1 < 0). With
+      |d| > 1 and P d^2 >= |d|, no product underflows, so the kernel's
+      float cubic is within B = gamma_5 (PP |d|^3 + a + |d|) of c
+      (gamma_k = k u / (1 - k u), u = 2^-53; Higham, Accuracy and
+      Stability, section 3.1) unless it overflows, and c + B and c - B
+      rise too, with slopes 3 PP d^2 (1 -+ gamma_5) - (1 +- gamma_5).
+      _BAND_FILTER times the rounded sum of the absolute terms is at
+      least 2 B, so a cell whose |fl(c)| exceeds it has c + B < 0 (or
+      c - B > 0), and every cell below it (above it) has fl(c) < 0
+      (fl(c) > 0). An overflow, which only the larger |d| below a cell
+      can bring, gives the cubic -inf, the sign claimed. The quadratic
+      is the same with gamma_4, the sides swapped and +inf. From the
+      roots' approximate cells, _window walks out to the nearest
+      certified cells, and only the cells between them, usually none,
+      run the kernel's expressions (_bands), so fl(c) may change sign
+      more than once between them.
+    - Lines the argument does not cover are left to the kernel: a <= 0,
+      and PP zero or not finite. Where a > 0 and PP is finite and
+      positive, so is P, bound <= -1 is finite, and 0 < r < 1.
+
+    Returns the region flags and the length of each line's runs, each
+    of shape (9, lines), the flags read at each run's first cell; the
+    uncertain cells as (line, cell, flags) arrays, whose flags replace
+    those of their runs; and the mask of the lines left to the kernel.
+    """
+    size = d.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound, power = (
+            np.concatenate(v) for v in zip(*(_bound(slopes, n) for n in n_list))
+        )
+        a = np.tile(slopes, len(n_list))
+        p = power * a
+        pp = p * p
+        r = 1.0 / (a - bound)
+        kernel = ~((a > 0) & (pp > 0) & np.isfinite(pp))
+        fast = np.flatnonzero(~kernel)
+        A, B, P, PP, R = (v[fast] for v in (a, bound, p, pp, r))
+        E = _existence_counts(A, B, d)
+        count = fast.size
+
+        # F, S, C0, C1: the first cells with fl(P d) >= -1 and > -1, and
+        # with -kink = fl(fl(d - bound) r) >= -tol and > tol, read as
+        # >= the next float up; each is fl((d - Z) W) >= T
+        Z = np.concatenate([np.zeros(2 * count), B, B])
+        W = np.concatenate([P, P, R, R])
+        T = np.repeat(
+            [-1.0, np.nextafter(-1.0, 0.0), -tol, np.nextafter(tol, np.inf)], count
+        )
+        F, S, C0, C1 = _first(
+            lambda i, j: (d[j] - Z[i]) * W[i] >= T[i],
+            np.searchsorted(d, Z + T / W),
+            size,
+        ).reshape(4, count)
+
+        def bands(line, j):
+            return _bands(A[line], P[line], PP[line], d[j])
+
+        def rising(i, j):
+            # the cubic of each fast line, then its quadratic negated
+            cubic, quad, cubic_sum, quad_sum = bands(i % count, j)
+            is_cubic = i < count
+            return (
+                np.where(is_cubic, cubic, -quad),
+                np.where(is_cubic, cubic_sum, quad_sum),
+            )
+
+        # the roots in |d|: P |d| = y solves y^3 - y - a P = 0 (PP = P^2
+        # to rounding), whose largest root Viete's trigonometric form
+        # gives for z = a P sqrt(27) / 2 <= 1 and its hyperbolic form
+        # above; the quadratic's from its formula
+        z = A * P * (27.0**0.5 / 2.0)
+        y = np.where(
+            z <= 1.0,
+            np.cos(np.arccos(np.minimum(z, 1.0)) / 3.0),
+            np.cosh(np.arccosh(np.maximum(z, 1.0)) / 3.0),
+        )
+        roots = np.concatenate([y * (2.0 / 3.0**0.5), 0.5 + np.sqrt(0.25 + P * A)])
+        roots /= np.tile(P, 2)
+        U = np.minimum(E, S)
+        low, high = _window(rising, np.searchsorted(d, -roots), np.tile(U, 2))
+        # cubic < 0 below K0 and > 0 from K1; quad < 0 from Q1
+        K0, Q0 = low.reshape(2, count)
+        K1, Q1 = high.reshape(2, count)
+
+        breaks = np.zeros((8, a.size), np.intp)
+        breaks[:, fast] = E, S, F, C0, C1, K0, K1, Q1
+        e, s, f, c0, c1, k0, k1, q1 = breaks
+        ends = np.sort(breaks, axis=0)
+        starts = np.vstack([np.zeros_like(ends[:1]), ends])
+        ends = np.vstack([ends, np.full_like(ends[:1], size)])
+        j = starts
+        exists = j < e
+        flags = _EXISTS * exists
+        flags |= _TWONBAND * (exists & (j < f) & (j >= k1))
+        flags |= _NBAND * (exists & (j < k0) & (j >= q1))
+        flags |= _STABLE * (exists & (j >= s))
+        flags |= _CURVE * ((c0 <= j) & (j < c1))
+
+        line, j = _cells(low, high)
+        line %= count
+        cubic, quad = bands(line, j)[:2]
+        cell_flags = _EXISTS | _TWONBAND * ((j < F[line]) & (cubic > 0))
+        cell_flags |= _NBAND * ((cubic < 0) & (quad < 0))
+        cell_flags |= _CURVE * ((C0[line] <= j) & (j < C1[line]))
+    return flags, ends - starts, (fast[line], j, cell_flags), kernel
+
+
 def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     """Classify every grid cell for every n in spec.n_list.
 
-    Runs skew_tent's region kernel on the grid's axes, which broadcast to
-    the mesh, one tile of whole a rows (about _TILE_CELLS cells) at a
-    time: the operand that carries the a axis is sliced, the kernel's a
-    for mu_sign '+' and its d for '-', so a tile's margins stay in cache
-    and only the uint8 flags of the whole grid are kept, one array per
-    n that _VERDICT_NAMES names once. Every elementwise operation sees
-    the same operands in the same order as on a single point, so every
-    cell gets the margins, bit for bit, and the verdict classify gives
-    at that point.
+    Every verdict is, bit for bit, the one skew_tent's region kernel
+    gives at that cell, and so the one classify gives at that point, but
+    most cells are never evaluated: along each line of one n and one
+    kernel slope (a grid row for mu_sign '+', a column for '-') the
+    verdict changes only at a few breakpoints (_runs). One np.repeat of
+    the run verdicts names the cells of each n; the few cells left
+    uncertain, and the lines _runs leaves to the kernel, are named from
+    their own flags.
     """
     _require_tol(tol)
-    a, d = _oriented_axes(spec)
-    step = max(1, _TILE_CELLS // spec.d_steps)
-    tiles = [
-        (rows, a[rows], d) if spec.mu_sign == "+" else (rows, a, d[rows])
-        for rows in (slice(s, s + step) for s in range(0, spec.a_steps, step))
-    ]
-    cells = {}
-    for n in spec.n_list:
-        flags = np.empty((spec.a_steps, spec.d_steps), np.uint8)
-        for rows, tile_a, tile_d in tiles:
-            flags[rows] = _flags(tile_a, _margins(tile_a, tile_d, n), tol)
-        cells[n] = _VERDICT_NAMES[flags]
-    return RegionGrid(
-        spec=spec, a_values=spec.a_centers(), d_values=spec.d_centers(), cells=cells
+    slopes, d = (axis.ravel() for axis in _oriented_axes(spec))
+    flags, lengths, uncertain, kernel = _runs(slopes, d, spec.n_list, tol)
+    # one array per n, of one line per slope
+    runs = zip(
+        _VERDICT_NAMES[flags.T].reshape(len(spec.n_list), -1),
+        lengths.T.reshape(len(spec.n_list), -1),
     )
+    names = [np.repeat(*run).reshape(slopes.size, d.size) for run in runs]
+    line, j, cell_flags = uncertain
+    n_index, row = np.divmod(line, slopes.size)
+    for k in np.unique(n_index).tolist():
+        at = n_index == k
+        names[k][row[at], j[at]] = _VERDICT_NAMES[cell_flags[at]]
+    for k, (n, rows) in enumerate(zip(spec.n_list, kernel.reshape(-1, slopes.size))):
+        if rows.any():
+            line_a = slopes[rows, None]
+            names[k][rows] = _VERDICT_NAMES[_flags(line_a, _margins(line_a, d, n), tol)]
+    a_values, d_values = (slopes, d) if spec.mu_sign == "+" else (d, slopes)
+    cells = {
+        n: names[k] if spec.mu_sign == "+" else names[k].T
+        for k, n in enumerate(spec.n_list)
+    }
+    return RegionGrid(spec=spec, a_values=a_values, d_values=d_values, cells=cells)
 
 
 def curve_samples(
@@ -176,28 +402,19 @@ def nesting_report(spec: GridSpec) -> dict:
     offending pair, in row-major (a, d) order. An empty violations list
     certifies the nesting on this grid.
 
-    No grid of cells is formed. The kernel's slope axis (a for mu_sign
-    '+', d for '-') fixes the bound b of each line of cells, and the
-    cell exists where the slope is positive and fl(b - x) > 0 for the
-    other coordinate x. That holds exactly when b > x: x is a finite
-    centre, so for a finite b the rounded difference is zero only when
-    b == x and otherwise keeps its sign, and b = +-inf keeps the test
-    exact. The centres never decrease, so each line's existence cells
-    are a prefix of the other axis, counted by one searchsorted; a
-    slope <= 0 or a NaN bound counts none. A violation is a cell
-    between the counts of a pair.
+    No grid of cells is formed. Along each line of the kernel's slope
+    axis (a for mu_sign '+', d for '-') the existence cells are a prefix
+    of the other axis, counted exactly by _existence_counts as scan
+    counts them; a violation is a cell between the counts of a pair.
     """
     ns = sorted(spec.n_list)
     a_values, d_values = spec.a_centers(), spec.d_centers()
     slopes, other = a_values, d_values
     if spec.mu_sign == "-":
         slopes, other = other, slopes
-    counts = {}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in ns:
-            bound = _bound(slopes, n)[0]
-            inside = (slopes > 0) & ~np.isnan(bound)
-            counts[n] = np.where(inside, np.searchsorted(other, bound), 0)
+        bounds = np.array([_bound(slopes, n)[0] for n in ns])
+    counts = dict(zip(ns, _existence_counts(slopes, bounds, other)))
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []
     for n_small, n_large in pairs:

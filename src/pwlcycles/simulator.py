@@ -402,12 +402,15 @@ def detect_cycle(
     if not math.isfinite(unit):
         return None
     tol = tol * unit
-    # max|states[-1] - states[-1-p]| for p = 1..top rules most p out at
-    # once; the full comparison below includes that row
-    last = np.abs(states[-1 - top : -1][::-1] - states[-1:]).max(axis=1)
-    for p in (np.flatnonzero(last <= tol) + 1).tolist():
-        if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
-            return DetectedCycle(period=p, points=states[-p:].copy(), tol_used=tol)
+    # finite states farther apart than the largest float differ by inf,
+    # which no tol matches
+    with np.errstate(over="ignore"):
+        # max|states[-1] - states[-1-p]| for p = 1..top rules most p out
+        # at once; the full comparison below includes that row
+        last = np.abs(states[-1 - top : -1][::-1] - states[-1:]).max(axis=1)
+        for p in (np.flatnonzero(last <= tol) + 1).tolist():
+            if np.max(np.abs(states[-p:] - states[-2 * p : -p])) <= tol:
+                return DetectedCycle(period=p, points=states[-p:].copy(), tol_used=tol)
     return None
 
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pwlcycles import region_atlas as ra
 from pwlcycles import skew_tent as st
@@ -288,8 +290,9 @@ def test_classify_matches_one_cell_scan_at_extremes():
                 )
 
 
-# two tiles of 1000-cell rows, plus one row
-_TILE_PLUS_ONE = 2 * (ra._TILE_CELLS // 1000) + 1
+# blocks of 32,768 cells: two blocks of 1000-cell rows, plus one row
+_TILE_CELLS = 1 << 15
+_TILE_PLUS_ONE = 2 * (_TILE_CELLS // 1000) + 1
 # the point of test_nesting_report_counts_real_violations, and slopes
 # two ulps either side of it: four of the five lie in the n = 10 region
 # and not in the n = 9 one, so violations fill several rows and columns
@@ -306,10 +309,9 @@ AXIS_SPECS = [
     ra.GridSpec(0.01, 3.0, 1, -40.0, -0.01, 57, (3, 4, 9)),
     ra.GridSpec(0.01, 3.0, 57, -40.0, -0.01, 1, (3, 4, 9)),
     ra.GridSpec(-40.0, -0.01, 1, 0.01, 3.0, 57, (3, 4, 9), "-"),
-    # scan's tiles: a row longer than a tile (one row per tile), and one
-    # a row past a whole number of tiles
-    ra.GridSpec(0.01, 3.0, 3, -40.0, -0.01, ra._TILE_CELLS + 3, (3, 9)),
-    ra.GridSpec(-40.0, -0.01, 3, 0.01, 3.0, ra._TILE_CELLS + 3, (3, 9), "-"),
+    # a row longer than a block, and one row past two whole blocks
+    ra.GridSpec(0.01, 3.0, 3, -40.0, -0.01, _TILE_CELLS + 3, (3, 9)),
+    ra.GridSpec(-40.0, -0.01, 3, 0.01, 3.0, _TILE_CELLS + 3, (3, 9), "-"),
     ra.GridSpec(0.01, 3.0, _TILE_PLUS_ONE, -40.0, -0.01, 1000, (3, 4, 9)),
     ra.GridSpec(-40.0, -0.01, _TILE_PLUS_ONE, 0.01, 3.0, 1000, (3, 4, 9), "-"),
     # every centre equal, one ulp inside the n = 10 region and outside
@@ -377,6 +379,105 @@ def test_scan_and_nesting_match_frozen_reference(spec):
         exists[n] = _reference_exists(m)
     assert report == _nesting_reference(spec, exists)
     assert nan_margins == (spec is NAN_SPEC)
+
+
+def _breakpoints(a, n, tol):
+    """Where, along the kernel's d at slope a, a verdict can change for
+    a > 0: the existence bound, -1/P (stability and the flip), both ends
+    of the curve band and the negative roots of the band cubic and
+    quadratic; for a <= 0 the same formulas place grids where a kernel
+    that did not test a > 0 would find runs. The roots come from numpy's
+    companion matrix and two Newton steps, not from scan's guesses."""
+    a = np.float64(a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = st.existence_bound(a, n)
+        p = a ** (n - 1)
+        r = 1.0 / (a - bound)
+        points = [bound, -1.0 / p, bound - tol / r, bound + tol / r]
+        # y = sqrt(pp) |d| solves y^3 - y - a sqrt(pp) = 0
+        pp = p * p
+        s = np.sqrt(pp)
+        if 0.0 < pp < np.inf and np.isfinite(a * s):
+            d = -max(np.roots([1.0, 0.0, -1.0, -a * s]).real) / s
+            for _ in range(2):
+                d -= (pp * d**3 - d + a) / (3.0 * pp * d * d - 1.0)
+            points += [d, (-1.0 - np.sqrt(1.0 + 4.0 * p * a)) / (2.0 * p)]
+    return [float(x) for x in points if np.isfinite(x)]
+
+
+@hs.composite
+def _ulp_grid(draw):
+    """A grid of one or two cycle lengths whose kernel slopes lie a few
+    ulps apart and whose kernel d axis spans a few dozen ulps around one
+    breakpoint of the first slope, for either mu_sign; slopes of either
+    sign, moderate in three draws of four, else with powers that may
+    over- or underflow."""
+    ns = draw(hs.lists(hs.sampled_from([3, 4, 5, 9, 17, 30]), min_size=1,
+                       max_size=2, unique=True))
+    tol = draw(hs.sampled_from([st.DEFAULT_CURVE_TOL, 1e-15, 1e-3]))
+    if draw(hs.integers(0, 3)):
+        a = draw(hs.floats(0.05, 3.0))
+    else:
+        a = 10.0 ** draw(hs.floats(-200.0, 200.0))
+    if draw(hs.integers(0, 5)) == 0:
+        a = -a
+    points = _breakpoints(a, ns[0], tol) or [-1.0]
+    x = draw(hs.sampled_from(points))
+    ulp_a, ulp_d = np.spacing(abs(a)), np.spacing(abs(x))
+    a_max = a + draw(hs.integers(0, 4)) * ulp_a
+    d_min = x - draw(hs.integers(0, 40)) * ulp_d
+    d_max = x + draw(hs.integers(0, 40)) * ulp_d
+    slopes = (a, a_max, draw(hs.integers(1, 3)))
+    offsets = (d_min, d_max, draw(hs.integers(1, 60)))
+    mu_sign = draw(hs.sampled_from("+-"))
+    if mu_sign == "-":
+        slopes, offsets = offsets, slopes
+    return ra.GridSpec(*slopes, *offsets, tuple(ns), mu_sign), tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_ulp_grid())
+def test_scan_matches_the_kernel_on_ulp_grids_around_breakpoints(case):
+    # scan finds each line's runs from approximate thresholds; on grids a
+    # few ulps apart the guess, the filter and the cells it leaves
+    # uncertain must still give the kernel's verdict on every cell
+    spec, tol = case
+    AA, DD = _oriented_mesh(spec)
+    grid = ra.scan(spec, tol=tol)
+    for n in spec.n_list:
+        expected = ra._VERDICT_NAMES[st._flags(AA, st._margins(AA, DD, n), tol)]
+        assert np.array_equal(grid.cells[n], expected), n
+
+
+def test_band_filter_certifies_no_cell_a_neighbour_contradicts():
+    # on these consecutive floats around a root of the band quadratic,
+    # inside the band prefix, the kernel's -quad changes sign more than
+    # once; from any guessed cell, _window must leave every sign change
+    # inside its uncertain cells
+    a, n, root = np.float64(0.5535644788087806), 3, -3.7456369747930536
+    d = root + np.arange(-40, 41) * np.spacing(-root)
+    bound, power = st._bound(a, n)
+    p = power * a
+    assert d.max() < bound and (p * d <= -1.0).all()
+    rising = -st._margins(a, d, n)[4]
+    assert (np.diff(np.sign(rising)) < 0).any()
+    size = np.array([d.size])
+
+    def margin(lines, cells):
+        _, quad, _, quad_sum = ra._bands(a, p, p * p, d[cells])
+        return -quad, quad_sum
+
+    for guess in range(d.size + 1):
+        low, high = ra._window(margin, np.array([guess]), size)
+        assert (rising[: low[0]] < 0).all() and (rising[high[0] :] > 0).all(), guess
+    # so classify reads NBandChaos one float below the root, and
+    # ExistsUnstable on it; the even and the odd floats, as two grids,
+    # show scan reading the same
+    ulp = np.spacing(-root)
+    for first in (-41, -40):
+        spec = ra.GridSpec(a, a, 1, root + first * ulp, root + (first + 80) * ulp, 40, (n,))
+        cells = ra.scan(spec).cells[n][0]
+        assert [st.classify(a, x, n).verdict.value for x in spec.d_centers()] == list(cells)
 
 
 def test_ulp_grids_are_nesting_violations():

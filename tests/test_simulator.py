@@ -924,6 +924,15 @@ def test_detect_cycle_window_holding_a_non_finite_value_finds_no_cycle(bad):
             assert cycle.period == 3
 
 
+def test_detect_cycle_of_states_farther_apart_than_the_largest_float():
+    # 1e308 - (-1e308) overflows to inf, which rules period 1 out; the
+    # pytest settings make the overflow warning an error
+    states = np.array([[1e308], [-1e308], [1e308], [-1e308]])
+    cycle = sim.detect_cycle(sim.Orbit(states=states, transient=0))
+    assert cycle.period == 2
+    assert cycle.points.tolist() == [[1e308], [-1e308]]
+
+
 def test_divergence_threshold_is_capped_at_the_largest_float():
     # mu_hat = 1e300: 1e12 times the scale overflows, and the orbit runs
     # to inf, which must still cross the threshold
