@@ -168,14 +168,19 @@ def _cmd_scan(args) -> int:
     a_reprs = [repr(v) for v in grid.a_values.tolist()]
     d_reprs = [repr(v) for v in grid.d_values.tolist()]
 
+    names = np.array(grid.VERDICTS, dtype=object)
+    cols = np.arange(len(d_reprs))
+
     def _lines():
-        # numpy appends each verdict of an a-row to its ",d,n," text, so
-        # only one row of text is alive at a time, and each a-row is one write
+        # numpy appends each verdict name to each ",d,n," text once per n,
+        # and each a-row picks its texts by verdict code, so only one row
+        # of text is alive at a time, and each a-row is one write
         yield "a,d,n,verdict\n"
         for n in spec.n_list:
             tails = np.array([f",{d},{n}," for d in d_reprs], dtype=object)
-            for a, verdicts in zip(a_reprs, grid.cells[n]):
-                yield a + ("\n" + a).join((tails + verdicts).tolist()) + "\n"
+            table = tails + names[:, None]
+            for a, codes in zip(a_reprs, grid.codes[n]):
+                yield a + ("\n" + a).join(table[codes, cols].tolist()) + "\n"
 
     _write_lines(args.out, _lines())
     return 0

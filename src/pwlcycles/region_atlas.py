@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .skew_tent import (
     DEFAULT_CURVE_TOL,
+    _CODE_OF_FLAGS,
     _CURVE,
     _EXISTS,
     _NBAND,
     _STABLE,
     _TWONBAND,
-    _VERDICT_OF_FLAGS,
+    _VERDICTS,
     _bound,
     _flags,
     _margins,
@@ -39,7 +42,6 @@ __all__ = [
     "nesting_report",
 ]
 
-_VERDICT_NAMES = np.array([v.value for v in _VERDICT_OF_FLAGS], dtype=object)
 # |fl(margin)| above this multiple of the sum of its absolute terms fixes
 # the sign of the kernel's band margins (see scan)
 _BAND_FILTER = 2.0**-48
@@ -97,13 +99,23 @@ class GridSpec:
 class RegionGrid:
     """Classification verdicts per grid cell and cycle length.
 
-    cells[n][i, j] is the verdict string at (a_values[i], d_values[j]).
+    codes[n][i, j] is the uint8 code of the verdict at (a_values[i],
+    d_values[j]): its index in VERDICTS, the verdict names in rising
+    precedence. cells[n][i, j] is that verdict's name, a str; cells is
+    named from codes on its first read and kept.
     """
+
+    VERDICTS: ClassVar[tuple] = tuple(v.value for v in _VERDICTS)
 
     spec: GridSpec
     a_values: np.ndarray
     d_values: np.ndarray
-    cells: dict = field(default_factory=dict)
+    codes: dict = field(default_factory=dict)
+
+    @cached_property
+    def cells(self) -> dict:
+        names = np.array(self.VERDICTS, dtype=object)
+        return {n: names[codes] for n, codes in self.codes.items()}
 
 
 def _oriented_axes(spec: GridSpec):
@@ -341,34 +353,32 @@ def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     most cells are never evaluated: along each line of one n and one
     kernel slope (a grid row for mu_sign '+', a column for '-') the
     verdict changes only at a few breakpoints (_runs). One np.repeat of
-    the run verdicts names the cells of each n; the few cells left
-    uncertain, and the lines _runs leaves to the kernel, are named from
-    their own flags.
+    the run codes gives the codes of each n's cells; the few cells left
+    uncertain, and the lines _runs leaves to the kernel, are coded from
+    their own flags. No cell is named here: the grid names its cells
+    when they are first read.
     """
     _require_tol(tol)
     slopes, d = (axis.ravel() for axis in _oriented_axes(spec))
     flags, lengths, uncertain, kernel = _runs(slopes, d, spec.n_list, tol)
     # one array per n, of one line per slope
     runs = zip(
-        _VERDICT_NAMES[flags.T].reshape(len(spec.n_list), -1),
+        _CODE_OF_FLAGS[flags.T].reshape(len(spec.n_list), -1),
         lengths.T.reshape(len(spec.n_list), -1),
     )
-    names = [np.repeat(*run).reshape(slopes.size, d.size) for run in runs]
+    codes = [np.repeat(*run).reshape(slopes.size, d.size) for run in runs]
     line, j, cell_flags = uncertain
     n_index, row = np.divmod(line, slopes.size)
     for k in np.unique(n_index).tolist():
         at = n_index == k
-        names[k][row[at], j[at]] = _VERDICT_NAMES[cell_flags[at]]
+        codes[k][row[at], j[at]] = _CODE_OF_FLAGS[cell_flags[at]]
     for k, (n, rows) in enumerate(zip(spec.n_list, kernel.reshape(-1, slopes.size))):
         if rows.any():
             line_a = slopes[rows, None]
-            names[k][rows] = _VERDICT_NAMES[_flags(line_a, _margins(line_a, d, n), tol)]
+            codes[k][rows] = _CODE_OF_FLAGS[_flags(line_a, _margins(line_a, d, n), tol)]
     a_values, d_values = (slopes, d) if spec.mu_sign == "+" else (d, slopes)
-    cells = {
-        n: names[k] if spec.mu_sign == "+" else names[k].T
-        for k, n in enumerate(spec.n_list)
-    }
-    return RegionGrid(spec=spec, a_values=a_values, d_values=d_values, cells=cells)
+    codes = {n: c if spec.mu_sign == "+" else c.T for n, c in zip(spec.n_list, codes)}
+    return RegionGrid(spec=spec, a_values=a_values, d_values=d_values, codes=codes)
 
 
 def curve_samples(

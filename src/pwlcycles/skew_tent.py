@@ -331,7 +331,8 @@ def _margins(a, d, n: int):
 
 
 # Region flags: one bit per verdict above OutsideRegion, in rising
-# precedence, so the highest set bit names the verdict.
+# precedence, so the highest set bit names the verdict: the code of a
+# flag set, its index in _VERDICTS, is flags.bit_length().
 _VERDICTS = (
     Verdict.OUTSIDE_REGION,
     Verdict.EXISTS_UNSTABLE,
@@ -341,7 +342,8 @@ _VERDICTS = (
     Verdict.ON_BIFURCATION_CURVE,
 )
 _EXISTS, _TWONBAND, _NBAND, _STABLE, _CURVE = (np.uint8(1 << k) for k in range(5))
-_VERDICT_OF_FLAGS = tuple(_VERDICTS[flags.bit_length()] for flags in range(32))
+_CODE_OF_FLAGS = np.array([flags.bit_length() for flags in range(32)], np.uint8)
+_VERDICT_OF_FLAGS = tuple(_VERDICTS[code] for code in _CODE_OF_FLAGS)
 # The two bands never overlap: they need opposite signs of one cubic.
 _BANDS = {
     0: BandRegion.NEITHER, _NBAND: BandRegion.NBAND, _TWONBAND: BandRegion.TWO_NBAND

@@ -1,5 +1,6 @@
 """Tests for parameter-plane scanning and region nesting."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -329,10 +330,11 @@ AXIS_IDS = ["atlas", "mirrored", "extreme", "extreme-mirrored", "row", "column",
 NAN_SPEC = ra.GridSpec(-1e200, 1e200, 41, -1e300, 1e300, 43, (3, 9, 30, 200))
 
 
-@pytest.mark.parametrize("spec", AXIS_SPECS, ids=AXIS_IDS)
+@pytest.mark.parametrize("spec", AXIS_SPECS + [NAN_SPEC], ids=AXIS_IDS + ["nan"])
 def test_axis_evaluation_matches_mesh(spec):
     # scan and nesting_report run the kernel on broadcast axes; the full
-    # mesh is the reference, and every margin must agree bit for bit
+    # mesh is the reference, every margin must agree bit for bit, and
+    # every code of scan must be the code of the mesh's flags
     AA, DD = _oriented_mesh(spec)
     a, d = ra._oriented_axes(spec)
     shape = (spec.a_steps, spec.d_steps)
@@ -351,9 +353,9 @@ def test_axis_evaluation_matches_mesh(spec):
                 assert broadcast.tobytes() == value.tobytes(), (k, n)
             flags = st._flags(AA, mesh, st.DEFAULT_CURVE_TOL)
             assert flags.dtype == np.uint8
-            expected = ra._VERDICT_NAMES[flags]
-            assert grid.cells[n].shape == shape
-            assert np.array_equal(grid.cells[n], expected), n
+            codes = grid.codes[n]
+            assert codes.dtype == np.uint8 and codes.shape == shape
+            assert np.array_equal(codes, st._CODE_OF_FLAGS[flags]), n
             exists[n] = st._exists(AA, mesh[0])
     assert report == _nesting_reference(spec, exists)
 
@@ -445,8 +447,8 @@ def test_scan_matches_the_kernel_on_ulp_grids_around_breakpoints(case):
     AA, DD = _oriented_mesh(spec)
     grid = ra.scan(spec, tol=tol)
     for n in spec.n_list:
-        expected = ra._VERDICT_NAMES[st._flags(AA, st._margins(AA, DD, n), tol)]
-        assert np.array_equal(grid.cells[n], expected), n
+        expected = st._CODE_OF_FLAGS[st._flags(AA, st._margins(AA, DD, n), tol)]
+        assert np.array_equal(grid.codes[n], expected), n
 
 
 def test_band_filter_certifies_no_cell_a_neighbour_contradicts():
@@ -499,10 +501,42 @@ def _traced_peak(run):
 
 
 def test_scan_keeps_flags_not_margin_grids():
-    # the verdicts are 8 MB of pointers and the flags 1 MB; the four
-    # float64 margin grids of a whole n would add 32 MB
+    # the codes are 1 MB; named verdicts would be 8 MB of pointers, and
+    # the four float64 margin grids of a whole n 32 MB
     spec = ra.GridSpec(0.01, 3.0, 1000, -40.0, -0.01, 1000, (3,))
-    assert _traced_peak(lambda: ra.scan(spec)) < 16 * 2**20
+    assert _traced_peak(lambda: ra.scan(spec)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("mu_sign", ["+", "-"])
+def test_scan_codes_cells_named_on_first_read(mu_sign):
+    spec = small_spec(n_list=(3, 4, 9))
+    if mu_sign == "-":
+        spec = small_spec(a_min=-40.0, a_max=-0.01, d_min=0.01, d_max=3.0,
+                          n_list=(3, 4, 9), mu_sign="-")
+    grid = ra.scan(spec)
+    assert "cells" not in vars(grid)
+    assert list(grid.codes) == list(spec.n_list)
+    cells = grid.cells
+    assert grid.cells is cells and "cells" in vars(grid)
+    assert list(cells) == list(spec.n_list)
+    for n, codes in grid.codes.items():
+        assert codes.dtype == np.uint8
+        assert codes.shape == cells[n].shape == (spec.a_steps, spec.d_steps)
+        assert cells[n].dtype == object
+        assert all(type(v) is str for v in cells[n].flat)
+        named = [ra.RegionGrid.VERDICTS[k] for k in codes.flat]
+        assert cells[n].ravel().tolist() == named
+    # a code is the highest flag bit set, so the codes list the verdicts
+    # in rising precedence
+    assert st._CODE_OF_FLAGS.tolist() == [f.bit_length() for f in range(32)]
+    assert ra.RegionGrid.VERDICTS == (
+        "OutsideRegion", "ExistsUnstable", "TwoNBandChaos", "NBandChaos",
+        "ExistsStable", "OnBifurcationCurve",
+    )
+    assert "VERDICTS" not in {f.name for f in dataclasses.fields(grid)}
+    for name in ("codes", "cells", "spec", "VERDICTS"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, name, None)
 
 
 @pytest.mark.parametrize("mu_sign", ["+", "-"])
