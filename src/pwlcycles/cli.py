@@ -148,6 +148,8 @@ def _cmd_classify(args) -> int:
 def _cmd_cycle(args) -> int:
     if args.emit and not args.out:
         raise ValueError("--emit requires --out")
+    if args.out is not None and not args.emit:
+        raise ValueError("--out requires --emit")
     system = _read_system(args, "canonical")
     if args.sequence is not None:
         sol = solve_symbolic_cycle(system, args.sequence, zero_tol=args.zero_tol)

@@ -83,30 +83,26 @@ class RegionIndex:
     """
 
     bits: tuple
-    ordinal: int
 
     def __post_init__(self):
         bits = tuple(int(b) for b in self.bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
-        expected = sum(b << i for i, b in enumerate(bits))
-        if self.ordinal != expected:
-            raise ValueError(
-                f"ordinal {self.ordinal} does not match bits {bits} "
-                f"(expected {expected})"
-            )
 
     @classmethod
     def from_bits(cls, bits) -> "RegionIndex":
-        bits = tuple(int(b) for b in bits)
-        return cls(bits=bits, ordinal=sum(b << i for i, b in enumerate(bits)))
+        return cls(bits)
 
     @classmethod
     def from_ordinal(cls, ordinal: int, M: int) -> "RegionIndex":
         if not 0 <= ordinal < 2**M:
             raise ValueError(f"ordinal {ordinal} out of range for M={M}")
-        return cls(bits=tuple((ordinal >> i) & 1 for i in range(M)), ordinal=ordinal)
+        return cls(bits=tuple((ordinal >> i) & 1 for i in range(M)))
+
+    @property
+    def ordinal(self) -> int:
+        return sum(b << i for i, b in enumerate(self.bits))
 
     @property
     def M(self) -> int:

@@ -47,14 +47,13 @@ DEFAULT_MAX_PERIOD = 64
 DEFAULT_CYCLE_TOL = 1e-7
 
 # Divergence is checked once per chunk of about _Y_CHUNK_VALUES values
-# (steps times m) of the Y recurrence, once per chunk of the x loop, or
-# once per block of _SWEEP_BLOCK_VALUES values (steps times d values) of
-# the d sweep. The x chunks double from _X_FIRST_CHUNK steps up to
-# _X_CHUNK, and each is also searched for a repeat of its last x.
+# (steps times m) of the Y recurrence, and once per chunk of the x loop,
+# which trajectory, cobweb_data and each row of the d sweep share. The x
+# chunks double from _X_FIRST_CHUNK steps up to _X_CHUNK, and each is
+# also searched for a repeat of its last x.
 _Y_CHUNK_VALUES = 1 << 14
 _X_FIRST_CHUNK = 1 << 6
 _X_CHUNK = 1 << 12
-_SWEEP_BLOCK_VALUES = 1 << 15
 # A block of K steps of the Y recurrence spans K * m values, at most
 # _Y_BLOCK_WIDTH; _block_powers shortens it by the size and the
 # cancellation of the powers A^1..A^K.
@@ -504,11 +503,11 @@ def bifurcation_scan(
 ) -> list:
     """Sweep d over an inclusive grid and record the x attractor per value.
 
-    Every d value is stepped together as one array, with the same
-    arithmetic as trajectory on the 1D system, so each row matches that
-    trajectory bit for bit: the divergence threshold is trajectory's,
-    DIVERGENCE_THRESHOLD times the run's scale max(|mu_hat|, |x0|).
-    x0 defaults to mu_hat / 2.
+    Each row is trajectory's x orbit on the 1D system: _x_orbit steps it
+    until its float orbit repeats and copies the cycle from there, so it
+    matches that trajectory bit for bit. The divergence threshold is
+    trajectory's, DIVERGENCE_THRESHOLD times the run's scale
+    max(|mu_hat|, |x0|). x0 defaults to mu_hat / 2.
 
     Returns one dict per d with keys 'd', 'xs' (recorded tail values,
     empty when diverged), 'diverged', and 'diverged_at' (application
@@ -518,49 +517,28 @@ def bifurcation_scan(
     completes.
     """
     d_steps = _require_count(d_steps, "d_steps", 1)
-    # a non-finite or overflowing span is reported by the checks below
+    # a non-finite or overflowing span is reported by SkewTentParams
     with np.errstate(invalid="ignore", over="ignore"):
         ds = np.linspace(d_min, d_max, d_steps)
     # the checks and messages of SkewTentParams and trajectory, in their order
-    SkewTentParams(a=a, d=ds[0], mu_hat=mu_hat)
+    maps = [SkewTentParams(a=float(a), d=d, mu_hat=float(mu_hat)) for d in ds.tolist()]
     steps, transient = _run_window(steps, transient)
     x0 = float(mu_hat) / 2.0 if x0 is None else float(x0)
     if not math.isfinite(x0):
         raise ValueError("z0 must be finite")
-    if not np.all(np.isfinite(ds)):
-        raise ValueError("d must be finite")
 
-    a, mu, threshold = float(a), float(mu_hat), _divergence_threshold(mu_hat, x0)
+    threshold = _divergence_threshold(mu_hat, x0)
     out = np.empty((d_steps, steps - transient))
-    diverged_at = np.zeros(d_steps, dtype=np.int64)
-    x = np.full(d_steps, x0)
-    if transient == 0:
-        out[:, 0] = x
-    block = np.empty((max(1, _SWEEP_BLOCK_VALUES // d_steps), d_steps))
-    k0 = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k0 < steps:
-            blk = block[: min(block.shape[0], steps - k0)]
-            for row in blk:
-                np.multiply(np.where(x <= 0.0, a, ds), x, out=row)
-                row += mu
-                x = row
-            over = (blk > threshold) | (blk < -threshold)
-            for i in np.flatnonzero(over.any(axis=0)):
-                diverged_at[i] = k0 + int(over[:, i].argmax())
-            lo = max(k0, transient)
-            if lo < k0 + len(blk):
-                out[:, lo - transient : k0 + len(blk) - transient] = blk[lo - k0 :].T
-            # a diverged row is parked at NaN: it stays NaN and never
-            # compares above the threshold again
-            x = np.where(diverged_at > 0, np.nan, x)
-            k0 += len(blk)
-    return [
-        {
-            "d": float(d),
-            "xs": np.empty(0) if at else out[i],
-            "diverged": bool(at),
-            "diverged_at": int(at) if at else None,
-        }
-        for i, (d, at) in enumerate(zip(ds, diverged_at))
-    ]
+    rec = np.empty(steps)
+    rows = []
+    for p, row in zip(maps, out):
+        hit = _x_orbit(p, x0, rec, threshold)
+        if hit is None:
+            row[:] = rec[transient:]
+        rows.append({
+            "d": p.d,
+            "xs": row if hit is None else np.empty(0),
+            "diverged": hit is not None,
+            "diverged_at": None if hit is None else hit[0],
+        })
+    return rows

@@ -185,6 +185,9 @@ def test_cycle_emit_json(write_doc, tmp_path, capsys):
 def test_cycle_flag_and_io_errors(write_doc, capsys):
     path = write_doc(CANONICAL_DOC)
     assert main(["cycle", "--config", path, "--n", "3", "--emit", "csv"]) == 2
+    out = os.path.join(os.path.dirname(path), "out.json")
+    assert main(["cycle", "--config", path, "--n", "3", "--out", out]) == 2
+    assert not os.path.exists(out)
     assert main(["cycle", "--config", path]) == 2
     assert main(["cycle", "--config", path, "--n", "3",
                  "--sequence", "RLL"]) == 2

@@ -59,8 +59,6 @@ def test_region_index_round_trip():
     assert back.bits == (1, 0, 1)
     assert pl.RegionIndex.from_ordinal(0, 4).bits == (0, 0, 0, 0)
     with pytest.raises(ValueError):
-        pl.RegionIndex(bits=(1, 0), ordinal=3)
-    with pytest.raises(ValueError):
         pl.RegionIndex.from_bits((2, 0))
 
 

@@ -805,16 +805,19 @@ def test_bifurcation_scan_divergent_row_reported():
 @pytest.mark.parametrize("steps", [400, 5000])
 def test_bifurcation_scan_rows_match_trajectories(x0, transient, steps):
     # d in [-5, 3] crosses stable cycles, chaos and divergence (d > 1).
-    # The sweep steps every value, so on the stable rows, which repeat
-    # bit for bit, it checks the cycles trajectory copies
+    # Rows and trajectory both come from _x_orbit, which copies a cycle
+    # once the orbit repeats, so every row is also checked against the
+    # plain stepping loop _x_steps
     rows = sim.bifurcation_scan(
         a=0.4, mu_hat=0.8, d_min=-5.0, d_max=3.0, d_steps=33,
         steps=steps, transient=transient, x0=x0,
     )
     assert len(rows) == 33
+    threshold = sim._divergence_threshold(0.8, 0.4)
     diverged = repeated = 0
     for row in rows:
         z0 = None if x0 is None else [x0]
+        _assert_row_matches_steps(row, 0.4, 0.8, 0.4, steps, transient, threshold)
         try:
             orbit = sim.trajectory(
                 tent_system(0.4, row["d"]), steps=steps, transient=transient, z0=z0
@@ -833,6 +836,32 @@ def test_bifurcation_scan_rows_match_trajectories(x0, transient, steps):
     assert repeated > 0
     kept = [row["xs"] for row in rows if not row["diverged"]]
     assert all(xs.base is kept[0].base for xs in kept)
+
+
+def _assert_row_matches_steps(row, a, mu, x0, steps, transient, threshold):
+    """A sweep row holds _x_steps' recorded values bit for bit, or its
+    first crossing when it diverged."""
+    xs, hit = _x_steps(st.SkewTentParams(a, row["d"], mu), x0, steps, threshold)
+    if hit is not None:
+        assert row["diverged"] and row["diverged_at"] == hit[0]
+    else:
+        assert not row["diverged"]
+        assert np.array_equal(row["xs"].view(np.int64), xs[transient:].view(np.int64))
+
+
+@pytest.mark.parametrize("a, mu, d, x0, transient, period", [
+    (0.4, 0.8, 0.5, 0.4, 0, 1),  # the fixed point 1.6
+    (0.5, 1.0, -2.0, 0.3, 7, 4),  # period 4, after a transient
+])
+def test_bifurcation_scan_long_rows_match_stepping(a, mu, d, x0, transient, period):
+    # 200,001 values: the row is stepped to its first repeat and copied
+    # from there, whole periods and a remainder
+    steps = 200_001
+    rows = sim.bifurcation_scan(a, mu, d, d, 1, steps=steps, transient=transient, x0=x0)
+    threshold = sim._divergence_threshold(mu, x0)
+    _assert_row_matches_steps(rows[0], a, mu, x0, steps, transient, threshold)
+    tail = rows[0]["xs"][1000:].view(np.int64)  # well past the first repeat
+    assert np.array_equal(tail[period:], tail[:-period])
 
 
 @pytest.mark.parametrize(
