@@ -5,11 +5,11 @@ of a configured system), scan (parameter-plane CSV), simulate (orbit tail
 CSV plus summary), plrnn (boundary localization and cycle analysis).
 
 Exit codes: 0 success (or a reader that closed stdout early), 2 flag
-error, 4 I/O failure; a typed error exits with the exit_code of its class
-(2 config, 3 solver precondition, 5 structural). cycle --n solves the
-family the sign of mu_hat names, as classify --mu-sign reads it. All
-machine output is deterministic: repr floats, LF line endings, sorted
-JSON keys.
+error (a size flag beyond memory included), 4 I/O failure; a typed error
+exits with the exit_code of its class (2 config, 3 solver precondition,
+5 structural). cycle --n solves the family the sign of mu_hat names, as
+classify --mu-sign reads it. All machine output is deterministic: repr
+floats, LF line endings, sorted JSON keys.
 """
 
 from __future__ import annotations
@@ -358,9 +358,10 @@ def main(argv=None) -> int:
     except PwlcyclesError as err:
         print(f"error: {type(err).__name__}: {err}", file=_sys.stderr)
         return err.exit_code
-    except (ValueError, OSError) as err:  # a config that is not UTF-8 is a ValueError
-        print(f"error: {err}", file=_sys.stderr)
-        return 2 if isinstance(err, ValueError) else 4
+    # a non-UTF-8 config is a ValueError, a size flag beyond memory a MemoryError
+    except (ValueError, MemoryError, OSError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=_sys.stderr)
+        return 4 if isinstance(err, OSError) else 2
 
 
 def entry_point() -> None:

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenvalueOneError, NotAdmissibleError, SingularDenominatorError
+from .errors import EigenvalueOneError, NotAdmissibleError
 from .skew_tent import (
-    SINGULAR_TOL,
     SkewTentParams,
+    _cycle_points,
     _kink_tol,
     _sign_word,
     cycle_x_components,
@@ -168,10 +168,10 @@ def _word(sys: CanonicalSystem, sequence: str):
 
     'R' selects the x >= 0 branch (slope d), 'L' and '0' the x <= 0
     branch (slope a), as in branch_affine. The multiplier a^(#L) d^(#R)
-    takes each power as the region kernel does, multiplying left to right
-    from 1, so it is one float in every rotation and, for R L^(n-1), the
-    kernel's P d bit for bit. Raises ValueError on an empty word and on
-    any other letter.
+    takes each power as the region kernel's chain does, multiplying left
+    to right from 1, so it is one float in every rotation and, for
+    R L^(n-1), the kernel's P d and the closed form's, bit for bit.
+    Raises ValueError on an empty word and on any other letter.
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
@@ -309,29 +309,19 @@ def solve_symbolic_cycle(
     mark where a symbolic cycle ceases to exist.
 
     Raises ValueError unless a given zero_tol is finite and positive,
-    SingularDenominatorError when 1 - P is zero within SINGULAR_TOL,
-    NotAdmissibleError when the composition overflows, so that P or a
-    point is not finite, and EigenvalueOneError and the A_block^n
+    what skew_tent's one denominator rule raises (SingularDenominatorError
+    when 1 - P is zero within SINGULAR_TOL, NotAdmissibleError when P or
+    a point is not finite), and EigenvalueOneError and the A_block^n
     overflow as solve_cycle does.
     """
     n = len(sequence)
     zero_tol = _kink_tol(zero_tol, sys.mu_hat)
-    slopes, right, product = word = _word(sys, sequence)
-    den = 1.0 - product
-    if abs(den) <= SINGULAR_TOL:
-        power = f"a^{n - right.sum()}*d^{right.sum()}"
-        raise SingularDenominatorError(sys.a, sys.d, n, den, power)
+    slopes, _, product = word = _word(sys, sequence)
     ring = np.concatenate((slopes, slopes))
     offsets = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             offsets = ring[j : j + n] * offsets + sys.mu_hat
-        xs = offsets / den
-    # an overflowed product leaves x_k = c_k / inf finite, so check it too
-    if not (math.isfinite(product) and np.isfinite(xs).all()):
-        raise NotAdmissibleError(
-            xs, sequence,
-            f"the {n}-letter word overflows for a={sys.a!r}, d={sys.d!r}",
-        )
-    admissible = _sign_word(xs.tolist(), zero_tol) == sequence
+    xs = _cycle_points(sys.a, sys.d, sequence, product, offsets.tolist())
+    admissible = _sign_word(xs, zero_tol) == sequence
     return _solution(sys, xs, sequence, word, admissible)

@@ -22,7 +22,7 @@ class PwlcyclesError(Exception):
 
 
 class SingularDenominatorError(PwlcyclesError):
-    """The cycle denominator 1 - power is about zero (power: such as a^2*d)."""
+    """The cycle denominator 1 - power is about zero (power: such as a^2*d^1)."""
 
     exit_code = 3
 
@@ -41,17 +41,22 @@ class NotAdmissibleError(PwlcyclesError):
     """Computed cycle points violate the sign pattern of their sequence.
 
     Carries the raw values so callers can inspect the failed candidate.
+    The default message is formatted when it is read, not when the error
+    is raised: solvers reject candidates whose messages nobody reads.
     """
 
     exit_code = 3
 
     def __init__(self, xs, letters, message: str = ""):
-        self.xs = tuple(float(v) for v in xs)
+        self.xs = tuple(map(float, xs))
         self.letters = str(letters)
-        super().__init__(
-            message
-            or f"cycle candidate not admissible: xs={self.xs}, letters={self.letters!r}"
-        )
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if message or "xs" not in vars(self):  # a given message, or no __init__
+            return message
+        return f"cycle candidate not admissible: xs={self.xs}, letters={self.letters!r}"
 
 
 class DegenerateOffsetError(PwlcyclesError):

@@ -96,7 +96,7 @@ class RegionIndex:
 
     @classmethod
     def from_ordinal(cls, ordinal: int, M: int) -> "RegionIndex":
-        if not 0 <= ordinal < 2**M:
+        if not 0 <= ordinal < 1 << M:
             raise ValueError(f"ordinal {ordinal} out of range for M={M}")
         return cls(bits=tuple((ordinal >> i) & 1 for i in range(M)))
 
@@ -182,9 +182,11 @@ def localize(sys: PLRNNSystem, i: RegionIndex, j: RegionIndex) -> LocalizedSyste
     coordinate evolves autonomously; offending entries raise
     StructureViolationError with 1-based coordinates. The branch with
     bits_s = 0 supplies the slope a = A_diag[s] and coupling b_vec (zero
-    for any W: that branch masks column s of W), the bits_s = 1 branch supplies
-    d = A_diag[s] + W[s, s] and e_vec = off-diagonal column s of W. The
-    offset is mu_hat = h_s. a = d sets the degenerate_kink flag.
+    for any W: that branch masks column s of W), the bits_s = 1 branch
+    supplies d = A_diag[s] + W[s, s] and e_vec = off-diagonal column s of
+    W, and both the same A_block. The offset is mu_hat = h_s. a = d sets
+    the degenerate_kink flag. Every float is read from the network with
+    the bits branch_matrix gives it, signed zeros included.
 
     Raises NotAdjacentError when the regions differ in more than one
     coordinate and SameRegionError when they are identical.
@@ -208,19 +210,17 @@ def localize(sys: PLRNNSystem, i: RegionIndex, j: RegionIndex) -> LocalizedSyste
     if bad:
         raise StructureViolationError(s, bad)
 
-    A1 = branch_matrix(sys, i)
-    A2 = branch_matrix(sys, j)
+    # the branch matrices' entries as the same sums, so zeros keep their
+    # sign: the bits_s = 0 branch takes 0.0 times column s of W, and off
+    # the diagonal W adds to a zero of diag(A_diag)
     rest = [c for c in range(sys.M) if c != k]
-    perm = (k, *rest)
-
-    a = float(A1[k, k])
-    d = float(A2[k, k])
+    bits = np.asarray(i.bits, dtype=float)[rest]
     canonical = CanonicalSystem(
-        a=a,
-        d=d,
-        b_vec=A1[rest, k],
-        e_vec=A2[rest, k],
-        A_block=A1[np.ix_(rest, rest)],
+        a=float(sys.A_diag[k] + sys.W[k, k] * 0.0),
+        d=float(sys.A_diag[k] + sys.W[k, k]),
+        b_vec=np.zeros(len(rest)),
+        e_vec=sys.W[rest, k] + 0.0,
+        A_block=np.diag(sys.A_diag[rest]) + sys.W[np.ix_(rest, rest)] * bits,
         h_Y=sys.h[rest],
         mu_hat=float(sys.h[k]),
     )
@@ -229,8 +229,8 @@ def localize(sys: PLRNNSystem, i: RegionIndex, j: RegionIndex) -> LocalizedSyste
         region_neg=i,
         region_pos=j,
         canonical=canonical,
-        permutation=perm,
-        degenerate_kink=(a == d),
+        permutation=(k, *rest),
+        degenerate_kink=(canonical.a == canonical.d),
     )
 
 

@@ -23,8 +23,9 @@ from .skew_tent import (
     _STABLE,
     _TWONBAND,
     _VERDICTS,
-    _bound,
+    _bands,
     _flags,
+    _line,
     _margins,
     _require_count,
     _require_int,
@@ -194,20 +195,6 @@ def _window(margin, guess, end):
     return cell[:count] + 1, cell[count:]
 
 
-def _bands(a, p, pp, d):
-    """The region kernel's band cubic and quadratic at slope a, P = p,
-    PP = pp and offset d, with the kernel's bits, and the rounded sums
-    of their absolute terms on d < 0."""
-    d2 = d * d
-    t = pp * (d2 * d)
-    cubic = t + a
-    cubic -= d
-    w = p * d2
-    quad = w + d
-    quad -= a
-    return cubic, quad, (a - t) - d, (w - d) + a
-
-
 def _cells(starts, ends):
     """(line, cell) of every cell in [starts, ends) of each line."""
     counts = ends - starts
@@ -222,9 +209,9 @@ def _runs(slopes, d, n_list, tol):
     A line is one n of n_list and one kernel slope a, n outermost; along
     it each region boundary is a breakpoint, found from an approximate
     threshold and fixed by evaluating the kernel's own expression on the
-    cells around it. The line constants bound, r = 1 / (a - bound),
-    P = a^(n-1) and PP = fl(P P) come from the kernel's chain, so every
-    expression below has the kernel's operands and bits.
+    cells around it. The line constants (bound, r = 1 / (a - bound),
+    P = a^(n-1), PP = fl(P P)) and band polynomials are the kernel's own
+    _line and _bands, so every expression below has the kernel's bits.
 
     - Existence is the prefix d < bound (_existence_counts).
     - Stability fl(P d) > -1 and the flip fl(P d) < -1 are a suffix and
@@ -265,13 +252,10 @@ def _runs(slopes, d, n_list, tol):
     """
     size = d.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound, power = (
-            np.concatenate(v) for v in zip(*(_bound(slopes, n) for n in n_list))
+        bound, r, p, pp = (
+            np.concatenate(v) for v in zip(*(_line(slopes, n) for n in n_list))
         )
         a = np.tile(slopes, len(n_list))
-        p = power * a
-        pp = p * p
-        r = 1.0 / (a - bound)
         kernel = ~((a > 0) & (pp > 0) & np.isfinite(pp))
         fast = np.flatnonzero(~kernel)
         A, B, P, PP, R = (v[fast] for v in (a, bound, p, pp, r))
@@ -292,16 +276,16 @@ def _runs(slopes, d, n_list, tol):
             size,
         ).reshape(4, count)
 
-        def bands(line, j):
-            return _bands(A[line], P[line], PP[line], d[j])
-
         def rising(i, j):
-            # the cubic of each fast line, then its quadratic negated
-            cubic, quad, cubic_sum, quad_sum = bands(i % count, j)
+            # the cubic of each fast line, then its quadratic negated, and
+            # the rounded sums of their absolute terms on d < 0
+            line = i % count
+            slope, x = A[line], d[j]
+            cubic, quad, t, w = _bands(slope, P[line], PP[line], x)
             is_cubic = i < count
             return (
                 np.where(is_cubic, cubic, -quad),
-                np.where(is_cubic, cubic_sum, quad_sum),
+                np.where(is_cubic, (slope - t) - x, (w - x) + slope),
             )
 
         # the roots in |d|: P |d| = y solves y^3 - y - a P = 0 (PP = P^2
@@ -338,7 +322,7 @@ def _runs(slopes, d, n_list, tol):
 
         line, j = _cells(low, high)
         line %= count
-        cubic, quad = bands(line, j)[:2]
+        cubic, quad = _bands(A[line], P[line], PP[line], d[j])[:2]
         cell_flags = _EXISTS | _TWONBAND * ((j < F[line]) & (cubic > 0))
         cell_flags |= _NBAND * ((cubic < 0) & (quad < 0))
         cell_flags |= _CURVE * ((C0[line] <= j) & (j < C1[line]))
@@ -422,8 +406,7 @@ def nesting_report(spec: GridSpec) -> dict:
     slopes, other = a_values, d_values
     if spec.mu_sign == "-":
         slopes, other = other, slopes
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bounds = np.array([_bound(slopes, n)[0] for n in ns])
+    bounds = np.array([existence_bound(slopes, n) for n in ns])
     counts = dict(zip(ns, _existence_counts(slopes, bounds, other)))
     pairs = list(zip(ns[:-1], ns[1:]))
     violations = []

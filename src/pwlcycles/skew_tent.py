@@ -5,8 +5,8 @@ the parameter-plane regions where that cycle exists / is attracting /
 has just collided with the boundary, the chaotic-band regions, and a
 period-three chaos flag.
 
-Every (1 - a^k)/(1 - a) factor is evaluated as the explicit geometric sum
-1 + a + ... + a^(k-1), so a = 1 needs no special casing.
+Every power a^k and every (1 - a^k)/(1 - a), as the sum 1 + ... + a^(k-1),
+comes from one multiplication chain (_chain), so a = 1 needs no special casing.
 """
 
 from __future__ import annotations
@@ -147,15 +147,17 @@ class ParamClassification:
     details: dict
 
 
-def _power_sum(ratio, terms: int):
-    """S_terms(ratio) and ratio^(terms - 1), terms >= 1, from one chain of
-    multiplications, which round alike on numpy scalars and arrays."""
+def _chain(ratio, terms: int):
+    """(S_k(ratio), ratio^(k - 1)) for k = 1..terms: the package's one chain
+    of multiplications for geometric sums and powers, which rounds alike
+    on floats, numpy scalars and arrays."""
     power = ratio * 0.0 + 1.0
     total = power
+    yield total, power
     for _ in range(terms - 1):
         power = power * ratio
         total = total + power
-    return total, power
+        yield total, power
 
 
 def geometric_sum(ratio, terms: int):
@@ -165,7 +167,9 @@ def geometric_sum(ratio, terms: int):
     """
     if terms < 0:
         raise ValueError("terms must be >= 0")
-    return _power_sum(ratio, terms)[0] if terms > 0 else ratio * 0.0
+    for total, _ in _chain(ratio, terms):
+        pass
+    return total if terms else ratio * 0.0
 
 
 def iterate_1d(p: SkewTentParams, x: float) -> float:
@@ -182,6 +186,30 @@ def _sign_word(xs, zero_tol: float) -> str:
     )
 
 
+def _cycle_points(a: float, d: float, word: str, product: float, numerators):
+    """numerators / (1 - product), the points of word's cycle at slopes (a, d)
+    with x multiplier product: both x solvers' one denominator rule. Raises
+    SingularDenominatorError when |1 - product| <= SINGULAR_TOL and
+    NotAdmissibleError (points, word) when product or a point is not finite,
+    so no NaN point is read as a letter."""
+    n = len(word)
+    den = 1.0 - product
+    if abs(den) <= SINGULAR_TOL:
+        raise SingularDenominatorError(a, d, n, den, _power_name(word))
+    xs = [c / den for c in numerators]
+    if not (math.isfinite(product) and all(map(math.isfinite, xs))):
+        raise NotAdmissibleError(
+            xs, word, f"the {n}-cycle overflows for a={a!r}, d={d!r}: "
+            f"x multiplier {_power_name(word)} = {product!r}",
+        )
+    return xs
+
+
+def _power_name(word: str) -> str:
+    """The word's x multiplier as a^(#L)*d^(#R), '0' letters counted as L."""
+    return f"a^{len(word) - word.count('R')}*d^{word.count('R')}"
+
+
 def cycle_x_components(
     p: SkewTentParams,
     n: int,
@@ -193,42 +221,29 @@ def cycle_x_components(
     For R L^(n-1), x1 = mu_hat * S_n(a) / (1 - a^(n-1) d) with S_k the
     geometric sum of k terms, and for i >= 2
     x_i = mu_hat * (S_{i-1}(a) + a^(i-2) d S_{n-i+1}(a)) / (1 - a^(n-1) d).
-    L R^(n-1) swaps a and d, so its points are, bit for bit, the negated
-    R L^(n-1) points of (d, a, -mu_hat) (the conjugacy x -> -x).
+    Every S_k and power comes from one _chain, so a^(n-1) d is classify's
+    and solve_cycle's x multiplier. L R^(n-1) swaps a and d, so its points
+    are, bit for bit, the negated R L^(n-1) points of (d, a, -mu_hat) (the
+    conjugacy x -> -x).
 
     Raises ValueError unless n is an integer >= 2 and a given zero_tol is
-    finite and positive, SingularDenominatorError when the denominator is
-    zero within SINGULAR_TOL, DegenerateOffsetError for mu_hat = 0, and
-    NotAdmissibleError when the computed signs do not realize the
-    family's pattern (the error carries the raw values) or when the
-    slope's power overflows, so that no point is computed.
+    finite and positive, DegenerateOffsetError for mu_hat = 0, what
+    _cycle_points raises, and NotAdmissibleError when the signs do not
+    realize the family's pattern (the error carries the raw values).
     """
     n = _require_count(n, "cycle length n", 2)
     zero_tol = _kink_tol(zero_tol, p.mu_hat)
     if p.mu_hat == 0.0:
         raise DegenerateOffsetError("mu_hat = 0 collapses the cycle formulas")
     mu = p.mu_hat
-    first, name, a, d = ("R", "a", p.a, p.d) if mu > 0 else ("L", "d", p.d, p.a)
-    try:
-        den = 1.0 - a ** (n - 1) * d
-    except OverflowError:
-        den = None  # raised below, outside the handler, so with no context
-    if den is None:
-        raise NotAdmissibleError((), "", f"{name}^{n - 1} overflows for {name}={a!r}")
-    if abs(den) <= SINGULAR_TOL:
-        power = f"a^{n - 1}*d" if mu > 0 else f"a^1*d^{n - 1}"
-        raise SingularDenominatorError(p.a, p.d, n, den, power)
-
-    # sums[k - 1] = S_k, accumulated in geometric_sum's order
-    term = a * 0.0 + 1.0
-    sums = [term]
-    for _ in range(n - 1):
-        term = term * a
-        sums.append(sums[-1] + term)
-    xs = [sums[n - 1] * mu / den]
-    for i in range(2, n + 1):
-        xs.append((sums[i - 2] + a ** (i - 2) * d * sums[n - i]) * mu / den)
-
+    first, rest, a, d = ("R", "L", p.a, p.d) if mu > 0 else ("L", "R", p.d, p.a)
+    links = list(_chain(a, n))  # (S_k, a^(k-1)) for k = 1..n
+    total, power = links[-1]
+    # x_i, i >= 2, reads S_(i-1) and a^(i-2) from link i - 1, S_(n-i+1) from n - i + 1
+    numerators = [total * mu] + [
+        (s + q * d * r) * mu for (s, q), (r, _) in zip(links, links[-2::-1])
+    ]
+    xs = _cycle_points(p.a, p.d, first + rest * (n - 1), power * d, numerators)
     sequence = _sign_word(xs, zero_tol)
     if sequence[0] != first or first in sequence[1:]:
         raise NotAdmissibleError(xs, sequence)
@@ -273,16 +288,6 @@ def _require_mu_sign(mu_sign: str) -> None:
         raise ValueError(f"mu_sign must be '+' or '-', got {mu_sign!r}")
 
 
-def _bound(a, n: int):
-    """-S_{n-1}(a) / a^(n-2) and a^(n-2), for a numpy scalar or array a.
-
-    Both come from one multiplication chain, so a point and a grid cell
-    with the same a get the same bits.
-    """
-    total, power = _power_sum(a, n - 1)
-    return -total / power, power
-
-
 def existence_bound(a, n: int):
     """Upper bound on d for existence of the R L^(n-1) cycle (mu_hat > 0).
 
@@ -294,39 +299,57 @@ def existence_bound(a, n: int):
         return _bound(np.asarray(a, dtype=float), n)[0]
 
 
+def _bound(a, n: int):
+    """-S_(n-1)(a) / a^(n-2) and a^(n-2), for a numpy scalar or array a."""
+    for total, power in _chain(a, n - 1):
+        pass
+    return -total / power, power
+
+
+def _line(a, n: int):
+    """The region kernel's constants of slope a (numpy scalar or array), all
+    from one chain: bound, r = 1 / (a - bound), P = a^(n-1) and fl(P P).
+    A point and a grid cell with one a read one set."""
+    bound, power = _bound(a, n)
+    p = power * a
+    return bound, 1.0 / (a - bound), p, p * p
+
+
+def _bands(a, p, pp, d):
+    """The band cubic PP d^3 + a - d and quadratic P d^2 + d - a, P = p and
+    PP = pp, and their leading terms PP d^3 and P d^2."""
+    d2 = d * d
+    t, w = pp * (d2 * d), p * d2
+    cubic = t + a
+    cubic -= d
+    quad = w + d
+    quad -= a
+    return cubic, quad, t, w
+
+
 def _margins(a, d, n: int):
     """The independent region quantities at (a, d) for mu_hat > 0.
 
-    Returns (ex, kink, pd, cubic, quad) with P = a^(n-1): ex = bound - d
-    (existence), kink = ex (1 / (a - bound)) (the curve), pd = P d (the
-    cycle's x multiplier), cubic = P^2 d^3 + a - d and quad =
-    P d^2 + d - a (the band inequalities). The cycle's last point is
+    Returns (ex, kink, pd, cubic, quad) with _line's constants: ex =
+    bound - d (existence), kink = ex r (the curve), pd = P d (the cycle's
+    x multiplier) and _bands' cubic and quadratic. The cycle's last point is
     x_n = -mu_hat ex / (a - bound + a ex), so kink is x_n / -mu_hat to
     first order, and |kink| <= tol is the solvers' kink rule
     |x_n| <= tol |mu_hat| (zero_tolerance). Every other margin is one of
     them negated or one step away (see _point), so a grid gets five
     arrays of its size. The same code runs on numpy scalars (single
     points), on arrays, and on a column of a and a row of d that
-    broadcast to a grid, so the chain and the reciprocal run once per
-    a value. Every power is a product of the chain in _bound, augmented
-    assignment keeps each operation's operands and order, and
-    broadcasting keeps them too, so a point and a grid cell agree bit
-    for bit. A power that over- or underflows gives an infinite or zero
-    margin, not a warning.
+    broadcast to a grid, so _line runs once per a value; broadcasting
+    keeps each operation's operands and order, so a point and a grid
+    cell agree bit for bit. A power that over- or underflows gives an
+    infinite or zero margin, not a warning.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound, power = _bound(a, n)
+        bound, r, p, pp = _line(a, n)
         ex = bound - d
-        kink = ex * (1.0 / (a - bound))
-        power = power * a
-        d2 = d * d
-        pd = power * d
-        cubic = power * power * (d2 * d)
-        cubic += a
-        cubic -= d
-        quad = power * d2
-        quad += d
-        quad -= a
+        kink = ex * r
+        pd = p * d
+        cubic, quad, _, _ = _bands(a, p, pp, d)
     return ex, kink, pd, cubic, quad
 
 
@@ -357,10 +380,6 @@ _BAND_KEYS = (
 )
 
 
-def _exists(a, ex):
-    return (a > 0) & (ex > 0)
-
-
 def _flags(a, m, tol: float):
     """Region flags at slope a with the quantities m of _margins: a uint8
     for floats, a uint8 array for arrays.
@@ -371,12 +390,13 @@ def _flags(a, m, tol: float):
     positive slope and |kink| <= tol, tested as two comparisons.
     """
     ex, kink, pd, cubic, quad = m
-    exists = _exists(a, ex)
+    positive = a > 0
+    exists = positive & (ex > 0)
     flags = _EXISTS * exists
     flags |= _TWONBAND * (exists & (pd < -1.0) & (cubic > 0))
     flags |= _NBAND * (exists & (cubic < 0) & (quad < 0))
     flags |= _STABLE * (exists & (pd > -1.0))
-    flags |= _CURVE * ((a > 0) & (-tol <= kink) & (kink <= tol))
+    flags |= _CURVE * (positive & (-tol <= kink) & (kink <= tol))
     return flags
 
 
@@ -388,7 +408,7 @@ def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL
         raise ValueError(f"a and d must be finite, got a={a!r}, d={d!r}")
     aa, dd = (float(a), float(d)) if mu_sign == "+" else (float(d), float(a))
     n = _require_region_n(n)
-    m = [float(v) for v in _margins(np.float64(aa), np.float64(dd), n)]
+    m = list(map(float, _margins(np.float64(aa), np.float64(dd), n)))
     ex, kink, pd, cubic, quad = m
     # negation is exact and rounding symmetric, so each derived margin has
     # the bits of its direct formula; 1 + pd and -1 - pd have exact signs

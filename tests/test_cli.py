@@ -819,3 +819,24 @@ def test_error_class_exit_code(cls, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_classify", fail)
     assert main(["classify", "--a", "0.4", "--d", "-4.0", "--n", "3"]) == cls.exit_code
     assert capsys.readouterr().err == f"error: {cls.__name__}: \n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+@pytest.mark.parametrize("command", ["scan", "simulate"])
+def test_out_of_memory_exits_2(command, message, write_doc, monkeypatch, capsys):
+    """A size flag beyond the host's memory ends in one error line and exit
+    2. The grid and the orbit raise MemoryError as numpy does, so no test
+    allocates."""
+    def fail(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(cli, {"scan": "scan", "simulate": "trajectory"}[command], fail)
+    argv = {
+        "scan": ["scan", "--a-min", "0", "--a-max", "1", "--a-steps", "2",
+                 "--d-min", "-1", "--d-max", "0", "--d-steps", "2", "--n", "3"],
+        "simulate": ["simulate", "--config", write_doc(SCALAR_DOC), "--steps", "400"],
+    }[command]
+    assert main(argv) == _readme_exit_codes()["MemoryError"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'MemoryError'}\n"

@@ -839,3 +839,42 @@ def test_eigenvalue_check_on_block_power():
             assert sym.admissible
             assert sym.multipliers == sol.multipliers
             assert orbit_closure_error(sys, sym.points) < 1e-12
+
+
+def test_closed_form_denominator_is_the_x_multiplier(monkeypatch):
+    """The closed form divides by 1 - P, and P is, bit for bit, the x
+    multiplier in solve_cycle's multipliers and the one classify's
+    stability margin 1 + P reads, on queries-like points of both offset
+    signs, a tenth of them within a relative 1e-6 of the existence curve."""
+    products = []
+    points = st._cycle_points
+
+    def spy(a, d, word, product, numerators):
+        products.append(product)
+        return points(a, d, word, product, numerators)
+
+    monkeypatch.setattr(st, "_cycle_points", spy)
+    rng = np.random.default_rng(33)
+    solved = 0
+    for k in range(2000):
+        n = int(rng.integers(3, 31))
+        a = float(rng.uniform(0.05, 1.5))
+        spread = 1e-6 if k % 10 == 0 else 0.7
+        d = float(st.existence_bound(a, n)) * math.exp(rng.uniform(-spread, spread))
+        mu = float(rng.uniform(0.2, 2.0))
+        sign = "+" if k % 2 else "-"
+        if sign == "-":
+            a, d, mu = d, a, -mu
+        sys = cs.CanonicalSystem.from_skew_tent(st.SkewTentParams(a, d, mu))
+        products.clear()
+        try:
+            x_multiplier = cs.solve_cycle(sys, n).multipliers[0]
+            solved += 1
+        except NotAdmissibleError:
+            word = "RL"[sign == "-"] + "LR"[sign == "-"] * (n - 1)
+            x_multiplier = cs.multipliers(sys, word)[0]
+        (product,) = products
+        assert x_multiplier.imag == 0.0 and product.hex() == x_multiplier.real.hex()
+        margin = st.classify(a, d, n, sign).details["stability_lower_margin"]
+        assert margin.hex() == (1.0 + product).hex()
+    assert 500 < solved < 1500

@@ -1,6 +1,7 @@
 """Tests for ReLU network reduction to the canonical piecewise form."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -165,6 +166,66 @@ def test_localize_permutation_for_inner_boundary():
     z = loc.to_canonical_state([10.0, 20.0, 30.0])
     assert np.array_equal(z, [20.0, 10.0, 30.0])
     assert np.array_equal(loc.to_original_state(z), [10.0, 20.0, 30.0])
+
+
+_ENTRIES = hs.sampled_from([0.0, -0.0, 0.25, -0.25, 1.5, -3.0, 1e-300, -1e300])
+
+
+@hs.composite
+def _clean_boundary(draw):
+    """A relaxed-diagonal network with signed zeros among its entries, a
+    boundary coordinate s whose row of W is zero (either sign) off the
+    diagonal, and an adjacent region pair across it, in either order."""
+    M = draw(hs.integers(1, 5))
+    entries = hs.lists(_ENTRIES, min_size=M, max_size=M)
+    A_diag = draw(entries)
+    W = np.array([draw(entries) for _ in range(M)])
+    h = draw(entries)
+    s = draw(hs.integers(0, M - 1))
+    off = np.arange(M) != s
+    W[s, off] = np.array(draw(entries))[off] * 0.0  # zeros of either sign
+    bits = draw(hs.lists(hs.integers(0, 1), min_size=M, max_size=M))
+    lo, hi = list(bits), list(bits)
+    lo[s], hi[s] = 0, 1
+    pair = [lo, hi] if draw(hs.booleans()) else [hi, lo]
+    net = pl.PLRNNSystem(A_diag, W, h, relaxed_diagonal=True)
+    return net, [pl.RegionIndex.from_bits(b) for b in pair]
+
+
+def _branch_reduction(net, i, j):
+    """The canonical floats built from the two branch matrices, as
+    localize built them before it read the network directly."""
+    k = pl.adjacent(i, j) - 1
+    if i.bits[k]:
+        i, j = j, i
+    A1, A2 = pl.branch_matrix(net, i), pl.branch_matrix(net, j)
+    rest = [c for c in range(net.M) if c != k]
+    return {
+        "a": A1[k, k], "d": A2[k, k], "b_vec": A1[rest, k], "e_vec": A2[rest, k],
+        "A_block": A1[np.ix_(rest, rest)], "h_Y": net.h[rest], "mu_hat": net.h[k],
+    }
+
+
+def test_localize_matches_branch_matrices_bit_for_bit():
+    """Every canonical float of localize has the bits the branch-matrix
+    construction gives, signed zeros included."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_clean_boundary())
+    def check(case):
+        net, (i, j) = case
+        can = pl.localize(net, i, j).canonical
+        for name, want in _branch_reduction(net, i, j).items():
+            got = np.asarray(getattr(can, name), dtype=float)
+            want = np.asarray(want, dtype=float)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            seen.update(name for v in want.ravel().tolist() if v == 0.0
+                        and math.copysign(1.0, v) < 0)
+
+    check()
+    # the draws reach negative zeros in the slopes and in the block
+    assert {"a", "d", "A_block"} <= seen
 
 
 def test_localize_structure_violation():
@@ -424,7 +485,9 @@ def test_negative_offset_family_answers_in_the_callers_terms():
         assert len(err.xs) == 3 and all(x < 0 for x in err.xs)
     for err, _ in _negative_offset_answers(0.5, 1e200, -0.8):
         assert isinstance(err, NotAdmissibleError)
-        assert str(err) == "d^2 overflows for d=1e+200"
+        assert str(err) == ("the 3-cycle overflows for a=0.5, d=1e+200: "
+                            "x multiplier a^1*d^2 = inf")
+        assert err.letters == "LRR"
         assert err.__context__ is None
 
 

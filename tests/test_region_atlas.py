@@ -356,7 +356,7 @@ def test_axis_evaluation_matches_mesh(spec):
             codes = grid.codes[n]
             assert codes.dtype == np.uint8 and codes.shape == shape
             assert np.array_equal(codes, st._CODE_OF_FLAGS[flags]), n
-            exists[n] = st._exists(AA, mesh[0])
+            exists[n] = (flags & st._EXISTS) > 0
     assert report == _nesting_reference(spec, exists)
 
 
@@ -458,16 +458,17 @@ def test_band_filter_certifies_no_cell_a_neighbour_contradicts():
     # inside its uncertain cells
     a, n, root = np.float64(0.5535644788087806), 3, -3.7456369747930536
     d = root + np.arange(-40, 41) * np.spacing(-root)
-    bound, power = st._bound(a, n)
-    p = power * a
+    bound, _, p, _ = st._line(a, n)
     assert d.max() < bound and (p * d <= -1.0).all()
     rising = -st._margins(a, d, n)[4]
     assert (np.diff(np.sign(rising)) < 0).any()
     size = np.array([d.size])
 
     def margin(lines, cells):
-        _, quad, _, quad_sum = ra._bands(a, p, p * p, d[cells])
-        return -quad, quad_sum
+        # -quad and the rounded sum of its absolute terms, as scan reads them
+        x = d[cells]
+        _, quad, _, w = st._bands(a, p, p * p, x)
+        return -quad, (w - x) + a
 
     for guess in range(d.size + 1):
         low, high = ra._window(margin, np.array([guess]), size)

@@ -157,25 +157,35 @@ def _negative_offset_point(draw):
     return draw(hs.floats(-40.0, 40.0)), d * draw(hs.sampled_from([1, -1])), mu, n
 
 
+def _fields(err):
+    """An error's attributes, its x values as hex, so NaN points compare."""
+    return {k: [x.hex() for x in v] if k == "xs" else v for k, v in vars(err).items()}
+
+
 def _outcome(p, n):
     """cycle_x_components' x bits and sequence, or its error's type,
     message, attributes and context."""
     try:
         xc = st.cycle_x_components(p, n)
     except PwlcyclesError as err:
-        return type(err), str(err), vars(err), err.__context__
+        return type(err), str(err), _fields(err), err.__context__
     return [x.hex() for x in xc.xs], xc.sequence
 
 
 def _mirrored(a, d, mu, n):
     """The R L^(n-1) closed form of (d, a, -mu) with x negated and R, L
-    swapped, its errors named in the terms of (a, d)."""
+    swapped, its errors named in the terms of (a, d): the power a^1*d^(n-1)."""
+    power = f"a^1*d^{n - 1}"
     try:
         xc = st.cycle_x_components(st.SkewTentParams(d, a, -mu), n)
     except SingularDenominatorError as err:
-        return SingularDenominatorError(a, d, n, err.denominator, f"a^1*d^{n - 1}")
-    except NotAdmissibleError as err:  # only an overflow has no points
-        message = "" if err.xs else f"d^{n - 1} overflows for d={d!r}"
+        return SingularDenominatorError(a, d, n, err.denominator, power)
+    except NotAdmissibleError as err:
+        message = ""
+        if "overflows" in str(err):  # the multiplier d^(n-1) a is the same float
+            product = str(err).rsplit(" = ", 1)[1]
+            message = (f"the {n}-cycle overflows for a={a!r}, d={d!r}: "
+                       f"x multiplier {power} = {product}")
         return NotAdmissibleError([-x for x in err.xs], err.letters.translate(_SWAP_RL),
                                   message)
     return st.XCycle(n, tuple(-x for x in xc.xs), xc.sequence.translate(_SWAP_RL))
@@ -199,12 +209,60 @@ def test_negative_offset_closed_form_is_the_negated_mirror():
             assert want.sequence[0] == "L" and "L" not in want.sequence[1:]
             seen.add("kink" if "0" in want.sequence else "solved")
         else:
-            assert got == (type(want), str(want), vars(want), None)
-            seen.add(type(want).__name__ + " overflow" * (vars(want).get("xs") == ()))
+            assert got == (type(want), str(want), _fields(want), None)
+            seen.add(type(want).__name__ + " overflow" * ("overflows" in str(want)))
 
     check()
     assert seen == {"solved", "kink", "SingularDenominatorError",
                     "NotAdmissibleError", "NotAdmissibleError overflow"}
+
+
+def _exact_cycle_x(a, d, mu, n):
+    """The closed form's points in 60-digit arithmetic, from the float
+    inputs: x_i = mu (S_(i-1) + a^(i-2) d S_(n-i+1)) / (1 - a^(n-1) d)
+    for R L^(n-1), a and d swapped for L R^(n-1) (mu < 0)."""
+    a, d, mu = mpmath.mpf(a), mpmath.mpf(d), mpmath.mpf(mu)
+    if mu < 0:
+        a, d = d, a
+
+    def S(k):
+        return mpmath.fsum(a**j for j in range(k))
+
+    den = 1 - a ** (n - 1) * d
+    return [mu * S(n) / den] + [
+        mu * (S(i - 1) + a ** (i - 2) * d * S(n - i + 1)) / den for i in range(2, n + 1)
+    ]
+
+
+def test_cycle_x_components_match_60_digit_oracle():
+    """The closed form, admissible or not, is within n ulps of the
+    cycle's scale (the largest |x_i|) of its 60-digit value, for n up to
+    30, |d| up to 1e6, points within a relative 1e-6 of the existence
+    curve and both offset signs."""
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for k in range(600):
+            n = int(rng.integers(2, 31))
+            a = 1.0 if k % 50 == 0 else float(rng.uniform(0.05, 1.5))
+            if k % 3 == 0 and n >= 3:
+                d = float(st.existence_bound(a, n)) * (1.0 + float(rng.uniform(-1e-6, 1e-6)))
+            else:
+                d = -float(10.0 ** rng.uniform(-1.0, 6.0))
+            mu = float(rng.uniform(0.2, 2.0))
+            if k % 2:
+                a, d, mu = d, a, -mu
+            try:
+                xs = st.cycle_x_components(st.SkewTentParams(a, d, mu), n).xs
+            except NotAdmissibleError as err:
+                xs = err.xs
+            exact = _exact_cycle_x(a, d, mu, n)
+            ulp = math.ulp(float(max(abs(x) for x in exact)))
+            miss = max(abs(mpmath.mpf(x) - e) for x, e in zip(xs, exact))
+            ulps = float(miss / ulp)
+            assert ulps <= n, (a, d, mu, n, ulps)
+            worst = max(worst, ulps)
+    assert worst > 1.0  # the draws reach the rounding the bound allows for
 
 
 def test_existence_bound_values():
@@ -219,8 +277,8 @@ def test_existence_bound_values():
 
 
 def test_region_kernel_powers_match_mpmath():
-    # 50-digit oracle for the bound and for the chain's a^(n-1); the
-    # chain's rounding grows with n, so allow n/2 ulps
+    # 50-digit oracle for the bound and for the kernel's P = a^(n-1),
+    # both from the chain, whose rounding grows with n, so allow n/2 ulps
     rng = np.random.default_rng(13)
     with mpmath.workdps(50):
         for n in (3, 9, 17, 30, 40):
@@ -229,7 +287,7 @@ def test_region_kernel_powers_match_mpmath():
                 bound = -mpmath.fsum(x**k for k in range(n - 1)) / x ** (n - 2)
                 power = x ** (n - 1)
                 got_bound = float(st.existence_bound(a, n))
-                got_power = float(st._power_sum(a, n)[1])
+                got_power = float(st._line(np.float64(a), n)[2])
                 for got, want in ((got_bound, bound), (got_power, power)):
                     ulps = abs(mpmath.mpf(got) - want) / math.ulp(float(want))
                     assert ulps <= n / 2, (a, n, float(ulps))
@@ -415,15 +473,17 @@ def test_band_regions_need_positive_slope():
 
 
 def test_cycle_x_components_match_per_point_sums():
-    # each x_i from its own geometric sums, as the closed form reads
+    # each x_i from its own geometric sums and powers, each power a^k
+    # multiplied left to right from 1 as the kernel's chain takes it
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(2, 31))
         a, d = float(rng.uniform(0.05, 1.5)), float(rng.uniform(-60.0, -0.5))
         mu = float(rng.uniform(0.2, 2.0))
-        den = 1.0 - a ** (n - 1) * d
+        den = 1.0 - math.prod([a] * (n - 1)) * d
         want = [st.geometric_sum(a, n) * mu / den] + [
-            (st.geometric_sum(a, i - 1) + a ** (i - 2) * d * st.geometric_sum(a, n - i + 1))
+            (st.geometric_sum(a, i - 1)
+             + math.prod([a] * (i - 2)) * d * st.geometric_sum(a, n - i + 1))
             * mu / den
             for i in range(2, n + 1)
         ]
