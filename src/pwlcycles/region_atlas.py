@@ -239,16 +239,17 @@ def _runs(slopes, d, n_list, tol):
       is the same with gamma_4, the sides swapped and +inf. From the
       roots' approximate cells, _window walks out to the nearest
       certified cells, and only the cells between them, usually none,
-      run the kernel's expressions (_bands), so fl(c) may change sign
-      more than once between them.
-    - Lines the argument does not cover are left to the kernel: a <= 0,
-      and PP zero or not finite. Where a > 0 and PP is finite and
-      positive, so is P, bound <= -1 is finite, and 0 < r < 1.
+      are left uncertain, so fl(c) may change sign more than once there.
+    - Every flag of the kernel needs a > 0, so a line of slope a <= 0,
+      every breakpoint at 0, is one OutsideRegion run.
+    - Lines of a > 0 and PP zero or not finite are left to the kernel.
+      Where a > 0 and PP is finite and positive, so is P, bound <= -1 is
+      finite, and 0 < r < 1.
 
     Returns the region flags and the length of each line's runs, each
     of shape (9, lines), the flags read at each run's first cell; the
-    uncertain cells as (line, cell, flags) arrays, whose flags replace
-    those of their runs; and the mask of the lines left to the kernel.
+    uncertain cells as (line, cell) arrays; and the mask of the lines
+    left to the kernel, one row per n.
     """
     size = d.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -256,8 +257,8 @@ def _runs(slopes, d, n_list, tol):
             np.concatenate(v) for v in zip(*(_line(slopes, n) for n in n_list))
         )
         a = np.tile(slopes, len(n_list))
-        kernel = ~((a > 0) & (pp > 0) & np.isfinite(pp))
-        fast = np.flatnonzero(~kernel)
+        kernel = (a > 0) & ~((pp > 0) & np.isfinite(pp))
+        fast = np.flatnonzero((a > 0) & ~kernel)
         A, B, P, PP, R = (v[fast] for v in (a, bound, p, pp, r))
         E = _existence_counts(A, B, d)
         count = fast.size
@@ -319,14 +320,9 @@ def _runs(slopes, d, n_list, tol):
         flags |= _NBAND * (exists & (j < k0) & (j >= q1))
         flags |= _STABLE * (exists & (j >= s))
         flags |= _CURVE * ((c0 <= j) & (j < c1))
-
-        line, j = _cells(low, high)
-        line %= count
-        cubic, quad = _bands(A[line], P[line], PP[line], d[j])[:2]
-        cell_flags = _EXISTS | _TWONBAND * ((j < F[line]) & (cubic > 0))
-        cell_flags |= _NBAND * ((cubic < 0) & (quad < 0))
-        cell_flags |= _CURVE * ((C0[line] <= j) & (j < C1[line]))
-    return flags, ends - starts, (fast[line], j, cell_flags), kernel
+    line, j = _cells(low, high)
+    uncertain = fast[line % count], j
+    return flags, ends - starts, uncertain, kernel.reshape(len(n_list), -1)
 
 
 def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
@@ -337,29 +333,33 @@ def scan(spec: GridSpec, tol: float = DEFAULT_CURVE_TOL) -> RegionGrid:
     most cells are never evaluated: along each line of one n and one
     kernel slope (a grid row for mu_sign '+', a column for '-') the
     verdict changes only at a few breakpoints (_runs). One np.repeat of
-    the run codes gives the codes of each n's cells; the few cells left
-    uncertain, and the lines _runs leaves to the kernel, are coded from
-    their own flags. No cell is named here: the grid names its cells
+    the run codes gives the codes of each n's cells; a line of slope
+    a <= 0 is one OutsideRegion run. A cell no run certifies gets
+    classify's own expression: the few uncertain cells, gathered, and
+    the lines whose a^(2(n-1)) rounds to zero or overflows, on their
+    (line, d) mesh. No cell is named here: the grid names its cells
     when they are first read.
     """
     _require_tol(tol)
     slopes, d = (axis.ravel() for axis in _oriented_axes(spec))
-    flags, lengths, uncertain, kernel = _runs(slopes, d, spec.n_list, tol)
+    flags, lengths, (line, j), kernel = _runs(slopes, d, spec.n_list, tol)
     # one array per n, of one line per slope
     runs = zip(
         _CODE_OF_FLAGS[flags.T].reshape(len(spec.n_list), -1),
         lengths.T.reshape(len(spec.n_list), -1),
     )
     codes = [np.repeat(*run).reshape(slopes.size, d.size) for run in runs]
-    line, j, cell_flags = uncertain
     n_index, row = np.divmod(line, slopes.size)
-    for k in np.unique(n_index).tolist():
-        at = n_index == k
-        codes[k][row[at], j[at]] = _CODE_OF_FLAGS[cell_flags[at]]
-    for k, (n, rows) in enumerate(zip(spec.n_list, kernel.reshape(-1, slopes.size))):
-        if rows.any():
-            line_a = slopes[rows, None]
-            codes[k][rows] = _CODE_OF_FLAGS[_flags(line_a, _margins(line_a, d, n), tol)]
+    # an n with no uncertain cell and no kernel line evaluates nothing
+    todo = np.bincount(n_index, minlength=len(codes)) + kernel.sum(axis=1)
+    for k in np.flatnonzero(todo).tolist():
+        n, at, rows = spec.n_list[k], n_index == k, kernel[k]
+        for where, a, x in (
+            ((row[at], j[at]), slopes[row[at]], d[j[at]]),
+            (rows, slopes[rows, None], d),
+        ):
+            if a.size:
+                codes[k][where] = _CODE_OF_FLAGS[_flags(a, _margins(a, x, n), tol)]
     a_values, d_values = (slopes, d) if spec.mu_sign == "+" else (d, slopes)
     codes = {n: c if spec.mu_sign == "+" else c.T for n, c in zip(spec.n_list, codes)}
     return RegionGrid(spec=spec, a_values=a_values, d_values=d_values, codes=codes)
@@ -402,10 +402,8 @@ def nesting_report(spec: GridSpec) -> dict:
     counts them; a violation is a cell between the counts of a pair.
     """
     ns = sorted(spec.n_list)
-    a_values, d_values = spec.a_centers(), spec.d_centers()
-    slopes, other = a_values, d_values
-    if spec.mu_sign == "-":
-        slopes, other = other, slopes
+    slopes, other = (axis.ravel() for axis in _oriented_axes(spec))
+    a_values, d_values = (slopes, other) if spec.mu_sign == "+" else (other, slopes)
     bounds = np.array([existence_bound(slopes, n) for n in ns])
     counts = dict(zip(ns, _existence_counts(slopes, bounds, other)))
     pairs = list(zip(ns[:-1], ns[1:]))

@@ -501,11 +501,29 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_scan_keeps_flags_not_margin_grids():
+@pytest.mark.parametrize("spec", [
+    ra.GridSpec(0.01, 3.0, 1000, -40.0, -0.01, 1000, (3,)),
+    # kernel slopes <= 0 only: every line is one OutsideRegion run
+    ra.GridSpec(-5.0, -0.01, 1000, -40.0, -0.01, 1000, (3,)),
+    ra.GridSpec(-40.0, -0.01, 1000, -5.0, -0.01, 1000, (3,), "-"),
+], ids=["atlas", "non-positive-slopes", "non-positive-slopes-mirrored"])
+def test_scan_keeps_flags_not_margin_grids(spec):
     # the codes are 1 MB; named verdicts would be 8 MB of pointers, and
     # the four float64 margin grids of a whole n 32 MB
-    spec = ra.GridSpec(0.01, 3.0, 1000, -40.0, -0.01, 1000, (3,))
     assert _traced_peak(lambda: ra.scan(spec)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("spec", [
+    AXIS_SPECS[0],
+    ra.GridSpec(-40.0, -0.01, 400, 0.01, 3.0, 400, tuple(range(3, 10)), "-"),
+], ids=["atlas", "atlas-mirrored"])
+def test_runs_leave_no_cell_of_the_atlas_to_the_kernel(spec):
+    # the band filter certifies every cell of every line, and no line is
+    # left to the kernel, so the atlas is coded from its runs alone
+    slopes, d = (axis.ravel() for axis in ra._oriented_axes(spec))
+    _, _, (line, cell), kernel = ra._runs(slopes, d, spec.n_list, st.DEFAULT_CURVE_TOL)
+    assert line.size == cell.size == 0
+    assert kernel.shape == (len(spec.n_list), slopes.size) and not kernel.any()
 
 
 @pytest.mark.parametrize("mu_sign", ["+", "-"])
