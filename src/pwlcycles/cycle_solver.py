@@ -11,8 +11,8 @@ x-components come from the 1D map alone: the closed form for the
 canonical R L^(n-1) word, L R^(n-1) for mu_hat < 0 (solve_cycle), and
 for any R/L word the scalar composition of the word rotated to start at
 each point (solve_symbolic_cycle). The Y-components then follow from one
-linear solve for Y_1 plus forward recursion, a step both entry points
-share.
+linear solve for Y_1 plus forward recursion (_y_cycle), a step both
+entry points share with the simulator's cycle route.
 """
 
 from __future__ import annotations
@@ -219,45 +219,57 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     return _period_spectrum(sys, sequence, _word(sys, sequence)[2], False)[1]
 
 
+def _y_cycle(sys: CanonicalSystem, xs: np.ndarray, right, A_n) -> tuple:
+    """The Y block of the cycle through the x-values xs, and its drives.
+
+    right marks the points that leave on the x >= 0 branch and A_n is
+    A_block^n, n = len(xs). With u_k the drive of the step leaving
+    point k (x_k e_vec + h_Y where right, x_k b_vec + h_Y otherwise),
+    Y_0 solves
+
+        (I - A^n) Y_0 = sum_{k=0}^{n-1} A^(n-1-k) u_k
+
+    (the Y reached after one period started from Y = 0, summed by
+    Horner's rule), and Y_k = A Y_(k-1) + u_(k-1) follow by forward
+    recursion. Returns (Y, U), both of shape (n, m), U holding u_k.
+    """
+    A = sys.A_block
+    U = np.where(right[:, None], sys.e_vec, sys.b_vec) * xs[:, None] + sys.h_Y
+    rhs = U[0]
+    for u in U[1:]:
+        rhs = A @ rhs + u
+    Y = np.empty_like(U)
+    Y[0] = np.linalg.solve(np.eye(sys.m) - A_n, rhs)
+    for i in range(1, len(U)):
+        Y[i] = A @ Y[i - 1] + U[i - 1]
+    return Y, U
+
+
 def _solution(
     sys: CanonicalSystem, xs, sequence: str, word, admissible: bool
 ) -> CycleSolution:
     """The cycle through the x-values xs along sequence, with its Y block.
 
-    word is _word of the sequence. With u_k the drive of the step leaving
-    point k (x_k e_vec + h_Y on an 'R' letter, x_k b_vec + h_Y
-    otherwise), Y_1 solves
-
-        (I - A^n) Y_1 = sum_{k=0}^{n-1} A^k u_{n-k}
-
-    (the Y reached after one period started from Y = 0, summed by
-    Horner's rule), and the remaining Y_k follow by forward recursion.
-    The residual steps every point once along its letter's branch.
+    word is _word of the sequence; the Y block is _y_cycle's. The
+    residual steps every point once along its letter's branch.
     Raises what the A^n decomposition raises, and NotAdmissibleError
     when a point is not finite.
     """
     n = len(sequence)
     m = sys.m
-    A = sys.A_block
     slopes, right, product = word
 
     A_n, mults = _period_spectrum(sys, sequence, product, True)
     Z = np.empty((n, m + 1))
     Z[:, 0] = xs
     if m:
-        U = np.where(right[:, None], sys.e_vec, sys.b_vec) * Z[:, :1] + sys.h_Y
-        rhs = U[0]
-        for u in U[1:]:
-            rhs = A @ rhs + u
-        Z[0, 1:] = np.linalg.solve(np.eye(m) - A_n, rhs)
-        for i in range(1, n):
-            Z[i, 1:] = A @ Z[i - 1, 1:] + U[i - 1]
+        Z[:, 1:], U = _y_cycle(sys, Z[:, 0], right, A_n)
     if not np.isfinite(Z).all():
         raise NotAdmissibleError(xs, sequence, f"the {n}-cycle overflows")
     miss = np.empty_like(Z)
     miss[:, 0] = slopes * Z[:, 0] + sys.mu_hat
     if m:
-        miss[:, 1:] = Z[:, 1:] @ A.T + U
+        miss[:, 1:] = Z[:, 1:] @ sys.A_block.T + U
     miss[:-1] -= Z[1:]
     miss[-1] -= Z[0]
     return CycleSolution(

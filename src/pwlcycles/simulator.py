@@ -2,7 +2,8 @@
 
 The x coordinate of the canonical system evolves autonomously, so the
 bifurcation scan and cobweb helpers work on the 1D map, and trajectory
-runs x first and then the Y block as a linear recurrence driven by x.
+runs x first and then the Y block as a linear recurrence driven by x,
+solved as a cycle where x repeats and the block provably contracts.
 Cycle detection handles the full (m+1)-dimensional state.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_solver import CanonicalSystem
+from .cycle_solver import CanonicalSystem, _y_cycle
 from .errors import DivergenceError
 from .skew_tent import (
     SkewTentParams,
@@ -60,6 +61,12 @@ _X_CHUNK = 1 << 12
 _Y_BLOCK_WIDTH = 160
 _POWER_LIMIT = 1e150
 _POWER_CANCELLATION = 5.0
+# The cycle route of trajectory's Y needs ||A^j||_inf <= 1/2 for some
+# j <= _CONTRACTION_CAP. It forms its p cycle states one at a time, each
+# costing up to about 45 steps of the blocked recurrence (m = 3; about
+# 23 at m = 16), so it runs only when _CYCLE_STEP_COST * p <= steps.
+_CONTRACTION_CAP = 64
+_CYCLE_STEP_COST = 64
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,21 @@ def trajectory(
     triangular: x runs on its own as a scalar loop until its float orbit
     repeats, from where the cycle is copied (see _x_orbit); Y follows as
     the linear recurrence Y' = A_block Y + u_k with inputs
-    u_k = (b_vec or e_vec) x_k + h_Y, evaluated in blocks of steps.
-    The block ends come first, straight from the x values; the states
-    inside a block are formed only where they are recorded, or where a
-    norm bound does not keep them inside the threshold. m = 0 simply
-    has no Y. Raises DivergenceError (carrying the application count,
-    the offending state and the threshold) at the first step where any
-    coordinate exceeds DIVERGENCE_THRESHOLD times the run's scale,
+    u_k = (b_vec or e_vec) x_k + h_Y, by one of two routes. The cycle
+    route (_y_cycle_tail) runs where x repeats by the end of the
+    transient, the period is short against the run, and norm bounds on
+    the powers of A_block prove that no state crosses the threshold and
+    that the recorded tail is the Y cycle of the repeated x word to
+    within its rounding: that cycle is solved once and tiled, and no Y
+    step runs. Every other run takes the scan route (_y_orbit), which
+    evaluates the recurrence in blocks of steps: the block ends come
+    first, straight from the x values; the states inside a block are
+    formed only where they are recorded, or where a norm bound does not
+    keep them inside the threshold. The routes agree to within a few
+    units of rounding of the scale. m = 0 simply has no Y. Raises
+    DivergenceError (carrying the application count, the offending
+    state and the threshold) at the first step where any coordinate
+    exceeds DIVERGENCE_THRESHOLD times the run's scale,
     max(|mu_hat|, max|h_Y|, max|z0|): scaling mu_hat, h_Y and z0 by a
     power of two scales every state, and the threshold, by it. The
     threshold is capped at the largest float, so an orbit that
@@ -145,9 +160,10 @@ def trajectory(
 
     out = np.empty((steps - transient, m + 1))
     xs = np.empty(steps)  # Y is driven by every x from step 0
-    hit = _x_orbit(sys, float(z0[0]), xs, threshold)
+    hit, period = _x_orbit(sys, float(z0[0]), xs, threshold)
     y = z0[1:]
-    if m > 0:
+    if m > 0 and (period is None or not _y_cycle_tail(
+            sys, xs, y, period, transient, out[:, 1:], threshold)):
         last = steps - 1 if hit is None else hit[0]
         y = _y_orbit(sys, xs, y, last, transient, out[:, 1:], threshold)
     if hit is not None:
@@ -167,18 +183,25 @@ def _divergence_threshold(*scales):
 def _x_orbit(sys, x, rec, threshold):
     """Run the skew tent map of sys from x for len(rec) - 1 applications.
 
-    Writes x_k to rec[k]. Returns (k, x_k) for the first k with
-    |x_k| > threshold, or None when the orbit stays bounded.
+    Writes x_k to rec[k]. Returns (crossing, period): crossing is
+    (k, x_k) for the first k with |x_k| > threshold, or None when the
+    orbit stays bounded; period is the least period p of a repeat seen
+    at a chunk end, or None when none was seen (always after a
+    crossing).
 
     The float map is a function of x's bits alone, so once x_k has the
     bits of an earlier x_j the orbit repeats x_(j+1)..x_k from there on
     (Brent, "An improved Monte Carlo factorization algorithm", 1980).
     The steps run in chunks that double from _X_FIRST_CHUNK up to
     _X_CHUNK; each chunk is screened for divergence and its last x
-    sought among its earlier values and the one before it, and a match
-    copies the period to the end of rec with two array operations,
-    whatever the number of periods. Every copied value was screened, so
-    the first crossing is the one stepping would find.
+    sought among its earlier values and the one before it. The latest
+    match is p steps back, p the orbit's least period, and copies the
+    period to the end of rec with two array operations, whatever the
+    number of periods. Every copied value was screened, so the first
+    crossing is the one stepping would find. A repeat is seen only at a
+    chunk end whose window holds a whole period, so a period above
+    _X_CHUNK + 1 is never seen; where the cycle starts is found by
+    _repeat_start when it is needed.
     """
     a, d, mu = sys.a, sys.d, sys.mu_hat
     # the loop only steps, and each chunk is screened after it: an orbit
@@ -199,7 +222,7 @@ def _x_orbit(sys, x, rec, threshold):
         over = np.abs(rec[k0:k1]) > threshold
         if over.any():
             k = k0 + int(over.argmax())
-            return k, float(rec[k])
+            return (k, float(rec[k])), None
         seen = np.flatnonzero(bits[k0 - 1 : k] == bits[k])
         if seen.size:
             p = k - (k0 - 1 + int(seen[-1]))  # x_k repeats x_(k-p)
@@ -207,9 +230,85 @@ def _x_orbit(sys, x, rec, threshold):
             q, r = divmod(len(rec) - k1, p)
             rec[k1 : k1 + q * p].reshape(q, p)[...] = rec[k1 - p : k1]
             rec[len(rec) - r :] = rec[k1 - p : k1 - p + r]
-            return None
+            return None, p
         k0, size = k1, min(2 * size, _X_CHUNK)
+    return None, None
+
+
+def _repeat_start(xs, p, last):
+    """The first s <= last whose x_s has the bits of x_(s+p), or None:
+    from s on the orbit xs repeats with period p. One comparison of
+    bit patterns, as _x_orbit's."""
+    bits = xs.view(np.int64)
+    n = min(last + 1, len(xs) - p)
+    same = bits[:n] == bits[p : p + n]
+    s = int(same.argmax())
+    return s if same[s] else None
+
+
+def _contraction(A):
+    """(j, N) for the least j <= _CONTRACTION_CAP with ||A^j||_inf <= 1/2,
+    with N = max_(i<=j) ||A^i||_inf, A^0 = I included, so that
+    ||A^k||_inf <= N 2^-floor(k/j) for every k; None when there is no
+    such j, as for every block of spectral radius 2^(-1/_CONTRACTION_CAP)
+    = 0.989 or more."""
+    power, N = A, 1.0
+    # a power past an overflow is inf or NaN, which no test passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, _CONTRACTION_CAP + 1):
+            norm = float(np.abs(power).sum(axis=1).max())
+            if norm <= 0.5:
+                return j, N
+            N = max(N, norm)
+            power = power.dot(A)
     return None
+
+
+def _y_cycle_tail(sys, xs, y, p, transient, rec, threshold):
+    """Write Y_k for k >= transient to rec[k - transient] from the Y
+    cycle of the repeating x orbit and return True, where bounds prove
+    that stepping Y from Y_0 = y gives the same states to within their
+    rounding and crosses no threshold; else write nothing and return
+    False.
+
+    xs holds the x orbit, whose least period is p, at most
+    len(xs) / _CYCLE_STEP_COST. From the first s with x_s = x_(s+p) the
+    drives repeat, so
+    Y_k = C_((k-s) mod p) + A^(k-s) (Y_s - C_0), where C is the Y cycle
+    of the word x_s..x_(s+p-1) (cycle_solver._y_cycle). The route needs
+    s <= transient and _contraction's bound
+    ||A^k||_inf <= N 2^-floor(k/j). Then every state, and C, lies within
+    B = N max|Y_0| + 2 j N u_max, u_max the largest |u_k| of the run's
+    x values; 2 B <= threshold must hold, the factor 2 covering rounding
+    as in _y_orbit, so that no state crosses. The deviation at the first
+    recorded step, at most N 2 B 2^-floor((transient - s) / j) and
+    smaller after it, must lie below half an ulp of C's largest |value|
+    there. No Y step runs: the record tiles C with phase (k - s) mod p.
+    """
+    if _CYCLE_STEP_COST * p > len(xs):
+        return False
+    s = _repeat_start(xs, p, transient)
+    contraction = None if s is None else _contraction(sys.A_block)
+    if contraction is None:
+        return False
+    j, N = contraction
+    gain = max(float(np.abs(sys.e_vec).max()), float(np.abs(sys.b_vec).max()))
+    u_max = float(np.abs(xs[: s + p]).max()) * gain + float(np.abs(sys.h_Y).max())
+    bound = N * float(np.abs(y).max()) + 2 * j * N * u_max
+    if not 2.0 * bound <= threshold:
+        return False
+    t = transient - s
+    deviation = math.ldexp(2.0 * N * bound, -(t // j))
+    # the exact |C| is at most B, so a deviation of half an ulp of B or
+    # more cannot pass the test below: reject it before C is solved
+    if not deviation < math.ulp(bound) / 2:
+        return False
+    word = xs[s : s + p]
+    C, _ = _y_cycle(sys, word, word > 0.0, np.linalg.matrix_power(sys.A_block, p))
+    if not deviation < math.ulp(float(np.abs(C[t % p]).max())) / 2:
+        return False
+    rec[...] = np.take(C, np.arange(t, t + len(rec)) % p, axis=0)
+    return True
 
 
 def _y_orbit(sys, xs, y, last, transient, rec, threshold):
@@ -532,7 +631,7 @@ def bifurcation_scan(
     rec = np.empty(steps)
     rows = []
     for p, row in zip(maps, out):
-        hit = _x_orbit(p, x0, rec, threshold)
+        hit, _ = _x_orbit(p, x0, rec, threshold)
         if hit is None:
             row[:] = rec[transient:]
         rows.append({

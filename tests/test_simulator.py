@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from pwlcycles import cycle_solver as cs
@@ -210,32 +210,184 @@ _WIDE_Y_CASES = [
 ] + [(3, "contracting-K1")]
 
 
+# the blocks whose Y tail trajectory solves as the cycle of the repeated
+# x word (x repeats from step 259 with period 3) once the transient is
+# long enough; 0.6 I is radius None
+_CYCLE_Y_CASES = [(2, "far-from-normal"), (3, "contracting-K1"), (3, None),
+                  (16, 0.3), (64, 0.3)]
+_LONG_RUN = (30_000, 29_000)
+
+
+def _count_scans(monkeypatch):
+    """A list that gains one entry per call of _y_orbit, trajectory's
+    scan route; it stays empty where the cycle route runs."""
+    calls = []
+    scan = sim._y_orbit
+    monkeypatch.setattr(sim, "_y_orbit", lambda *args: calls.append(1) or scan(*args))
+    return calls
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="np.longdouble is no wider than float64 on this platform",
 )
 @pytest.mark.parametrize(
-    "m, radius", _WIDE_Y_CASES, ids=[f"{m}-{r}" for m, r in _WIDE_Y_CASES]
+    "m, radius, transient",
+    [(m, r, 0) for m, r in _WIDE_Y_CASES]
+    + [(m, r, _LONG_RUN[1]) for m, r in _CYCLE_Y_CASES],
+    ids=[f"{m}-{r}" for m, r in _WIDE_Y_CASES]
+    + [f"{m}-{r}-cycle" for m, r in _CYCLE_Y_CASES],
 )
-def test_trajectory_y_matches_long_double_recurrence(m, radius):
+def test_trajectory_y_matches_long_double_recurrence(m, radius, transient, monkeypatch):
     # Y_k = A Y_(k-1) + u_(k-1) stepped in long double from trajectory's
     # own x values, which are bit-identical to the stepper's, so the
     # comparison sees only the Y evaluation; over 30,000 steps the float64
-    # evaluation may round by at most about eps per step of the scale
+    # evaluation may round by at most about eps per step of the scale.
+    # The long transients take the cycle route, whose tail is solved
+    scans = _count_scans(monkeypatch)
     sys, z0 = _oracle_system(m, radius)
-    steps = 30_000
-    orbit = sim.trajectory(sys, steps=steps, transient=0, z0=z0)
+    steps = _LONG_RUN[0]
+    orbit = sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+    assert len(scans) == (transient == 0)
+    x = np.empty(steps)
+    sim._x_orbit(sys, z0[0], x, math.inf)
+    assert np.array_equal(orbit.x_values, x[transient:])
     wide = np.longdouble
     A = sys.A_block.astype(wide)
     drive = np.where(
-        (orbit.x_values <= 0.0)[:, None], sys.b_vec, sys.e_vec
-    ).astype(wide) * orbit.x_values.astype(wide)[:, None] + sys.h_Y.astype(wide)
+        (x <= 0.0)[:, None], sys.b_vec, sys.e_vec
+    ).astype(wide) * x.astype(wide)[:, None] + sys.h_Y.astype(wide)
     Y = np.empty((steps, m), dtype=wide)
     Y[0] = z0[1:]
     for k in range(1, steps):
         Y[k] = np.dot(A, Y[k - 1]) + drive[k - 1]
-    miss = np.max(np.abs(orbit.states[:, 1:] - Y))
+    miss = np.max(np.abs(orbit.states[:, 1:] - Y[transient:]))
     assert miss <= steps * np.finfo(float).eps * np.max(np.abs(Y))
+
+
+@pytest.mark.parametrize("m, radius", _CYCLE_Y_CASES,
+                         ids=[f"{m}-{r}" for m, r in _CYCLE_Y_CASES])
+def test_cycle_route_matches_stepping_oracle(m, radius, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    sys, z0 = _oracle_system(m, radius)
+    steps, transient = _LONG_RUN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+    assert scans == []
+    want = _stepped(sys, z0, steps)[transient:]
+    assert np.array_equal(orbit.x_values, want[:, 0])
+    assert np.allclose(orbit.states, want, rtol=1e-12, atol=1e-12)
+
+
+def _stable_system(rng, m):
+    """A system whose R L^(n-1) cycle attracts, with x multiplier of
+    modulus below 0.9 and a dense block of spectral radius 0.3..0.7, as
+    the orbits benchmark draws its state systems."""
+    n = int(rng.integers(3, 6))
+    a = float(rng.uniform(0.2, 0.4))
+    lo = a * float(st.geometric_sum(a, n - 1)) * 1.02
+    d = -float(rng.uniform(lo, 0.9)) / a ** (n - 1)
+    return cs.CanonicalSystem(
+        a, d, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+        _dense_block(rng, m, rng.uniform(0.3, 0.7)), rng.uniform(-1, 1, m),
+        float(rng.uniform(0.5, 1.5)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("m", [3, 16])
+def test_stable_systems_take_the_cycle_route(m, seed, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    sys = _stable_system(np.random.default_rng(seed), m)
+    orbit = sim.trajectory(sys, steps=5000, transient=4500)
+    assert scans == []
+    # the recorded tail is the solved cycle, tiled with the x period
+    start, p = _first_repeat(orbit.x_values.copy())
+    assert start == 0
+    assert np.array_equal(orbit.states[p:], orbit.states[:-p])
+
+
+@pytest.mark.parametrize("radius", list(_NAMED_BLOCKS))
+def test_named_contracting_blocks_take_the_cycle_route(radius, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    sys, z0 = _oracle_system(len(_NAMED_BLOCKS[radius]), radius)
+    sim.trajectory(sys, steps=5000, transient=4500, z0=z0)
+    assert scans == []
+
+
+def test_cancelling_block_takes_the_cycle_route_at_a_long_transient(monkeypatch):
+    # the CI run of the cancelling block: K = 1, yet ||A^2||_inf = 0.01
+    scans = _count_scans(monkeypatch)
+    sys, _ = _cancelling_system(1.0)
+    orbit = sim.trajectory(sys, steps=30_000, transient=25_000, z0=[0.3, 0.0, 0.0])
+    assert scans == []
+    assert sim.detect_cycle(orbit).period == 3
+
+
+@pytest.mark.parametrize(
+    "m, radius", [(m, r) for m in (1, 3, 16) for r in (0.99, 1.0, 1.0015)])
+def test_blocks_of_radius_near_one_take_the_scan_route(m, radius, monkeypatch):
+    # 0.99^64 > 1/2: no power up to _CONTRACTION_CAP halves the norm;
+    # the growing blocks diverge, at the scan's exact first crossing
+    scans = _count_scans(monkeypatch)
+    sys, z0 = _oracle_system(m, radius)
+    assert sim._contraction(sys.A_block) is None
+    result = _run(sys, z0, *_LONG_RUN)
+    assert scans == [1]
+    assert isinstance(result, DivergenceError) == (radius > 1.0)
+
+
+def test_chaotic_x_takes_the_scan_route(monkeypatch):
+    # the 4-band tent with a contracting diagonal block: x never repeats
+    scans = _count_scans(monkeypatch)
+    sys = cs.CanonicalSystem(0.6004, -1.9091, [1.0, 0.5, 0.6], [0.5, 1.0, 1.0],
+                             np.diag([0.4, 0.5, 0.6]), [1.0, 0.0, 1.0], 0.8)
+    sim.trajectory(sys, steps=20_000, transient=15_000, z0=[0.3, 0.0, 0.0, 0.0])
+    assert scans == [1]
+
+
+def test_y_crossing_on_a_contracting_block_keeps_the_scan_route(monkeypatch):
+    # x repeats and 0.5 I contracts, but the couplings are large against
+    # the run's scale: the bound 2 B exceeds the threshold, and Y does
+    # cross it, at the stepping oracle's step
+    scans = _count_scans(monkeypatch)
+    sys = cs.CanonicalSystem(0.4, -4.0, [3e12, 0.0], [3e12, 0.0], 0.5 * np.eye(2),
+                             [1.0, 0.0], 0.8)
+    step, _ = _assert_oracle_divergence(sys, [0.3, 0.0, 0.0], 30_000, 29_000)
+    assert step < 29_000
+    assert scans == [1]
+
+
+def test_cycle_route_needs_a_period_short_against_the_run(monkeypatch):
+    # a = 1 steps integers: 1, -199, -198, ..., 0, 1 has period 201, and
+    # the cycle route forms its states one Python step each
+    scans = _count_scans(monkeypatch)
+    sys = cs.CanonicalSystem(1.0, -200.0, [0.5, -0.5], [0.3, 1.0], 0.5 * np.eye(2),
+                             [1.0, 0.0], 1.0)
+    z0 = [1.0, 0.0, 0.0]
+    limit = sim._CYCLE_STEP_COST * 201
+    expected = _stepped(sys, z0, limit)
+    for steps, routed in ((limit - 1, False), (limit, True)):
+        scans.clear()
+        orbit = sim.trajectory(sys, steps=steps, transient=steps - 300, z0=z0)
+        assert scans == ([] if routed else [1])
+        assert np.allclose(orbit.states, expected[steps - 300 : steps],
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_cycle_route_needs_the_transient_past_the_repeat_and_the_decay(monkeypatch):
+    # x repeats from s = 259 with period 3, and the block 0.6 I halves
+    # every 2 steps: a transient before s, or one that leaves the
+    # deviation above the cycle's rounding, keeps the scan route
+    scans = _count_scans(monkeypatch)
+    sys, z0 = _oracle_system(3, None)
+    expected = _stepped(sys, z0, 2000)
+    for transient, routed in ((258, False), (259, False), (300, False), (1000, True)):
+        scans.clear()
+        orbit = sim.trajectory(sys, steps=2000, transient=transient, z0=z0)
+        assert scans == ([] if routed else [1])
+        assert np.allclose(orbit.states, expected[transient:], rtol=1e-12, atol=1e-12)
 
 
 def _assert_oracle_divergence(sys, z0, steps, transient):
@@ -295,23 +447,46 @@ def _x_steps(sys, x, count, threshold):
 
 
 def _first_repeat(xs):
-    """The first k whose x_k has the bits of an earlier x, or None."""
-    seen = set()
+    """(s, p) for the first k = s + p whose x_k has the bits of an
+    earlier x, that x being x_s, or None."""
+    seen = {}
     for k, bits in enumerate(xs.view(np.int64).tolist()):
         if bits in seen:
-            return k
-        seen.add(bits)
+            return seen[bits], k - seen[bits]
+        seen[bits] = k
+    return None
+
+
+def _seen_period(count, repeat):
+    """The period _x_orbit reports for a record of count values whose
+    first repeat is (s, p): p at the first chunk end k >= s + p whose
+    window, the chunk and the value before it, holds x_(k-p)."""
+    if repeat is None:
+        return None
+    s, p = repeat
+    k0, size = 1, sim._X_FIRST_CHUNK
+    while k0 < count:
+        k1 = min(k0 + size, count)
+        if k1 - 1 >= s + p and k1 - 1 - p >= k0 - 1:
+            return p
+        k0, size = k1, min(2 * size, sim._X_CHUNK)
     return None
 
 
 def _assert_x_orbit_matches_steps(sys, x0, count, threshold=sim.DIVERGENCE_THRESHOLD):
     """_x_orbit writes the oracle's values bit for bit and returns its
-    first crossing; the values after a crossing are not compared."""
+    first crossing; the values after a crossing are not compared. Without
+    a crossing it reports the first bitwise repeat's period p wherever a
+    chunk end sees it, and _repeat_start finds the repeat's start s."""
     rec = np.empty(count)
-    hit = sim._x_orbit(sys, x0, rec, threshold)
+    hit, period = sim._x_orbit(sys, x0, rec, threshold)
     xs, want = _x_steps(sys, x0, count, threshold)
     assert np.array_equal(rec[: xs.size].view(np.int64), xs.view(np.int64))
     assert hit == want
+    repeat = _first_repeat(xs)
+    assert period == (None if hit else _seen_period(count, repeat))
+    if period is not None:
+        assert (sim._repeat_start(rec, period, count), period) == repeat
     return xs, hit
 
 
@@ -343,7 +518,8 @@ def _assert_x_orbit_matches_steps(sys, x0, count, threshold=sim.DIVERGENCE_THRES
 def test_x_orbit_matches_stepping(a, d, mu, x0, count, repeat):
     xs, hit = _assert_x_orbit_matches_steps(tent_system(a, d, mu), x0, count)
     assert hit is None
-    assert _first_repeat(xs) == repeat
+    first = _first_repeat(xs)
+    assert (None if first is None else sum(first)) == repeat
 
 
 @pytest.mark.parametrize("d, count, step", [
@@ -369,6 +545,8 @@ _X_OFFSETS = hs.sampled_from([0.8, 1.0, -1.0, 0.0, -0.0])
     hs.integers(1, 700),
     hs.sampled_from([sim.DIVERGENCE_THRESHOLD, 50.0, math.inf]),
 )
+# +0.0 and -0.0 alternate, so the first repeat is (s, p) = (0, 2)
+@example(-0.5, 0.3, -0.0, 0.0, 100, sim.DIVERGENCE_THRESHOLD)
 def test_x_orbit_matches_stepping_on_drawn_maps(a, d, mu, x0, count, threshold):
     _assert_x_orbit_matches_steps(tent_system(a, d, mu), x0, count, threshold)
 
@@ -390,27 +568,32 @@ def test_cobweb_data_matches_stepping(a, d, mu, x0):
         assert np.array_equal(col, want[1:])
 
 
-def _cancelling_system(scale):
+def _cancelling_system(scale, a=0.4, d=-4.0):
     """A block whose A^2 = 0.01 scale^2 I is a small difference of large
     products: K = 1, and no square passes the checks, so the scan carries
-    the ends one block per segment. Returns the system and its chunk
-    length."""
+    the ends one block per segment. x runs the tent map of a, d and
+    mu_hat = 0.8 (by default the 3-cycle). Returns the system and its
+    chunk length."""
     A = scale * np.array([[1.0, 100.0], [-0.0099, -1.0]])
-    sys = cs.CanonicalSystem(0.4, -4.0, [1.0, 0.5], [0.5, 1.0], A, [1.0, 0.0], 0.8)
+    sys = cs.CanonicalSystem(a, d, [1.0, 0.5], [0.5, 1.0], A, [1.0, 0.0], 0.8)
     K, chunk = _block_and_chunk(A)
     assert K == 1
     assert not sim._passes_checks(A @ A, A, A)
     return sys, chunk
 
 
-def test_cancelling_block_over_several_chunks():
-    sys, chunk = _cancelling_system(1.0)
+def test_cancelling_block_over_several_chunks(monkeypatch):
+    # chaotic x (the 4-band tent) never repeats, so the scan route
+    # carries the ends across two unrecorded chunks
+    scans = _count_scans(monkeypatch)
+    sys, chunk = _cancelling_system(1.0, 0.6004, -1.9091)
     z0 = [0.3, 0.0, 0.0]
     steps, transient = 3 * chunk, 2 * chunk + 1
     expected = _stepped(sys, z0, steps)[transient:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         orbit = sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
+    assert scans == [1]
     assert np.array_equal(orbit.x_values, expected[:, 0])
     assert np.allclose(orbit.states, expected, rtol=1e-12, atol=1e-12)
 
@@ -913,23 +1096,26 @@ def test_simulator_is_covariant_under_power_of_two_scaling(m, k, seed):
     mu = float(rng.uniform(0.2, 1.5))
     z0 = np.append(rng.uniform(-1.0, 1.5), rng.uniform(-1, 1, m))
     steps, transient = int(rng.integers(50, 1500)), int(rng.integers(0, 40))
-    base = _run(cs.CanonicalSystem(a, d, b, e, A, h, mu), z0, steps, transient)
-    scaled = _run(cs.CanonicalSystem(a, d, b, e, A, lam * h, lam * mu),
-                  lam * z0, steps, transient)
-    assert type(scaled) is type(base)
-    if isinstance(base, DivergenceError):
-        assert scaled.step == base.step
-        assert _bits(scaled.state) == _bits(lam * base.state)
-        assert scaled.threshold == lam * base.threshold
-    else:
-        assert _bits(scaled.states) == _bits(lam * base.states)
-        want, got = sim.detect_cycle(base), sim.detect_cycle(scaled)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.period == want.period
-            assert got.tol_used == lam * want.tol_used
-        assert sim.band_count(scaled) == sim.band_count(base)
-        assert sim.itinerary(scaled) == sim.itinerary(base)
+    # the drawn run, and a long transient, where a repeating x orbit on a
+    # contracting block takes the cycle route
+    for n, t in ((steps, transient), (3000, 2990)):
+        base = _run(cs.CanonicalSystem(a, d, b, e, A, h, mu), z0, n, t)
+        scaled = _run(cs.CanonicalSystem(a, d, b, e, A, lam * h, lam * mu),
+                      lam * z0, n, t)
+        assert type(scaled) is type(base)
+        if isinstance(base, DivergenceError):
+            assert scaled.step == base.step
+            assert _bits(scaled.state) == _bits(lam * base.state)
+            assert scaled.threshold == lam * base.threshold
+        else:
+            assert _bits(scaled.states) == _bits(lam * base.states)
+            want, got = sim.detect_cycle(base), sim.detect_cycle(scaled)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.period == want.period
+                assert got.tol_used == lam * want.tol_used
+            assert sim.band_count(scaled) == sim.band_count(base)
+            assert sim.itinerary(scaled) == sim.itinerary(base)
     sweep = dict(d_min=-8.0, d_max=1.2, d_steps=9, steps=steps, transient=transient)
     rows = sim.bifurcation_scan(a, mu, x0=z0[0], **sweep)
     scaled_rows = sim.bifurcation_scan(a, lam * mu, x0=lam * z0[0], **sweep)
