@@ -219,13 +219,30 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     return _period_spectrum(sys, sequence, _word(sys, sequence)[2], False)[1]
 
 
+def _drive(sys: CanonicalSystem, xs: np.ndarray, right, out=None) -> np.ndarray:
+    """The drives u_k of the Y block by the x-values xs, shape (len(xs), m),
+    written to out when given: u_k = x_k e_vec + h_Y where the bool array
+    right marks a step leaving on the right branch, slope d, and
+    x_k b_vec + h_Y otherwise."""
+    U = np.take((sys.b_vec, sys.e_vec), right.view(np.uint8), axis=0, out=out)
+    U *= xs[:, None]
+    return np.add(U, sys.h_Y, out=U)
+
+
+def _drive_bound(sys: CanonicalSystem, xs: np.ndarray) -> float:
+    """max|x| max(max|e_vec|, max|b_vec|) + max|h_Y| over the x-values xs,
+    at least every |u_k| of _drive, to within its rounding; NaN or inf
+    when an x-value is."""
+    gain = max(float(np.abs(sys.e_vec).max()), float(np.abs(sys.b_vec).max()))
+    return float(np.abs(xs).max()) * gain + float(np.abs(sys.h_Y).max())
+
+
 def _y_cycle(sys: CanonicalSystem, xs: np.ndarray, right, A_n) -> tuple:
     """The Y block of the cycle through the x-values xs, and its drives.
 
     right marks the points that leave on the x >= 0 branch and A_n is
     A_block^n, n = len(xs). With u_k the drive of the step leaving
-    point k (x_k e_vec + h_Y where right, x_k b_vec + h_Y otherwise),
-    Y_0 solves
+    point k (_drive), Y_0 solves
 
         (I - A^n) Y_0 = sum_{k=0}^{n-1} A^(n-1-k) u_k
 
@@ -234,7 +251,7 @@ def _y_cycle(sys: CanonicalSystem, xs: np.ndarray, right, A_n) -> tuple:
     recursion. Returns (Y, U), both of shape (n, m), U holding u_k.
     """
     A = sys.A_block
-    U = np.where(right[:, None], sys.e_vec, sys.b_vec) * xs[:, None] + sys.h_Y
+    U = _drive(sys, xs, right)
     rhs = U[0]
     for u in U[1:]:
         rhs = A @ rhs + u

@@ -17,13 +17,9 @@ import numpy as np
 from .skew_tent import (
     DEFAULT_CURVE_TOL,
     _CODE_OF_FLAGS,
-    _CURVE,
-    _EXISTS,
-    _NBAND,
-    _STABLE,
-    _TWONBAND,
     _VERDICTS,
     _bands,
+    _flag_rule,
     _flags,
     _line,
     _margins,
@@ -212,13 +208,16 @@ def _runs(slopes, d, n_list, tol):
     cells around it. The line constants (bound, r = 1 / (a - bound),
     P = a^(n-1), PP = fl(P P)) and band polynomials are the kernel's own
     _line and _bands, so every expression below has the kernel's bits.
+    Each of the kernel's seven sign tests is a prefix, a suffix or a run
+    of cells, and its breakpoint tests go through the kernel's
+    _flag_rule.
 
     - Existence is the prefix d < bound (_existence_counts).
-    - Stability fl(P d) > -1 and the flip fl(P d) < -1 are a suffix and
-      a prefix, and the curve test |fl(fl(bound - d) r)| <= tol is one
-      run: P > 0 and r > 0, so each rounded value is monotone in d,
-      because rounding is monotone. _first finds each end exactly on any
-      grid, one ulp apart or with equal centres.
+    - Stability and the flip are a suffix and a prefix of fl(P d), and
+      the curve is one run of fl(fl(bound - d) r): P > 0 and r > 0, so
+      each rounded value is monotone in d, because rounding is monotone.
+      _first finds each end exactly on any grid, one ulp apart or with
+      equal centres.
     - The bands matter only where the cycle exists and is not stable,
       the prefix of cells below min(existence end, stability start).
       There d < bound <= -1 (the rounded S_(n-1) is at least a^(n-2))
@@ -240,7 +239,7 @@ def _runs(slopes, d, n_list, tol):
       roots' approximate cells, _window walks out to the nearest
       certified cells, and only the cells between them, usually none,
       are left uncertain, so fl(c) may change sign more than once there.
-    - Every flag of the kernel needs a > 0, so a line of slope a <= 0,
+    - The kernel sets no flag at a <= 0, so a line of slope a <= 0,
       every breakpoint at 0, is one OutsideRegion run.
     - Lines of a > 0 and PP zero or not finite are left to the kernel.
       Where a > 0 and PP is finite and positive, so is P, bound <= -1 is
@@ -314,12 +313,8 @@ def _runs(slopes, d, n_list, tol):
         starts = np.vstack([np.zeros_like(ends[:1]), ends])
         ends = np.vstack([ends, np.full_like(ends[:1], size)])
         j = starts
-        exists = j < e
-        flags = _EXISTS * exists
-        flags |= _TWONBAND * (exists & (j < f) & (j >= k1))
-        flags |= _NBAND * (exists & (j < k0) & (j >= q1))
-        flags |= _STABLE * (exists & (j >= s))
-        flags |= _CURVE * ((c0 <= j) & (j < c1))
+        flags = _flag_rule(
+            j < e, j < f, j >= s, j >= k1, j < k0, j >= q1, (c0 <= j) & (j < c1))
     line, j = _cells(low, high)
     uncertain = fast[line % count], j
     return flags, ends - starts, uncertain, kernel.reshape(len(n_list), -1)

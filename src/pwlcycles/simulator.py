@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_solver import CanonicalSystem, _y_cycle
+from .cycle_solver import CanonicalSystem, _drive, _drive_bound, _y_cycle
 from .errors import DivergenceError
 from .skew_tent import (
     SkewTentParams,
@@ -196,8 +196,8 @@ def _x_orbit(sys, x, rec, threshold):
     _X_CHUNK; each chunk is screened for divergence and its last x
     sought among its earlier values and the one before it. The latest
     match is p steps back, p the orbit's least period, and copies the
-    period to the end of rec with two array operations, whatever the
-    number of periods. Every copied value was screened, so the first
+    period to the end of rec with _tile, whatever the number of
+    periods. Every copied value was screened, so the first
     crossing is the one stepping would find. A repeat is seen only at a
     chunk end whose window holds a whole period, so a period above
     _X_CHUNK + 1 is never seen; where the cycle starts is found by
@@ -226,13 +226,19 @@ def _x_orbit(sys, x, rec, threshold):
         seen = np.flatnonzero(bits[k0 - 1 : k] == bits[k])
         if seen.size:
             p = k - (k0 - 1 + int(seen[-1]))  # x_k repeats x_(k-p)
-            # whole periods by one broadcast into p columns, then the rest
-            q, r = divmod(len(rec) - k1, p)
-            rec[k1 : k1 + q * p].reshape(q, p)[...] = rec[k1 - p : k1]
-            rec[len(rec) - r :] = rec[k1 - p : k1 - p + r]
+            _tile(rec[k1:], rec[k1 - p : k1])
             return None, p
         k0, size = k1, min(2 * size, _X_CHUNK)
     return None, None
+
+
+def _tile(out, period):
+    """Fill out with period repeated from its first row, out[k] =
+    period[k mod p] with p = len(period): whole periods by one broadcast
+    into p rows, then the rest. period must not overlap out."""
+    q, r = divmod(len(out), len(period))
+    out[: len(out) - r].reshape(q, *period.shape)[...] = period
+    out[len(out) - r :] = period[:r]
 
 
 def _repeat_start(xs, p, last):
@@ -246,16 +252,17 @@ def _repeat_start(xs, p, last):
     return s if same[s] else None
 
 
-def _contraction(A):
-    """(j, N) for the least j <= _CONTRACTION_CAP with ||A^j||_inf <= 1/2,
-    with N = max_(i<=j) ||A^i||_inf, A^0 = I included, so that
-    ||A^k||_inf <= N 2^-floor(k/j) for every k; None when there is no
-    such j, as for every block of spectral radius 2^(-1/_CONTRACTION_CAP)
-    = 0.989 or more."""
+def _contraction(A, cap=_CONTRACTION_CAP):
+    """(j, N) for the least j <= cap with ||A^j||_inf <= 1/2, with
+    N = max_(i<=j) ||A^i||_inf, A^0 = I included, so that
+    ||A^k||_inf <= N 2^-floor(k/j) for every k, to within the rounding
+    of the computed norms and powers; None when there is no such j, as
+    for every block of spectral radius 2^(-1/cap) (0.989 at
+    _CONTRACTION_CAP) or more."""
     power, N = A, 1.0
     # a power past an overflow is inf or NaN, which no test passes
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, _CONTRACTION_CAP + 1):
+        for j in range(1, cap + 1):
             norm = float(np.abs(power).sum(axis=1).max())
             if norm <= 0.5:
                 return j, N
@@ -283,21 +290,27 @@ def _y_cycle_tail(sys, xs, y, p, transient, rec, threshold):
     as in _y_orbit, so that no state crosses. The deviation at the first
     recorded step, at most N 2 B 2^-floor((transient - s) / j) and
     smaller after it, must lie below half an ulp of C's largest |value|
-    there. No Y step runs: the record tiles C with phase (k - s) mod p.
+    there, so j is sought only up to (transient - s) // 55. No Y step
+    runs: the record tiles C with phase (k - s) mod p.
     """
     if _CYCLE_STEP_COST * p > len(xs):
         return False
     s = _repeat_start(xs, p, transient)
-    contraction = None if s is None else _contraction(sys.A_block)
+    if s is None:
+        return False
+    t = transient - s
+    # no j above t // 55 passes the deviation test below: where B is a
+    # normal float, ulp(B) / 2 <= B 2^-53 <= N 2 B 2^-floor(t / j) unless
+    # floor(t / j) >= 55, and below the normal floats ulp(B) / 2 rounds
+    # to 0
+    contraction = _contraction(sys.A_block, min(_CONTRACTION_CAP, t // 55))
     if contraction is None:
         return False
     j, N = contraction
-    gain = max(float(np.abs(sys.e_vec).max()), float(np.abs(sys.b_vec).max()))
-    u_max = float(np.abs(xs[: s + p]).max()) * gain + float(np.abs(sys.h_Y).max())
+    u_max = _drive_bound(sys, xs[: s + p])
     bound = N * float(np.abs(y).max()) + 2 * j * N * u_max
     if not 2.0 * bound <= threshold:
         return False
-    t = transient - s
     deviation = math.ldexp(2.0 * N * bound, -(t // j))
     # the exact |C| is at most B, so a deviation of half an ulp of B or
     # more cannot pass the test below: reject it before C is solved
@@ -307,7 +320,8 @@ def _y_cycle_tail(sys, xs, y, p, transient, rec, threshold):
     C, _ = _y_cycle(sys, word, word > 0.0, np.linalg.matrix_power(sys.A_block, p))
     if not deviation < math.ulp(float(np.abs(C[t % p]).max())) / 2:
         return False
-    rec[...] = np.take(C, np.arange(t, t + len(rec)) % p, axis=0)
+    # C rolled to the phase of rec[0]
+    _tile(rec, np.concatenate((C[t % p :], C[: t % p])))
     return True
 
 
@@ -336,7 +350,6 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
     _block_powers picks K; K = 1 is the plain recurrence.
     """
     A, h = sys.A_block, sys.h_Y
-    gain = np.stack((sys.e_vec, sys.b_vec))  # u_k - h_Y = gain[x_k <= 0] x_k
     m = y.size
     if transient == 0:
         rec[0] = y
@@ -350,7 +363,6 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
     F = np.concatenate((rev @ sys.e_vec, rev @ sys.b_vec))
     c = (rev @ h).sum(axis=0)
     norm = max(1.0, float(np.abs(powers).sum(axis=2).max()))
-    gain_max, h_max = float(np.abs(gain).max()), float(np.abs(h).max())
     chunk = K * max(1, _Y_CHUNK_VALUES // (K * m))
     nb_max = -(-min(chunk, last) // K)
     # the scans' jumps: A^1, A^2, A^4, ... inside a block, and A^K,
@@ -387,7 +399,7 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
                 _scan(P[r : r + seg + 1], across)
             # whether no state of the chunk can leave the threshold; the
             # factor 2 covers rounding, and NaN or inf reads False
-            u_max = np.abs(X[:n]).max() * gain_max + h_max
+            u_max = _drive_bound(sys, X[:n])
             bounded = 2.0 * norm * (np.abs(P[:-1]).max() + K * u_max) <= threshold
             # the first block holding a recorded state; the last chunk
             # also forms the block of Y_last
@@ -401,9 +413,7 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
                 cnt = k1 - k
                 blk = np.zeros(((nb - r0) * K, m))
                 xk = xs[k - 1 : k1 - 1]
-                np.take(gain, (xk <= 0.0).view(np.uint8), axis=0, out=blk[:cnt])
-                blk[:cnt] *= xk[:, None]
-                blk[:cnt] += h
+                _drive(sys, xk, xk > 0.0, out=blk[:cnt])
                 V = blk.reshape(nb - r0, K, m)
                 V[:, 0] += P[r0:-1] @ A.T
                 _scan(V[:, :-1], within)

@@ -380,24 +380,34 @@ _BAND_KEYS = (
 )
 
 
-def _flags(a, m, tol: float):
-    """Region flags at slope a with the quantities m of _margins: a uint8
-    for floats, a uint8 array for arrays.
+def _flag_rule(exists, flip, stable, cubic_pos, cubic_neg, quad_neg, curve):
+    """Region flags from the seven sign tests, each a bool or a bool
+    array: a uint8 for bools, a uint8 array for arrays.
 
-    Each test reads a sign: stability is pd > -1, NBand cubic < 0 and
-    quad < 0, TwoNBand pd < -1 and cubic > 0. Stability and both bands
-    lie inside the existence region, where pd < 0; the curve needs a
-    positive slope and |kink| <= tol, tested as two comparisons.
+    The tests are existence, the flip pd < -1, stability pd > -1, the
+    band cubic > 0 and < 0, the band quadratic < 0 and the curve. NBand
+    is cubic < 0 and quad < 0, TwoNBand the flip and cubic > 0;
+    stability and both bands lie inside the existence region, where
+    pd < 0. The curve is read as given.
+    """
+    flags = _EXISTS * exists
+    flags |= _TWONBAND * (exists & flip & cubic_pos)
+    flags |= _NBAND * (exists & cubic_neg & quad_neg)
+    flags |= _STABLE * (exists & stable)
+    flags |= _CURVE * curve
+    return flags
+
+
+def _flags(a, m, tol: float):
+    """Region flags at slope a with the quantities m of _margins, by
+    _flag_rule: each test reads the sign of a margin, and the curve
+    needs a positive slope and |kink| <= tol, tested as two comparisons.
     """
     ex, kink, pd, cubic, quad = m
     positive = a > 0
-    exists = positive & (ex > 0)
-    flags = _EXISTS * exists
-    flags |= _TWONBAND * (exists & (pd < -1.0) & (cubic > 0))
-    flags |= _NBAND * (exists & (cubic < 0) & (quad < 0))
-    flags |= _STABLE * (exists & (pd > -1.0))
-    flags |= _CURVE * (positive & (-tol <= kink) & (kink <= tol))
-    return flags
+    return _flag_rule(
+        positive & (ex > 0), pd < -1.0, pd > -1.0, cubic > 0, cubic < 0, quad < 0,
+        positive & (-tol <= kink) & (kink <= tol))
 
 
 def _point(a: float, d: float, n: int, mu_sign: str = "+", tol=DEFAULT_CURVE_TOL):

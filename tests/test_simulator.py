@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,10 +157,11 @@ _ORACLE_IDS = [
 ]
 
 
-def _oracle_system(m, radius):
-    """The system and start of one _ORACLE_CASES entry. radius None: the
-    diagonal block 0.6 I; a string: that block of _NAMED_BLOCKS; else a
-    dense non-normal block of that spectral radius."""
+def _oracle_system(m, radius, d=-4.0):
+    """The system and start of one _ORACLE_CASES entry, x running the
+    tent of a = 0.4 and d. radius None: the diagonal block 0.6 I; a
+    string: that block of _NAMED_BLOCKS; else a dense non-normal block
+    of that spectral radius."""
     if radius is None or isinstance(radius, str):
         rng = np.random.default_rng(7)
         A = 0.6 * np.eye(m) if radius is None else _NAMED_BLOCKS[radius]
@@ -167,7 +169,7 @@ def _oracle_system(m, radius):
         rng = np.random.default_rng(100 * m + int(100 * radius))
         A = _dense_block(rng, m, radius)
     sys = cs.CanonicalSystem(
-        0.4, -4.0, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+        0.4, d, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
         A, rng.uniform(-1, 1, m), 0.8,
     )
     return sys, np.append(0.3, rng.uniform(-1, 1, m))
@@ -265,12 +267,21 @@ def test_trajectory_y_matches_long_double_recurrence(m, radius, transient, monke
     assert miss <= steps * np.finfo(float).eps * np.max(np.abs(Y))
 
 
-@pytest.mark.parametrize("m, radius", _CYCLE_Y_CASES,
-                         ids=[f"{m}-{r}" for m, r in _CYCLE_Y_CASES])
-def test_cycle_route_matches_stepping_oracle(m, radius, monkeypatch):
+# (m, radius, d, transient) over _LONG_RUN[0] steps: the cycle-route
+# blocks; records of one and two states, shorter than the period 3; and
+# the fixed point 1.6 of d = 0.5, a period of 1
+_ROUTE_CASES = [(m, r, -4.0, _LONG_RUN[1]) for m, r in _CYCLE_Y_CASES] + [
+    (3, None, -4.0, _LONG_RUN[0] - 1), (3, None, -4.0, _LONG_RUN[0] - 2),
+    (3, None, 0.5, _LONG_RUN[1])]
+_ROUTE_IDS = [f"{m}-{r}" for m, r in _CYCLE_Y_CASES] + [
+    "3-None-record-1", "3-None-record-2", "3-None-fixed-point"]
+
+
+@pytest.mark.parametrize("m, radius, d, transient", _ROUTE_CASES, ids=_ROUTE_IDS)
+def test_cycle_route_matches_stepping_oracle(m, radius, d, transient, monkeypatch):
     scans = _count_scans(monkeypatch)
-    sys, z0 = _oracle_system(m, radius)
-    steps, transient = _LONG_RUN
+    sys, z0 = _oracle_system(m, radius, d)
+    steps = _LONG_RUN[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         orbit = sim.trajectory(sys, steps=steps, transient=transient, z0=z0)
@@ -336,6 +347,70 @@ def test_blocks_of_radius_near_one_take_the_scan_route(m, radius, monkeypatch):
     result = _run(sys, z0, *_LONG_RUN)
     assert scans == [1]
     assert isinstance(result, DivergenceError) == (radius > 1.0)
+
+
+def _exact_power_norms(A, k_max):
+    """||A^k||_inf for k = 0..k_max in exact rational arithmetic."""
+    F = [[Fraction(v) for v in row] for row in A.tolist()]
+    m = len(F)
+    P = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    norms = []
+    for _ in range(k_max + 1):
+        norms.append(max(sum(map(abs, row)) for row in P))
+        P = [[sum(P[i][l] * F[l][j] for l in range(m)) for j in range(m)]
+             for i in range(m)]
+    return norms
+
+
+def test_contraction_bounds_every_power_to_rounding():
+    # _contraction's certificate ||A^k||_inf <= N 2^-floor(k/j), checked
+    # on exact powers for k <= 4 j + 8; the computed norms and powers
+    # round, so the claim holds to one ulp relative
+    rng = np.random.default_rng(11)
+    blocks = [_dense_block(rng, int(rng.integers(1, 4)), rng.uniform(0.1, 0.95))
+              for _ in range(60)]
+    # triangular, far from normal: couplings of 5 to 1,000
+    blocks += [np.array([[r0, c], [0.0, r1]])
+               for r0, r1, c in zip(*rng.uniform(-0.8, 0.8, (2, 20)),
+                                    rng.uniform(5.0, 1000.0, 20))]
+    blocks += [_FAR_FROM_NORMAL, _CONTRACTING_K1, _cancelling_system(1.0)[0].A_block]
+    one_ulp = 1 + Fraction(1, 2**52)
+    for A in blocks:
+        j, N = sim._contraction(A)
+        for k, norm in enumerate(_exact_power_norms(A, 4 * j + 8)):
+            assert norm <= Fraction(N) / 2 ** (k // j) * one_ulp, (A, k)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_transient_cap_on_contraction_changes_no_route(seed, monkeypatch):
+    # where B is a normal float the deviation test needs
+    # floor((transient - s) / j) >= 55, so _y_cycle_tail searches j only
+    # up to (transient - s) // 55; the full search of _contraction takes
+    # the route at the same transients, the first of them a few j past
+    # 55 j
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    sys = cs.CanonicalSystem(
+        0.4, -4.0, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+        _dense_block(rng, m, rng.uniform(0.3, 0.95)), rng.uniform(-1, 1, m), 0.8)
+    z0 = np.append(0.3, rng.uniform(-1, 1, m))
+    xs = np.empty(4000)
+    threshold = sim._divergence_threshold(sys.mu_hat, *sys.h_Y, *z0)
+    _, p = sim._x_orbit(sys, z0[0], xs, threshold)
+    s = sim._repeat_start(xs, p, len(xs))
+    j, _ = sim._contraction(sys.A_block)
+    transients = range(s, s + 70 * j)
+    rec = np.empty((len(xs) - transients[-1], m))  # the decision reads no record
+
+    def routes():
+        return [sim._y_cycle_tail(sys, xs, z0[1:], p, t, rec, threshold)
+                for t in transients]
+
+    capped = routes()
+    full_search = sim._contraction
+    monkeypatch.setattr(sim, "_contraction", lambda A, cap: full_search(A))
+    assert capped == routes()
+    assert any(capped)
 
 
 def test_chaotic_x_takes_the_scan_route(monkeypatch):
