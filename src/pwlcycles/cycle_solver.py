@@ -219,12 +219,11 @@ def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
     return _period_spectrum(sys, sequence, _word(sys, sequence)[2], False)[1]
 
 
-def _drive(sys: CanonicalSystem, xs: np.ndarray, right, out=None) -> np.ndarray:
-    """The drives u_k of the Y block by the x-values xs, shape (len(xs), m),
-    written to out when given: u_k = x_k e_vec + h_Y where the bool array
-    right marks a step leaving on the right branch, slope d, and
-    x_k b_vec + h_Y otherwise."""
-    U = np.take((sys.b_vec, sys.e_vec), right.view(np.uint8), axis=0, out=out)
+def _drive(sys: CanonicalSystem, xs: np.ndarray, right) -> np.ndarray:
+    """The drives u_k of the Y block by the x-values xs, shape (len(xs), m):
+    u_k = x_k e_vec + h_Y where the bool array right marks a step leaving
+    on the right branch, slope d, and x_k b_vec + h_Y otherwise."""
+    U = np.take((sys.b_vec, sys.e_vec), right.view(np.uint8), axis=0)
     U *= xs[:, None]
     return np.add(U, sys.h_Y, out=U)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_solver import CanonicalSystem, _drive, _drive_bound, _y_cycle
+from .cycle_solver import CanonicalSystem, _drive_bound, _y_cycle
 from .errors import DivergenceError
 from .skew_tent import (
     SkewTentParams,
@@ -57,7 +57,8 @@ _X_FIRST_CHUNK = 1 << 6
 _X_CHUNK = 1 << 12
 # A block of K steps of the Y recurrence spans K * m values, at most
 # _Y_BLOCK_WIDTH; _block_powers shortens it by the size and the
-# cancellation of the powers A^1..A^K.
+# cancellation of the powers A^1..A^K. The width also bounds the block
+# map of _y_orbit, (2K + m) x Km values: at most 321 x 160, at m = 1.
 _Y_BLOCK_WIDTH = 160
 _POWER_LIMIT = 1e150
 _POWER_CANCELLATION = 5.0
@@ -131,10 +132,11 @@ def trajectory(
     that the recorded tail is the Y cycle of the repeated x word to
     within its rounding: that cycle is solved once and tiled, and no Y
     step runs. Every other run takes the scan route (_y_orbit), which
-    evaluates the recurrence in blocks of steps: the block ends come
-    first, straight from the x values; the states inside a block are
-    formed only where they are recorded, or where a norm bound does not
-    keep them inside the threshold. The routes agree to within a few
+    evaluates the recurrence in blocks of steps with one affine map from
+    a block's x values and start to its states: the map gives every
+    block's end, and a block's states are formed with it only where
+    they are recorded, or where a norm bound does not keep them inside
+    the threshold. The routes agree to within a few
     units of rounding of the scale. m = 0 simply has no Y. Raises
     DivergenceError (carrying the application count, the offending
     state and the threshold) at the first step where any coordinate
@@ -334,40 +336,49 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
 
     The steps run in blocks of K, a blocked evaluation of the linear
     recurrence (Blelloch, "Prefix sums and their applications", 1990).
-    A block that starts at y with drives u_0..u_(K-1) ends at
-    A^K y + Z, where Z = sum_j A^(K-1-j) u_j is its zero-start end.
-    Ends come first. Per chunk of steps, one matrix product takes every
-    block's x values to its Z, and a doubling scan (Hillis and Steele,
-    "Data parallel algorithms", 1986) carries the ends, y <- A^K y + Z,
-    with the powers A^K, A^2K, A^4K, ... whose squares pass
-    _passes_checks; t of them carry 2^t - 1 blocks, so a longer chunk is
-    carried in segments, each from the end the last one carried. The
-    states inside a block are formed, by the same scan over its steps
-    with A, A^2, A^4, ..., only where they are recorded or returned, or
-    where the chunk's bound 2 N (max|start| + K max|u|), with
+    One affine map, built once per run, gives a block's K states from
+    its start y and its x values x_0..x_(K-1):
+
+        Y_i = A^(i+1) y + sum_(j<=i) A^(i-j) (x+_j e_vec + x-_j b_vec)
+              + sum_(l<=i) A^l h_Y,
+
+    x+ and x- the positive and non-positive parts of the x values: one
+    matrix M acting on the row [x+ | x- | y], plus a constant c. Per
+    chunk of steps, M's last column block, i = K - 1, takes every
+    block's x values to its zero-start end, and a doubling scan (Hillis
+    and Steele, "Data parallel algorithms", 1986) carries the ends,
+    y <- A^K y + end, with the powers A^K, A^2K, A^4K, ... whose squares
+    pass _passes_checks; t of them carry 2^t - 1 blocks, so a longer
+    chunk is carried in segments, each from the end the last one
+    carried. The states of a block are formed, by one product with the
+    whole of M, only where they are recorded or returned, or where the
+    chunk's bound 2 N (max|start| + K max|u|), with
     N = max_(i<=K) ||A^i||_inf, does not keep every state inside the
     threshold; the first crossing is read from those states.
     _block_powers picks K; K = 1 is the plain recurrence.
     """
-    A, h = sys.A_block, sys.h_Y
     m = y.size
     if transient == 0:
         rec[0] = y
-    powers = _block_powers(A, max(1, min(_Y_BLOCK_WIDTH // m, last)))
+    powers = _block_powers(sys.A_block, max(1, min(_Y_BLOCK_WIDTH // m, last)))
     K = len(powers)
-    # a block's Z from its x values x_0..x_(K-1) alone: Z = [x+ | x-] F + c
-    # with x+ and x- their positive and non-positive parts, F stacking
-    # A^(K-1-j) e_vec over j and then A^(K-1-j) b_vec, and
-    # c = sum_j A^j h_Y
-    rev = np.concatenate((powers[-2::-1], np.eye(m)[None]))  # A^(K-1-j)
-    F = np.concatenate((rev @ sys.e_vec, rev @ sys.b_vec))
-    c = (rev @ h).sum(axis=0)
+    # M, rows by columns (2K + m) x Km: row j of each x half is the
+    # window of [0 (K - 1 rows), A^0 v, .., A^(K-1) v] that starts at
+    # K - 1 - j, v = e_vec then b_vec, and the last m rows are A^1..A^K,
+    # each transposed to act on rows
+    lower = np.concatenate((np.eye(m)[None], powers[:-1]))  # A^0..A^(K-1)
+    pad = np.zeros((2, 2 * K - 1, m))
+    pad[0, K - 1 :] = lower @ sys.e_vec
+    pad[1, K - 1 :] = lower @ sys.b_vec
+    windows = np.lib.stride_tricks.sliding_window_view(pad, (K, m), axis=(1, 2))
+    M = np.empty((2 * K + m, K * m))
+    M[: 2 * K].reshape(2, K, K, m)[...] = windows[:, ::-1, 0]
+    M[2 * K :] = powers.transpose(2, 0, 1).reshape(m, K * m)
+    c = np.cumsum(lower @ sys.h_Y, axis=0).reshape(K * m)
     norm = max(1.0, float(np.abs(powers).sum(axis=2).max()))
     chunk = K * max(1, _Y_CHUNK_VALUES // (K * m))
     nb_max = -(-min(chunk, last) // K)
-    # the scans' jumps: A^1, A^2, A^4, ... inside a block, and A^K,
-    # A^2K, A^4K, ... from block end to block end
-    within = powers[[(1 << i) - 1 for i in range(K.bit_length())]]
+    # the carry's jumps A^K, A^2K, A^4K, ... from block end to block end
     across = [powers[-1]]
     k0 = 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,25 +389,28 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
         stack = np.array(across)
         ok = _passes_checks(stack[1:], stack[:-1], stack[:-1])
         across = across[: _passing_prefix(ok) + 1]
-        seg = (1 << len(across)) - 1  # the blocks one scan pass carries
+        seg = (1 << len(across)) - 1  # the blocks one carry pass takes
         while k0 <= last:
             k1 = min(k0 + chunk, last + 1)
             n = k1 - k0
             nb = -(-n // K)
-            # the x values that drive the chunk, one block per row,
-            # padded with zeros to whole blocks
+            # one row [x+ | x- | start] per block, the x values padded
+            # with zeros to whole blocks
             X = np.zeros(nb * K)
             X[:n] = xs[k0 - 1 : k1 - 1]
-            W = np.empty((nb, 2, K))
-            np.maximum(X.reshape(nb, K), 0.0, out=W[:, 0])
-            np.minimum(X.reshape(nb, K), 0.0, out=W[:, 1])
-            # P[r] is the start of block r and P[r + 1] its end
+            W = np.empty((nb, 2 * K + m))
+            np.maximum(X.reshape(nb, K), 0.0, out=W[:, :K])
+            np.minimum(X.reshape(nb, K), 0.0, out=W[:, K : 2 * K])
+            # P[r] is the start of block r and P[r + 1] its end, the map's
+            # last m columns from a zero start, carried below
             P = np.empty((nb + 1, m))
             P[0] = y
-            np.matmul(W.reshape(nb, 2 * K), F, out=P[1:])
-            P[1:] += c
+            np.matmul(W[:, : 2 * K], M[: 2 * K, -m:], out=P[1:])
+            P[1:] += c[-m:]
             for r in range(0, nb, seg):
-                _scan(P[r : r + seg + 1], across)
+                V = P[r : r + seg + 1]
+                for t, J in enumerate(across[: (len(V) - 1).bit_length()]):
+                    V[1 << t :] += V[: -(1 << t)] @ J.T
             # whether no state of the chunk can leave the threshold; the
             # factor 2 covers rounding, and NaN or inf reads False
             u_max = _drive_bound(sys, X[:n])
@@ -407,44 +421,26 @@ def _y_orbit(sys, xs, y, last, transient, rec, threshold):
             if k1 > last:
                 r0 = min(r0, nb - 1)
             if r0 < nb:
-                # the drives of blocks r0.., padded with zeros, one block
-                # per row; each row becomes the block's states
-                k = k0 + r0 * K  # the step of blk[0]
-                cnt = k1 - k
-                blk = np.zeros(((nb - r0) * K, m))
-                xk = xs[k - 1 : k1 - 1]
-                _drive(sys, xk, xk > 0.0, out=blk[:cnt])
-                V = blk.reshape(nb - r0, K, m)
-                V[:, 0] += P[r0:-1] @ A.T
-                _scan(V[:, :-1], within)
-                V[:, -1] = P[r0 + 1 :]
-                if (np.abs(blk[:cnt]) > threshold).any():
+                # the states of blocks r0.., from step k on
+                k = k0 + r0 * K
+                W[r0:, 2 * K :] = P[r0:-1]
+                Y = (W[r0:] @ M + c).reshape(-1, m)[: k1 - k]
+                if (np.abs(Y) > threshold).any():
                     # np.max propagates NaN exactly as the per-state
                     # check does
-                    over = np.abs(blk[:cnt]).max(axis=1) > threshold
+                    over = np.abs(Y).max(axis=1) > threshold
                     if over.any():
                         j = int(over.argmax())
                         raise DivergenceError(k + j, np.concatenate(
-                            ([xs[k + j]], blk[j])), threshold)
+                            ([xs[k + j]], Y[j])), threshold)
                 lo = max(k, transient)
                 if lo < k1:
-                    rec[lo - transient : k1 - transient] = blk[lo - k : cnt]
-                y = blk[cnt - 1]
+                    rec[lo - transient : k1 - transient] = Y[lo - k :]
+                y = Y[-1]
             else:
                 y = P[nb]
             k0 = k1
     return y
-
-
-def _scan(V, jumps):
-    """Carry V[i] <- V[i] + A V[i-1], for i = 1, 2, ... along axis -2,
-    in place by doubling: jumps[t] is A^(2^t), one for each doubling
-    the axis needs."""
-    for t, J in enumerate(jumps):
-        s = 1 << t
-        if s >= V.shape[-2]:
-            break
-        V[..., s:, :] += V[..., :-s, :] @ J.T
 
 
 def _block_powers(A, cap):

@@ -139,7 +139,7 @@ def _block_and_chunk(A):
 # contracting and far from normal: A^2 = 0.05 I, but max(|A| |A|) = 4
 _FAR_FROM_NORMAL = np.array([[0.5, 4.0], [-0.05, -0.5]])
 # contracting (spectral radius 0.53) but ||A||_2 = 3.68, so A^2 fails the
-# cancellation test and K = 1: every block end is one _scan call (the
+# cancellation test and K = 1: every block is one step of the carry (the
 # first m = 3 state system of the orbits benchmark at seed 24105)
 _CONTRACTING_K1 = np.array([
     [-0.17198677148194988, 0.11232235692416821, -1.3570052004741793],
@@ -478,17 +478,70 @@ def _assert_oracle_divergence(sys, z0, steps, transient):
     return step, state
 
 
-def test_y_divergence_between_block_ends_in_an_unrecorded_chunk():
-    # an A_block eigenvalue just above 1: Y crosses inside the second
-    # chunk, between two block ends, long before the recorded last state
-    A = _dense_block(np.random.default_rng(3), 2, 1.0015)
-    sys = cs.CanonicalSystem(0.4, -4.0, [1.0, 0.5], [0.5, 1.0], A, [1.0, 0.0], 0.8)
-    K, chunk = _block_and_chunk(A)
-    assert K > 1
-    step, state = _assert_oracle_divergence(sys, [0.3, 0.0, 0.0], 30_000, 29_999)
-    assert chunk < step <= 2 * chunk
+@pytest.mark.parametrize("m, seed, radius, K, steps", [
+    (1, 3, 1.0012, 160, 40_000), (2, 3, 1.0015, 80, 30_000),
+    (16, 6, 1.002, 10, 30_000), (64, 3, 1.002, 2, 30_000)])
+@pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+def test_y_divergence_between_block_ends_in_an_unrecorded_chunk(
+        m, seed, radius, K, steps, recorded):
+    # an A_block eigenvalue just above 1: Y crosses past the first chunk,
+    # between two block ends, and the crossing is read from the states
+    # the block map forms; with the last state alone recorded, the chunk
+    # of the crossing lies before the recorded one, and with transient 0
+    # every chunk is recorded
+    A = _dense_block(np.random.default_rng(seed), m, radius)
+    sys = cs.CanonicalSystem(0.4, -4.0, np.resize([1.0, 0.5], m), np.resize([0.5, 1.0], m),
+                             A, np.resize([1.0, 0.0], m), 0.8)
+    block, chunk = _block_and_chunk(A)
+    assert block == K
+    transient = 0 if recorded else steps - 1
+    step, state = _assert_oracle_divergence(sys, np.append(0.3, np.zeros(m)), steps, transient)
+    assert chunk < step
+    assert recorded or (step - 1) // chunk < (transient - 1) // chunk
     assert step % K != 0  # block ends sit at multiples of K
     assert abs(state[0]) < 10.0
+
+
+def _drawn_block(rng, m, radius, kind):
+    """A block of the given spectral radius: diagonal, dense
+    (_dense_block), or far from normal, upper triangular with couplings
+    of up to 2."""
+    if kind == "dense":
+        return _dense_block(rng, m, radius)
+    lam = rng.uniform(-1, 1, m)
+    A = np.diag(radius * lam / np.abs(lam).max())
+    if kind == "far-from-normal":
+        A += np.triu(rng.uniform(-2, 2, (m, m)), 1)
+    return A
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hs.integers(0, 2**32 - 1))
+def test_scan_route_matches_stepping_oracle_on_drawn_blocks(seed):
+    # chaotic x (the 4-band tent) never repeats, so every run takes the
+    # scan route: m from 1 to 12, blocks of spectral radius 0.2 to 1.0,
+    # up to three chunks with the transient anywhere in them
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 13))
+    kind = ("diagonal", "dense", "far-from-normal")[int(rng.integers(3))]
+    A = _drawn_block(rng, m, float(rng.uniform(0.2, 1.0)), kind)
+    sys = cs.CanonicalSystem(0.6004, -1.9091, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+                             A, rng.uniform(-1, 1, m), 0.8)
+    z0 = np.append(0.3, rng.uniform(-1, 1, m))
+    steps = int(rng.integers(1, 3 * _block_and_chunk(A)[1] + 1))
+    transient = int(rng.integers(0, steps))
+    expected = _stepped(sys, z0, steps)
+    with pytest.MonkeyPatch.context() as patch:
+        scans = _count_scans(patch)
+        got = _run(sys, z0, steps, transient)
+    assert scans == [1]
+    if isinstance(expected, tuple):
+        assert isinstance(got, DivergenceError) and got.step == expected[0]
+        assert np.allclose(got.state, expected[1], rtol=1e-12, atol=0)
+    else:
+        want = expected[transient:]
+        assert np.array_equal(got.x_values, want[:, 0])
+        assert np.allclose(got.states, want, rtol=1e-12, atol=1e-12)
 
 
 def test_x_divergence_after_the_first_x_chunk():
