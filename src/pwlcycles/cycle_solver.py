@@ -12,13 +12,16 @@ canonical R L^(n-1) word, L R^(n-1) for mu_hat < 0 (solve_cycle), and
 for any R/L word the scalar composition of the word rotated to start at
 each point (solve_symbolic_cycle). The Y-components then follow from one
 linear solve for Y_1 plus forward recursion (_y_cycle), a step both
-entry points share with the simulator's cycle route.
+entry points share with the simulator's cycle route. That route also
+shares _contraction, the norm test that, where it passes, spares the
+solvers the decomposition of A_block^n until its multipliers are read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +46,8 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-9
+# _contraction seeks j only up to this cap by default
+_CONTRACTION_CAP = 64
 
 
 @dataclass
@@ -109,20 +114,36 @@ class CycleSolution:
     """An n-cycle of the canonical system.
 
     points holds n state vectors of length m+1 ordered along the cycle;
-    multipliers are the eigenvalues of the composed one-period Jacobian;
     residual is the largest max-norm miss of one step along the cycle,
     max_k |f_(w_k)(z_k) - z_(k+1)| with the branch f_(w_k) that the k-th
     letter picks. admissible is False when the solved points do not
     realize the sign pattern the sequence prescribes.
+
+    multipliers are the eigenvalues of the composed one-period Jacobian,
+    the x multiplier and those of A_block^n, sorted by real then
+    imaginary part, and stable says whether all lie inside the unit
+    circle. Where the norm test of _period_spectrum certified
+    A_block^n, stable is |x multiplier| < 1, and A_block^n, held apart
+    from the system's A_block so that later writes into it do not reach
+    it, is decomposed on the first read of multipliers, then cached;
+    elsewhere the multipliers were computed with the solve. Both give
+    the same bits.
     """
 
     n: int
     points: tuple
     sequence: str
-    multipliers: tuple
+    # the sorted multipliers, or a function of no arguments that
+    # computes them from the certified A_block^n
+    _spectrum: object = field(repr=False, compare=False)
     stable: bool
     residual: float
     admissible: bool = True
+
+    @functools.cached_property
+    def multipliers(self) -> tuple:
+        spectrum = self._spectrum
+        return spectrum() if callable(spectrum) else spectrum
 
 
 _RIGHT = {"R": True, "L": False, "0": False}
@@ -184,12 +205,58 @@ def _word(sys: CanonicalSystem, sequence: str):
     return np.where(right, sys.d, sys.a), right, product
 
 
+def _contraction(A, cap=_CONTRACTION_CAP):
+    """(j, N) for the least j <= cap with ||A^j||_inf <= 1/2, with
+    N = max_(i<=j) ||A^i||_inf, A^0 = I included, so that
+    ||A^k||_inf <= N 2^-floor(k/j) for every k, to within the rounding
+    of the computed norms and powers; None when there is no such j, as
+    for every block of spectral radius 2^(-1/cap) (0.989 at
+    _CONTRACTION_CAP) or more.
+
+    With cap = 1 it is one row sum. Where that passes, every eigenvalue
+    eigvals can return for A has modulus at most about 1/2: they are the
+    exact ones of A + E with ||E||_2 <= c(m) eps ||A||_2 (backward
+    stable QR), so each is at most ||A||_inf + sqrt(m) ||E||_2, which is
+    at most 1/2 (1 + c(m) m eps).
+    """
+    power, N = A, 1.0
+    # a power past an overflow is inf or NaN, which no test passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, cap + 1):
+            norm = float(np.abs(power).sum(axis=1).max())
+            if norm <= 0.5:
+                return j, N
+            N = max(N, norm)
+            if j < cap:
+                power = power.dot(A)
+    return None
+
+
+def _sorted_spectrum(product, block_eigs) -> tuple:
+    """The x multiplier product and the block eigenvalues block_eigs,
+    sorted by real then imaginary part."""
+    spectrum = np.array([product, *block_eigs], dtype=complex)
+    return tuple(np.sort_complex(spectrum).tolist())
+
+
+def _decomposed_spectrum(product, A_n) -> tuple:
+    """_sorted_spectrum with the eigenvalues of A_n, decomposed here."""
+    return _sorted_spectrum(product, np.linalg.eigvals(A_n))
+
+
 def _period_spectrum(sys: CanonicalSystem, sequence: str, product, check_eig: bool):
     """A_block^n and the sorted multipliers of the sequence (n = its length).
 
-    product is the word's x multiplier. A_block^n is decomposed once.
-    Raises NotAdmissibleError when it overflows, and, with check_eig,
-    EigenvalueOneError when one of its eigenvalues lies within EIG_TOL of 1.
+    product is the word's x multiplier. Raises NotAdmissibleError when
+    A_block^n overflows. With check_eig, A_block^n is first put to the
+    norm test _contraction(A_block^n, 1), one row sum. Where it passes,
+    every eigenvalue eigvals could return for A_block^n has modulus at
+    most about 1/2: none lies within EIG_TOL of 1, so EigenvalueOneError
+    cannot fire, and the cycle is stable exactly where |product| < 1.
+    The multipliers are then None, not decomposed, and A_block^n shares
+    no memory with the system's A_block. Elsewhere
+    A_block^n is decomposed once, and with check_eig EigenvalueOneError
+    is raised when one of its eigenvalues lies within EIG_TOL of 1.
     """
     n = len(sequence)
     A_n, block_eigs = sys.A_block, ()
@@ -198,13 +265,17 @@ def _period_spectrum(sys: CanonicalSystem, sequence: str, product, check_eig: bo
             A_n = np.linalg.matrix_power(sys.A_block, n)
         if not np.isfinite(A_n).all():
             raise NotAdmissibleError((), sequence, f"A_block^{n} overflows")
+        if check_eig and _contraction(A_n, 1):
+            # matrix_power returns A_block itself for n = 1
+            if np.may_share_memory(A_n, sys.A_block):
+                A_n = A_n.copy()
+            return A_n, None
         block_eigs = np.linalg.eigvals(A_n)
         if check_eig and np.any(np.abs(block_eigs - 1.0) <= EIG_TOL):
             raise EigenvalueOneError(
                 f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
             )
-    spectrum = np.array([product, *block_eigs], dtype=complex)
-    return A_n, tuple(np.sort_complex(spectrum).tolist())
+    return A_n, _sorted_spectrum(product, block_eigs)
 
 
 def multipliers(sys: CanonicalSystem, sequence: str) -> tuple:
@@ -268,14 +339,20 @@ def _solution(
 
     word is _word of the sequence; the Y block is _y_cycle's. The
     residual steps every point once along its letter's branch.
-    Raises what the A^n decomposition raises, and NotAdmissibleError
-    when a point is not finite.
+    Raises what _period_spectrum raises, and NotAdmissibleError when a
+    point is not finite.
     """
     n = len(sequence)
     m = sys.m
     slopes, right, product = word
 
     A_n, mults = _period_spectrum(sys, sequence, product, True)
+    if mults is None:
+        stable = abs(product) < 1.0
+        spectrum = functools.partial(_decomposed_spectrum, product, A_n)
+    else:
+        stable = all(abs(v) < 1.0 for v in mults)
+        spectrum = mults
     Z = np.empty((n, m + 1))
     Z[:, 0] = xs
     if m:
@@ -292,8 +369,8 @@ def _solution(
         n=n,
         points=tuple(Z),
         sequence=sequence,
-        multipliers=mults,
-        stable=all(abs(v) < 1.0 for v in mults),
+        _spectrum=spectrum,
+        stable=stable,
         residual=float(np.max(np.abs(miss))),
         admissible=admissible,
     )
@@ -308,11 +385,16 @@ def solve_cycle(
     The x-components come from the 1D closed form, the Y-components from
     one linear solve for Y_1 plus forward recursion. A kink point keeps
     its family's branch, letter 0 in R L^(n-1) and 'R' in L R^(n-1), so
-    the x multiplier is classify's. A_block^n is decomposed once. Its
-    eigenvalues decide the one precondition check, EigenvalueOneError
-    when one lies within EIG_TOL of 1 (the Y_1 solve is singular; an
-    eigenvalue of A_block at 1 is caught here too), and together with the
-    x multiplier they are the cycle's multipliers.
+    the x multiplier is classify's. A_block^n decides the one
+    precondition check, EigenvalueOneError when one of its eigenvalues
+    lies within EIG_TOL of 1 (the Y_1 solve is singular; an eigenvalue of
+    A_block at 1 is caught here too), and the block's part of stable.
+    Where ||A_block^n||_inf <= 1/2, one row sum, both come from that norm
+    test: no eigenvalue is near 1, and stable is |x multiplier| < 1.
+    There the cycle's multipliers, the x multiplier and the eigenvalues
+    of A_block^n, are decomposed on their first read. Elsewhere
+    A_block^n is decomposed once, with the solve, and its eigenvalues
+    decide both. Either way the same bits come out.
     Raises everything the 1D closed form raises, and NotAdmissibleError
     when A_block^n overflows.
     """

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle_solver import CanonicalSystem, _drive_bound, _y_cycle
+from .cycle_solver import (
+    _CONTRACTION_CAP,
+    CanonicalSystem,
+    _contraction,
+    _drive_bound,
+    _y_cycle,
+)
 from .errors import DivergenceError
 from .skew_tent import (
     SkewTentParams,
@@ -63,10 +69,10 @@ _Y_BLOCK_WIDTH = 160
 _POWER_LIMIT = 1e150
 _POWER_CANCELLATION = 5.0
 # The cycle route of trajectory's Y needs ||A^j||_inf <= 1/2 for some
-# j <= _CONTRACTION_CAP. It forms its p cycle states one at a time, each
-# costing up to about 45 steps of the blocked recurrence (m = 3; about
-# 23 at m = 16), so it runs only when _CYCLE_STEP_COST * p <= steps.
-_CONTRACTION_CAP = 64
+# j <= _CONTRACTION_CAP (cycle_solver's). It forms its p cycle states one
+# at a time, each costing up to about 45 steps of the blocked recurrence
+# (m = 3; about 23 at m = 16), so it runs only when
+# _CYCLE_STEP_COST * p <= steps.
 _CYCLE_STEP_COST = 64
 
 
@@ -252,25 +258,6 @@ def _repeat_start(xs, p, last):
     same = bits[:n] == bits[p : p + n]
     s = int(same.argmax())
     return s if same[s] else None
-
-
-def _contraction(A, cap=_CONTRACTION_CAP):
-    """(j, N) for the least j <= cap with ||A^j||_inf <= 1/2, with
-    N = max_(i<=j) ||A^i||_inf, A^0 = I included, so that
-    ||A^k||_inf <= N 2^-floor(k/j) for every k, to within the rounding
-    of the computed norms and powers; None when there is no such j, as
-    for every block of spectral radius 2^(-1/cap) (0.989 at
-    _CONTRACTION_CAP) or more."""
-    power, N = A, 1.0
-    # a power past an overflow is inf or NaN, which no test passes
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, cap + 1):
-            norm = float(np.abs(power).sum(axis=1).max())
-            if norm <= 0.5:
-                return j, N
-            N = max(N, norm)
-            power = power.dot(A)
-    return None
 
 
 def _y_cycle_tail(sys, xs, y, p, transient, rec, threshold):

@@ -878,3 +878,171 @@ def test_closed_form_denominator_is_the_x_multiplier(monkeypatch):
         margin = st.classify(a, d, n, sign).details["stability_lower_margin"]
         assert margin.hex() == (1.0 + product).hex()
     assert 500 < solved < 1500
+
+
+def _eager_period_spectrum(sys, sequence, product, check_eig):
+    """The decomposition every solve made before the norm test: A_block^n,
+    its eigenvalues at once, and the sorted multipliers."""
+    n = len(sequence)
+    A_n, block_eigs = sys.A_block, ()
+    if sys.m:
+        with np.errstate(over="ignore", invalid="ignore"):
+            A_n = np.linalg.matrix_power(sys.A_block, n)
+        if not np.isfinite(A_n).all():
+            raise NotAdmissibleError((), sequence, f"A_block^{n} overflows")
+        block_eigs = np.linalg.eigvals(A_n)
+        if check_eig and np.any(np.abs(block_eigs - 1.0) <= cs.EIG_TOL):
+            raise EigenvalueOneError(
+                f"A_block^{n} has an eigenvalue at 1; Y components are not unique"
+            )
+    spectrum = np.array([product, *block_eigs], dtype=complex)
+    return A_n, tuple(np.sort_complex(spectrum).tolist())
+
+
+def _solve_outcome(solve):
+    """The raised error's type and message, or stable, then the lazily
+    read multipliers and the rest of the solution, as bits."""
+    try:
+        sol = solve()
+    except (ValueError, NotAdmissibleError, SingularDenominatorError,
+            EigenvalueOneError) as err:
+        return type(err), str(err)
+    stable = sol.stable
+    multipliers = [(v.real.hex(), v.imag.hex()) for v in sol.multipliers]
+    return (stable, multipliers, sol.sequence, sol.admissible,
+            sol.residual.hex(), np.array(sol.points).tobytes())
+
+
+def _drawn_block(rng, kind, m, n):
+    """An m x m block of the given kind; n is the word length."""
+    if kind == "radius near 1":
+        return _scaled_to_radius(rng.normal(size=(m, m)),
+                                 1.0 + float(rng.uniform(-1e-9, 1e-9)))
+    if kind == "eigenvalue at 1":
+        Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        return (Q * np.r_[1.0, rng.uniform(-0.6, 0.6, m - 1)]) @ Q.T
+    if kind == "far from normal":
+        # radius below 0.9; from m = 2 on, couplings up to 30 keep
+        # ||A^n||_inf above 1/2 for most n
+        return np.diag(rng.uniform(-0.9, 0.9, m)) + np.triu(
+            rng.uniform(-30.0, 30.0, (m, m)), 1)
+    if kind == "overflow":
+        # A_block^n overflows from n = 2 on; A_block itself is finite
+        return _scaled_to_radius(rng.normal(size=(m, m)), 10.0 ** (320 / max(n, 2)))
+    return _scaled_to_radius(rng.normal(size=(m, m)), float(rng.uniform(0.05, 1.3)))
+
+
+def _scaled_to_radius(A, radius):
+    return A * (radius / np.max(np.abs(np.linalg.eigvals(A))))
+
+
+_BLOCK_KINDS = ("dense", "radius near 1", "eigenvalue at 1", "far from normal",
+                "overflow")
+
+
+def test_norm_certificate_keeps_every_answer_of_the_eager_decomposition():
+    """stable, the raised errors and the lazily read multipliers of both
+    solvers equal, bit for bit, those of the solve that decomposed
+    A_block^n at once, whether or not ||A_block^n||_inf <= 1/2 spares the
+    decomposition: on dense blocks, radius within 1e-9 of 1, an
+    eigenvalue at 1, far-from-normal blocks, an overflowing A_block^n
+    and words of length 1."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(seed=hs.integers(0, 2**32 - 1), m=hs.integers(0, 16),
+           n=hs.integers(1, 30), kind=hs.sampled_from(_BLOCK_KINDS),
+           letters=hs.text("RL0", min_size=30, max_size=30))
+    def check(seed, m, n, kind, letters):
+        rng = np.random.default_rng(seed)
+        a = float(rng.uniform(0.05, 1.5))
+        d = float(st.existence_bound(a, max(n, 3))) * math.exp(rng.uniform(-0.7, 0.7))
+        mu = float(rng.uniform(0.2, 2.0))
+        if seed % 2:
+            a, d, mu = d, a, -mu
+        block = _drawn_block(rng, kind, m, n) if m else np.zeros((0, 0))
+        sys = cs.CanonicalSystem(a, d, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
+                                 block, rng.uniform(-1, 1, m), mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.abs(np.linalg.matrix_power(block, n)).sum(axis=1).max(initial=0.0)
+        solvers = (("closed form", lambda: cs.solve_cycle(sys, n)),
+                   ("word", lambda: cs.solve_symbolic_cycle(sys, letters[:n])))
+        for solver, solve in solvers:
+            got = _solve_outcome(solve)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cs, "_period_spectrum", _eager_period_spectrum)
+                want = _solve_outcome(solve)
+            assert got == want, (seed, m, n, kind, solver)
+            # stable, or the error and whether A_block^n raised it
+            outcome = want[0] if len(want) > 2 else (want[0], "A_block^" in want[1])
+            if m:
+                seen.add((kind, bool(norm <= 0.5), n == 1, solver, outcome))
+
+    check()
+    assert {
+        ("dense", True, False, "closed form", True),
+        ("dense", True, True, "word", True),
+        ("radius near 1", False, False, "closed form", True),
+        ("far from normal", False, False, "closed form", True),
+        ("far from normal", False, False, "word", False),
+        ("eigenvalue at 1", False, False, "closed form", (EigenvalueOneError, True)),
+        ("eigenvalue at 1", False, True, "word", (EigenvalueOneError, True)),
+        ("overflow", False, False, "word", (NotAdmissibleError, True)),
+    } <= seen
+
+
+@pytest.mark.parametrize("a, d, word", [(0.4, -1.0, "R"), (0.5, -4.0, "RLL"),
+                                         (-1.0, 0.4, "L")])
+def test_x_multiplier_on_the_unit_circle_is_not_stable_on_a_certified_block(
+        a, d, word, monkeypatch):
+    # a^(#L) d^(#R) is exactly -1 or 1; ||diag(0.2, 0.3, 0.4)^n||_inf < 1/2
+    sys = cs.CanonicalSystem(a, d, [1.0, 0.5, 0.6], [0.5, 1.0, 1.0],
+                             np.diag([0.2, 0.3, 0.4]), [1.0, 0.0, 1.0], 0.8)
+    got = _solve_outcome(lambda: cs.solve_symbolic_cycle(sys, word))
+    assert got[0] is False
+    monkeypatch.setattr(cs, "_period_spectrum", _eager_period_spectrum)
+    assert got == _solve_outcome(lambda: cs.solve_symbolic_cycle(sys, word))
+
+
+def _counting_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+def test_certified_block_is_decomposed_on_the_first_read_of_multipliers(monkeypatch):
+    # ||diag(0.4, 0.5, 0.6)^3||_inf = 0.216 passes the norm test; A_block
+    # itself, 0.6, does not
+    calls = _counting_eigvals(monkeypatch)
+    sys = reference_system()
+    sol = cs.solve_cycle(sys, 3)
+    assert sol.stable and calls == []
+    want = cs.multipliers(sys, sol.sequence)  # the public function decomposes
+    assert calls == [(3, 3)]
+    assert sol.multipliers == want and calls == [(3, 3)] * 2
+    assert sol.multipliers == want and calls == [(3, 3)] * 2
+    # uncertified: decomposed once, with the solve
+    calls.clear()
+    sol = cs.solve_symbolic_cycle(sys, "R")
+    assert calls == [(3, 3)]
+    assert sol.multipliers == cs.multipliers(sys, "R") and len(calls) == 2
+
+
+@pytest.mark.parametrize("word", ["R", "RLL"])
+def test_multipliers_read_later_ignore_writes_into_the_block(word, monkeypatch):
+    # for n = 1 matrix_power returns A_block itself, which the solution
+    # must not hold
+    calls = _counting_eigvals(monkeypatch)
+    sys = reference_system()
+    sys.A_block = np.diag([0.2, 0.3, 0.4])
+    want = cs.multipliers(sys, word)
+    sol = cs.solve_symbolic_cycle(sys, word)
+    assert len(calls) == 1  # certified: the solve decomposed nothing
+    sys.A_block[...] = np.diag([2.0, -3.0, 0.5])
+    assert sol.multipliers == want

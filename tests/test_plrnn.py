@@ -329,6 +329,25 @@ def test_negative_offset_report_solves_the_family_it_classifies():
         z = pl.relu_step(net, z)
 
 
+def test_report_on_a_certified_block_decomposes_nothing(monkeypatch):
+    """The reduced block, 0.6, has ||A_block^3||_inf = 0.216: the report's
+    stable comes from that norm test, and its multipliers are decomposed
+    only when read."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(1) or eigvals(A))
+    net = pl.PLRNNSystem(
+        [-4.0, 0.5], [[4.4, 0.0], [0.3, 0.1]], [-0.8, 1.0], relaxed_diagonal=True
+    )
+    report = pl.local_cycle_analysis(
+        net, pl.RegionIndex.from_bits((0, 1)), pl.RegionIndex.from_bits((1, 1)), 3
+    )
+    assert report.solution.stable is True and calls == []
+    want = cs.multipliers(report.localized.canonical, "LRR")
+    assert report.solution.multipliers == want
+    assert len(calls) == 2
+
+
 def test_negative_offset_reports_agree_with_the_word_solver():
     """On seeded negative-offset networks near the existence curve, the
     report's cycle is the L R^(n-1) word solved directly, and its verdict
