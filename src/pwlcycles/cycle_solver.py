@@ -13,8 +13,10 @@ for any R/L word the scalar composition of the word rotated to start at
 each point (solve_symbolic_cycle). The Y-components then follow from one
 linear solve for Y_1 plus forward recursion (_y_cycle), a step both
 entry points share with the simulator's cycle route. That route also
-shares _contraction, the norm test that, where it passes, spares the
-solvers the decomposition of A_block^n until its multipliers are read.
+shares _contraction, the norm test of A_block^n's first contracting
+power that, where it passes with its slack for eigvals' backward error,
+spares the solvers the decomposition of A_block^n until its multipliers
+are read.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
 EIG_TOL = 1e-9
 # _contraction seeks j only up to this cap by default
 _CONTRACTION_CAP = 64
+# _period_spectrum seeks the contracting power of A_block^n up to this cap
+_CERTIFICATE_CAP = 8
 
 
 @dataclass
@@ -122,12 +126,13 @@ class CycleSolution:
     multipliers are the eigenvalues of the composed one-period Jacobian,
     the x multiplier and those of A_block^n, sorted by real then
     imaginary part, and stable says whether all lie inside the unit
-    circle. Where the norm test of _period_spectrum certified
-    A_block^n, stable is |x multiplier| < 1, and A_block^n, held apart
-    from the system's A_block so that later writes into it do not reach
-    it, is decomposed on the first read of multipliers, then cached;
-    elsewhere the multipliers were computed with the solve. Both give
-    the same bits.
+    circle. Where the norm test of _period_spectrum certified A_block^n
+    by its first contracting power, within the slack for eigvals'
+    backward error, stable is |x multiplier| < 1, and A_block^n, held
+    apart from the system's A_block so that later writes into it do not
+    reach it, is decomposed on the first read of multipliers, then
+    cached; elsewhere the multipliers were computed with the solve. Both
+    give the same bits.
     """
 
     n: int
@@ -205,25 +210,45 @@ def _word(sys: CanonicalSystem, sequence: str):
     return np.where(right, sys.d, sys.a), right, product
 
 
+def _inf_norm(A) -> float:
+    """||A||_inf, the largest row sum of |A|."""
+    return float(np.abs(A).sum(axis=1).max())
+
+
 def _contraction(A, cap=_CONTRACTION_CAP):
     """(j, N) for the least j <= cap with ||A^j||_inf <= 1/2, with
     N = max_(i<=j) ||A^i||_inf, A^0 = I included, so that
     ||A^k||_inf <= N 2^-floor(k/j) for every k, to within the rounding
     of the computed norms and powers; None when there is no such j, as
     for every block of spectral radius 2^(-1/cap) (0.989 at
-    _CONTRACTION_CAP) or more.
+    _CONTRACTION_CAP, 0.917 at _CERTIFICATE_CAP) or more.
 
-    With cap = 1 it is one row sum. Where that passes, every eigenvalue
-    eigvals can return for A has modulus at most about 1/2: they are the
-    exact ones of A + E with ||E||_2 <= c(m) eps ||A||_2 (backward
-    stable QR), so each is at most ||A||_inf + sqrt(m) ||E||_2, which is
-    at most 1/2 (1 + c(m) m eps).
+    _period_spectrum certifies an m x m block A = A_block^n by it where
+    in addition the slack
+
+        j N^2 ||A||_inf m^2 2^-40 <= 1/4.
+
+    Then every eigenvalue eigvals can return for A has modulus at most
+    (3/4)^(1/j) <= (3/4)^(1/8) < 0.965, whatever the eigenvalues'
+    condition:
+    - eigvals returns the exact eigenvalues of B = A + E, with
+      ||E||_inf <= m c(m) u ||A||_inf (backward stable QR, u = 2^-53).
+      The slack allows c(m) up to m 2^13; at m 2^12, half of it,
+      j N ||E||_inf <= 1/8.
+    - Expand B^j: a term with k factors E has k + 1 runs of powers of
+      A, each of norm at most N, so ||B^j - A^j||_inf is at most
+      N ((1 + N ||E||_inf)^j - 1) <= e^(1/8) j N^2 ||E||_inf < 0.15.
+    - The j - 1 products that formed A^j, and its row sums, round by
+      about (j - 1) m u N^2 ||A||_inf + m u, far inside the rest.
+    - So rho(B)^j <= ||B^j||_inf <= 1/2 + 1/4.
+    At j = 1, N = 1 and ||A||_inf <= 1/2, so the slack, m^2 2^-41,
+    fits for every m below 741,000: one row sum certifies.
     """
     power, N = A, 1.0
     # a power past an overflow is inf or NaN, which no test passes
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, cap + 1):
-            norm = float(np.abs(power).sum(axis=1).max())
+            norm = _inf_norm(power)
             if norm <= 0.5:
                 return j, N
             N = max(N, norm)
@@ -249,27 +274,34 @@ def _period_spectrum(sys: CanonicalSystem, sequence: str, product, check_eig: bo
 
     product is the word's x multiplier. Raises NotAdmissibleError when
     A_block^n overflows. With check_eig, A_block^n is first put to the
-    norm test _contraction(A_block^n, 1), one row sum. Where it passes,
-    every eigenvalue eigvals could return for A_block^n has modulus at
-    most about 1/2: none lies within EIG_TOL of 1, so EigenvalueOneError
-    cannot fire, and the cycle is stable exactly where |product| < 1.
-    The multipliers are then None, not decomposed, and A_block^n shares
-    no memory with the system's A_block. Elsewhere
+    norm test of its first contracting power: the least j up to
+    _CERTIFICATE_CAP with ||(A_block^n)^j||_inf <= 1/2 (_contraction),
+    where also the slack j N^2 ||A_block^n||_inf m^2 2^-40 is at most
+    1/4. Where it passes, every eigenvalue eigvals could return for
+    A_block^n has modulus below 0.965: none lies within EIG_TOL of 1, so
+    EigenvalueOneError cannot fire, and the cycle is stable exactly
+    where |product| < 1. The multipliers are then None, not decomposed,
+    and A_block^n shares no memory with the system's A_block. Elsewhere
     A_block^n is decomposed once, and with check_eig EigenvalueOneError
     is raised when one of its eigenvalues lies within EIG_TOL of 1.
     """
     n = len(sequence)
+    m = sys.m
     A_n, block_eigs = sys.A_block, ()
-    if sys.m:
+    if m:
         with np.errstate(over="ignore", invalid="ignore"):
             A_n = np.linalg.matrix_power(sys.A_block, n)
         if not np.isfinite(A_n).all():
             raise NotAdmissibleError((), sequence, f"A_block^{n} overflows")
-        if check_eig and _contraction(A_n, 1):
-            # matrix_power returns A_block itself for n = 1
-            if np.may_share_memory(A_n, sys.A_block):
-                A_n = A_n.copy()
-            return A_n, None
+        certificate = _contraction(A_n, _CERTIFICATE_CAP) if check_eig else None
+        if certificate:
+            j, N = certificate
+            # the slack always fits at j = 1 (_contraction)
+            if j == 1 or j * N * N * _inf_norm(A_n) * m * m * 2.0**-40 <= 0.25:
+                # matrix_power returns A_block itself for n = 1
+                if np.may_share_memory(A_n, sys.A_block):
+                    A_n = A_n.copy()
+                return A_n, None
         block_eigs = np.linalg.eigvals(A_n)
         if check_eig and np.any(np.abs(block_eigs - 1.0) <= EIG_TOL):
             raise EigenvalueOneError(
@@ -389,12 +421,14 @@ def solve_cycle(
     precondition check, EigenvalueOneError when one of its eigenvalues
     lies within EIG_TOL of 1 (the Y_1 solve is singular; an eigenvalue of
     A_block at 1 is caught here too), and the block's part of stable.
-    Where ||A_block^n||_inf <= 1/2, one row sum, both come from that norm
-    test: no eigenvalue is near 1, and stable is |x multiplier| < 1.
-    There the cycle's multipliers, the x multiplier and the eigenvalues
-    of A_block^n, are decomposed on their first read. Elsewhere
-    A_block^n is decomposed once, with the solve, and its eigenvalues
-    decide both. Either way the same bits come out.
+    Where some power (A_block^n)^j, j <= _CERTIFICATE_CAP, has
+    ||(A_block^n)^j||_inf <= 1/2 and the slack for eigvals' backward
+    error fits (_contraction; at j = 1, one row sum), both come from
+    that norm test: no eigenvalue is near 1, and stable is
+    |x multiplier| < 1. There the cycle's multipliers, the x multiplier
+    and the eigenvalues of A_block^n, are decomposed on their first
+    read. Elsewhere A_block^n is decomposed once, with the solve, and
+    its eigenvalues decide both. Either way the same bits come out.
     Raises everything the 1D closed form raises, and NotAdmissibleError
     when A_block^n overflows.
     """

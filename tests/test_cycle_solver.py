@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from pwlcycles import cycle_solver as cs
@@ -940,19 +940,63 @@ _BLOCK_KINDS = ("dense", "radius near 1", "eigenvalue at 1", "far from normal",
                 "overflow")
 
 
+def _spied_certificates(patch):
+    """Patches cs through patch so that every _period_spectrum call that
+    returns appends to the returned list the j of _contraction where it
+    certified A_block^n, and None where it decomposed it."""
+    used, found = [], []
+    contraction, period_spectrum = cs._contraction, cs._period_spectrum
+
+    def spy_contraction(A, cap=cs._CONTRACTION_CAP):
+        found.append(contraction(A, cap))
+        return found[-1]
+
+    def spy_period_spectrum(sys, sequence, product, check_eig):
+        found.clear()
+        A_n, mults = period_spectrum(sys, sequence, product, check_eig)
+        used.append(found[-1][0] if mults is None else None)
+        return A_n, mults
+
+    patch.setattr(cs, "_contraction", spy_contraction)
+    patch.setattr(cs, "_period_spectrum", spy_period_spectrum)
+    return used
+
+
+def _certificate_outcome(solve):
+    """_solve_outcome of the solve, and the certificate it used: "j = 1",
+    "j >= 2" or "none" (decomposed with the solve, or raised before)."""
+    with pytest.MonkeyPatch.context() as patch:
+        used = _spied_certificates(patch)
+        got = _solve_outcome(solve)
+    j = used[-1] if used else None
+    return got, "none" if j is None else "j = 1" if j == 1 else "j >= 2"
+
+
 def test_norm_certificate_keeps_every_answer_of_the_eager_decomposition():
     """stable, the raised errors and the lazily read multipliers of both
     solvers equal, bit for bit, those of the solve that decomposed
-    A_block^n at once, whether or not ||A_block^n||_inf <= 1/2 spares the
-    decomposition: on dense blocks, radius within 1e-9 of 1, an
-    eigenvalue at 1, far-from-normal blocks, an overflowing A_block^n
-    and words of length 1."""
+    A_block^n at once, whether the norm test certifies A_block^n by its
+    first power, by a higher one or not at all: on dense blocks, radius
+    within 1e-9 of 1, an eigenvalue at 1, far-from-normal blocks, an
+    overflowing A_block^n and words of length 1."""
     seen = set()
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(seed=hs.integers(0, 2**32 - 1), m=hs.integers(0, 16),
            n=hs.integers(1, 30), kind=hs.sampled_from(_BLOCK_KINDS),
            letters=hs.text("RL0", min_size=30, max_size=30))
+    # one draw for each outcome required below, whatever the random
+    # draws hold
+    @example(seed=32, m=11, n=13, kind="dense", letters="RL" * 15)
+    @example(seed=80, m=10, n=1, kind="dense", letters="RL" * 15)
+    @example(seed=132, m=14, n=13, kind="dense", letters="RL" * 15)
+    @example(seed=872, m=11, n=1, kind="dense", letters="RL" * 15)
+    @example(seed=53, m=7, n=7, kind="radius near 1", letters="RL" * 15)
+    @example(seed=29, m=11, n=28, kind="far from normal", letters="RL" * 15)
+    @example(seed=0, m=11, n=13, kind="far from normal", letters="RL" * 15)
+    @example(seed=1, m=8, n=11, kind="eigenvalue at 1", letters="RL" * 15)
+    @example(seed=0, m=11, n=1, kind="eigenvalue at 1", letters="RL" * 15)
+    @example(seed=2, m=12, n=13, kind="overflow", letters="RL" * 15)
     def check(seed, m, n, kind, letters):
         rng = np.random.default_rng(seed)
         a = float(rng.uniform(0.05, 1.5))
@@ -963,12 +1007,10 @@ def test_norm_certificate_keeps_every_answer_of_the_eager_decomposition():
         block = _drawn_block(rng, kind, m, n) if m else np.zeros((0, 0))
         sys = cs.CanonicalSystem(a, d, rng.uniform(-1, 1, m), rng.uniform(-1, 1, m),
                                  block, rng.uniform(-1, 1, m), mu)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.abs(np.linalg.matrix_power(block, n)).sum(axis=1).max(initial=0.0)
         solvers = (("closed form", lambda: cs.solve_cycle(sys, n)),
                    ("word", lambda: cs.solve_symbolic_cycle(sys, letters[:n])))
         for solver, solve in solvers:
-            got = _solve_outcome(solve)
+            got, certificate = _certificate_outcome(solve)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cs, "_period_spectrum", _eager_period_spectrum)
                 want = _solve_outcome(solve)
@@ -976,19 +1018,46 @@ def test_norm_certificate_keeps_every_answer_of_the_eager_decomposition():
             # stable, or the error and whether A_block^n raised it
             outcome = want[0] if len(want) > 2 else (want[0], "A_block^" in want[1])
             if m:
-                seen.add((kind, bool(norm <= 0.5), n == 1, solver, outcome))
+                seen.add((kind, certificate, n == 1, solver, outcome))
 
     check()
     assert {
-        ("dense", True, False, "closed form", True),
-        ("dense", True, True, "word", True),
-        ("radius near 1", False, False, "closed form", True),
-        ("far from normal", False, False, "closed form", True),
-        ("far from normal", False, False, "word", False),
-        ("eigenvalue at 1", False, False, "closed form", (EigenvalueOneError, True)),
-        ("eigenvalue at 1", False, True, "word", (EigenvalueOneError, True)),
-        ("overflow", False, False, "word", (NotAdmissibleError, True)),
+        ("dense", "j = 1", False, "closed form", True),
+        ("dense", "j = 1", True, "word", True),
+        ("dense", "j >= 2", False, "closed form", True),
+        ("dense", "j >= 2", True, "word", True),
+        ("radius near 1", "none", False, "closed form", True),
+        ("far from normal", "none", False, "closed form", True),
+        ("far from normal", "none", False, "word", False),
+        ("eigenvalue at 1", "none", False, "closed form", (EigenvalueOneError, True)),
+        ("eigenvalue at 1", "none", True, "word", (EigenvalueOneError, True)),
+        ("overflow", "none", False, "word", (NotAdmissibleError, True)),
     } <= seen
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_norm_certificate_keeps_the_eager_answers_on_large_contracting_blocks(n):
+    """As queries draws them: m = 64 blocks of spectral radius 0.3 to
+    0.9, most of whose periods one row sum does not certify. Both
+    solvers give the eager decomposition's answers, bit for bit."""
+    rng = np.random.default_rng(3900 + n)
+    certificates = []
+    for _ in range(6):
+        a = float(rng.uniform(0.05, 1.5))
+        d = float(st.existence_bound(a, n)) * math.exp(rng.uniform(-0.7, 0.7))
+        block = _scaled_to_radius(rng.normal(size=(64, 64)), float(rng.uniform(0.3, 0.9)))
+        sys = cs.CanonicalSystem(a, d, rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64),
+                                 block, rng.uniform(-1, 1, 64),
+                                 float(rng.uniform(0.2, 2.0)))
+        word = "".join(rng.choice(["R", "L"], n))
+        for solve in (lambda: cs.solve_cycle(sys, n),
+                      lambda: cs.solve_symbolic_cycle(sys, word)):
+            got, certificate = _certificate_outcome(solve)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cs, "_period_spectrum", _eager_period_spectrum)
+                assert got == _solve_outcome(solve)
+            certificates.append(certificate)
+    assert "j >= 2" in certificates
 
 
 @pytest.mark.parametrize("a, d, word", [(0.4, -1.0, "R"), (0.5, -4.0, "RLL"),
@@ -1017,8 +1086,7 @@ def _counting_eigvals(monkeypatch):
 
 
 def test_certified_block_is_decomposed_on_the_first_read_of_multipliers(monkeypatch):
-    # ||diag(0.4, 0.5, 0.6)^3||_inf = 0.216 passes the norm test; A_block
-    # itself, 0.6, does not
+    # ||diag(0.4, 0.5, 0.6)^3||_inf = 0.216 passes the norm test at j = 1
     calls = _counting_eigvals(monkeypatch)
     sys = reference_system()
     sol = cs.solve_cycle(sys, 3)
@@ -1027,11 +1095,35 @@ def test_certified_block_is_decomposed_on_the_first_read_of_multipliers(monkeypa
     assert calls == [(3, 3)]
     assert sol.multipliers == want and calls == [(3, 3)] * 2
     assert sol.multipliers == want and calls == [(3, 3)] * 2
-    # uncertified: decomposed once, with the solve
+    # uncertified, as 0.99^j > 1/2 up to _CERTIFICATE_CAP: decomposed
+    # once, with the solve
     calls.clear()
+    sys.A_block = np.diag([0.99, 0.5, 0.6])
     sol = cs.solve_symbolic_cycle(sys, "R")
     assert calls == [(3, 3)]
     assert sol.multipliers == cs.multipliers(sys, "R") and len(calls) == 2
+
+
+def test_slack_keeps_a_far_from_normal_block_decomposed_with_the_solve(monkeypatch):
+    """A_n = A_block^3 has ||A_n^4||_inf = 0.12, so the norm test alone
+    would certify it at j = 4; but N = 3e7, and the slack
+    j N^2 ||A_n||_inf m^2 2^-40, about 4e11, exceeds 1/4. Both solvers
+    decompose A_n with the solve and give the eager answers."""
+    A = np.array([[0.1, 1e9], [0.0, 0.1]])
+    sys = cs.CanonicalSystem(0.4, -4.0, [1.0, 0.5], [0.5, 1.0], A, [1.0, 1.0], 0.8)
+    j, N = cs._contraction(np.linalg.matrix_power(A, 3), cs._CERTIFICATE_CAP)
+    assert j == 4 and N > 1e7
+    calls = _counting_eigvals(monkeypatch)
+    for solve in (lambda: cs.solve_cycle(sys, 3),
+                  lambda: cs.solve_symbolic_cycle(sys, "RLL")):
+        calls.clear()
+        sol = solve()
+        assert calls == [(2, 2)]
+        assert sol.stable and sol.multipliers and calls == [(2, 2)]
+        got = _solve_outcome(solve)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cs, "_period_spectrum", _eager_period_spectrum)
+            assert got == _solve_outcome(solve)
 
 
 @pytest.mark.parametrize("word", ["R", "RLL"])

@@ -329,19 +329,23 @@ def test_negative_offset_report_solves_the_family_it_classifies():
         z = pl.relu_step(net, z)
 
 
-def test_report_on_a_certified_block_decomposes_nothing(monkeypatch):
-    """The reduced block, 0.6, has ||A_block^3||_inf = 0.216: the report's
-    stable comes from that norm test, and its multipliers are decomposed
-    only when read."""
+@pytest.mark.parametrize("diagonal, j", [(0.5, 1), (0.75, 2)])
+def test_report_on_a_certified_block_decomposes_nothing(diagonal, j, monkeypatch):
+    """The reduced block, diagonal + 0.1, is 0.6 or 0.85: ||A_block^3||_inf
+    is 0.216, or 0.614 with its square 0.377, so the norm test certifies
+    A_block^3 at j = 1 or j = 2. The report's stable comes from that test,
+    and its multipliers are decomposed only when read."""
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(1) or eigvals(A))
     net = pl.PLRNNSystem(
-        [-4.0, 0.5], [[4.4, 0.0], [0.3, 0.1]], [-0.8, 1.0], relaxed_diagonal=True
+        [-4.0, diagonal], [[4.4, 0.0], [0.3, 0.1]], [-0.8, 1.0], relaxed_diagonal=True
     )
     report = pl.local_cycle_analysis(
         net, pl.RegionIndex.from_bits((0, 1)), pl.RegionIndex.from_bits((1, 1)), 3
     )
+    A_n = np.linalg.matrix_power(report.localized.canonical.A_block, 3)
+    assert cs._contraction(A_n, cs._CERTIFICATE_CAP)[0] == j
     assert report.solution.stable is True and calls == []
     want = cs.multipliers(report.localized.canonical, "LRR")
     assert report.solution.multipliers == want
