@@ -527,6 +527,14 @@ def band_count(orbit: Orbit) -> int:
     residue (step mod p) exactly p - 1 times, each time across a gap
     > 0, and 1 when no p > 1 passes. A converged n-cycle counts n.
 
+    Two routes give that count. A tail that repeats one period of
+    pairwise distinct values exactly, bit for bit, at least twice over,
+    is counted from that period alone (_period_band_count). Any other
+    tail is sorted, and a divisor p passes where the p classes of step
+    mod p span strictly disjoint value ranges [min, max]: that holds
+    exactly when each class is one run of the sorted tail with a gap > 0
+    on each side.
+
     A gap between bands narrower than the tail's mean spacing is not
     resolved, so just past a band merging the count can be a divisor of
     the true one; a longer tail shrinks that limit. The count sees only
@@ -541,27 +549,107 @@ def band_count(orbit: Orbit) -> int:
     Raises ValueError if an x-value is not finite.
     """
     xs = orbit.x_values
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("band_count needs finite x values")
     if xs.size < 2:
         return 1
+    count = _period_band_count(xs)
+    if count is not None:
+        return count
     order = np.argsort(xs)
+    vals = xs
     with np.errstate(over="ignore"):
         gaps = np.diff(xs[order])
         spacing = gaps.mean()
     if not math.isfinite(spacing):
         # the tail is too wide to sum its gaps; a quarter of every normal
         # value is exact, and the quarters' gaps sum below the largest float
-        gaps = np.diff(xs[order] / 4)
+        vals = xs / 4
+        gaps = np.diff(vals[order])
         spacing = gaps.mean()
-    g = int(np.gcd.reduce(np.abs(np.diff(order))[gaps <= spacing]))
-    divisors = {q for i in range(1, math.isqrt(g) + 1) if g % i == 0
-                for q in (i, g // i)}
-    for p in sorted(divisors - {1}, reverse=True):
-        cuts = np.flatnonzero(np.diff(order % p))
-        if cuts.size == p - 1 and np.all(gaps[cuts] > 0.0):
+    # gcd ignores sign
+    g = int(np.gcd.reduce(np.diff(order), where=gaps <= spacing, initial=0))
+    for p in _divisors(g):
+        if _classes_apart(vals, p):
             return p
     return 1
+
+
+def _period_band_count(xs):
+    """band_count of a tail that repeats one period exactly, or None.
+
+    p is the distance back to the latest copy of the last value's bits
+    among the len // 2 values before it, and the whole tail must equal
+    itself p steps on, so every value has at least two copies, p steps
+    apart. Declines (None) unless the p values of one period are
+    pairwise distinct, where the mean spacing overflows, and for a tail
+    not of float64, whose bits and spacing it does not read.
+
+    Sorted, the tail holds each period value's copies in a run, with
+    gaps 0 inside it and the p - 1 gaps between values at its ends; that
+    array is built as the sort route builds it, so its mean rounds to
+    the same bits. The step counts inside one value's copies have gcd p,
+    whatever order the sort leaves ties in, and one across two values is
+    their phase difference mod p; so g is the gcd of p and the phase
+    differences of value neighbours no farther apart than the spacing.
+    For q dividing p the residue mod q is one per value, so the sorted
+    tail changes residue as the period's phases in value order do.
+    """
+    if xs.dtype != np.float64:
+        return None
+    # array methods and slices, not np.diff or np.all: on a 100-value
+    # tail the wrappers' overhead is most of the cost
+    n = len(xs)
+    bits = xs.view(np.int64)
+    half = n // 2
+    seen = (bits[n - 1 - half : n - 1] == bits[n - 1]).nonzero()[0]
+    if not seen.size:
+        return None
+    p = half - int(seen[-1])
+    if not (bits[p:] == bits[:-p]).all():
+        return None
+    phases = xs[:p].argsort()
+    values = xs[:p][phases]
+    with np.errstate(over="ignore"):
+        steps = values[1:] - values[:-1]
+        if not (steps > 0.0).all():
+            return None
+        gaps = np.zeros(n - 1)
+        copies = (phases < n % p) + n // p
+        gaps[copies[:-1].cumsum() - 1] = steps
+        spacing = gaps.mean()
+    if not math.isfinite(spacing):
+        return None
+    turns = phases[1:] - phases[:-1]
+    g = int(np.gcd.reduce(turns, where=steps <= spacing, initial=p))
+    for q in _divisors(g):
+        if np.count_nonzero(turns % q) == q - 1:
+            return q
+    return 1
+
+
+def _divisors(g):
+    """The divisors of g above 1, largest first."""
+    return sorted({q for i in range(1, math.isqrt(g) + 1) if g % i == 0
+                   for q in (i, g // i)} - {1}, reverse=True)
+
+
+def _classes_apart(vals, p):
+    """Whether the p classes of index mod p of vals span strictly
+    disjoint value ranges [min, max]. Needs p < len(vals)."""
+    whole = len(vals) - len(vals) % p
+    cols = vals[:whole].reshape(-1, p).T
+    if cols.shape[1] > p:
+        # numpy reduces a long contiguous row much faster than many
+        # short strided ones
+        cols = cols.copy()
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    rest = vals[whole:]
+    r = len(rest)
+    np.minimum(lo[:r], rest, out=lo[:r])
+    np.maximum(hi[:r], rest, out=hi[:r])
+    k = lo.argsort()
+    return bool((hi[k[:-1]] < lo[k[1:]]).all())
 
 
 def cobweb_data(p: SkewTentParams, x0: float, steps: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for trajectory simulation, cycle detection and band counting."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -1061,6 +1062,178 @@ def test_band_count_of_tail_wider_than_largest_float(xs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sim.band_count(orbit) == 1
+
+
+def _sorted_band_count(orbit):
+    """Oracle: band_count's sort route as it stood before the one-period
+    route and the class-range test, kept verbatim."""
+    xs = orbit.x_values
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("band_count needs finite x values")
+    if xs.size < 2:
+        return 1
+    order = np.argsort(xs)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(xs[order])
+        spacing = gaps.mean()
+    if not math.isfinite(spacing):
+        # the tail is too wide to sum its gaps; a quarter of every normal
+        # value is exact, and the quarters' gaps sum below the largest float
+        gaps = np.diff(xs[order] / 4)
+        spacing = gaps.mean()
+    g = int(np.gcd.reduce(np.abs(np.diff(order))[gaps <= spacing]))
+    divisors = {q for i in range(1, math.isqrt(g) + 1) if g % i == 0
+                for q in (i, g // i)}
+    for p in sorted(divisors - {1}, reverse=True):
+        cuts = np.flatnonzero(np.diff(order % p))
+        if cuts.size == p - 1 and np.all(gaps[cuts] > 0.0):
+            return p
+    return 1
+
+
+def _count_or_error(count, orbit):
+    try:
+        return count(orbit)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _tail(xs):
+    return sim.Orbit(states=np.asarray(xs, dtype=float)[:, None], transient=0)
+
+
+def _periodic_tail(rng):
+    """A tail that repeats one period of p = 1..64 values exactly, whose
+    length L (2p - 1 to 40p) leaves a part period where p > 1; the period is
+    distinct values, or has two equal values, a +0.0/-0.0 pair, phases
+    closer than the mean spacing, or values near +-1e308, and now and
+    then one value of the tail is moved by 1e-12."""
+    p = int(rng.integers(1, 65))
+    n = int(rng.integers(2 * p - 1, 40 * p + 1))
+    if p > 1 and n % p == 0:
+        n -= 1
+    period = rng.uniform(-1.0, 1.0, p)
+    kind = int(rng.integers(6))
+    i, j = rng.integers(p, size=2)
+    if kind == 1:
+        period[i] = period[j]
+    elif kind == 2:
+        period[i], period[j] = 0.0, -0.0
+    elif kind == 3:
+        # a few clusters of phases 1e-6 apart
+        period = rng.integers(0, 3, p) + 1e-6 * period
+    elif kind == 4:
+        period = np.sign(period) * 1e308 * (1.0 - 1e-3 * rng.random(p))
+    elif kind == 5:
+        period = 1.7e308 * period
+    xs = np.resize(period, n)
+    if rng.random() < 0.2:
+        xs[rng.integers(n)] += 1e-12
+    return _tail(xs)
+
+
+def _banded_tail(rng):
+    """q classes of step mod q, each in a cluster of width 0.3 on a unit
+    grid, and now and then a few values in a second cluster so that
+    class ranges interleave; then one class's top value is put at, one
+    value above or one value below the bottom of the class next above
+    it in half the draws, so their ranges touch at one value, overlap by
+    one or stay apart."""
+    q = int(rng.integers(2, 9))
+    n = int(rng.integers(2, 400))
+    spots = rng.permutation(2 * q).astype(float)
+    cls = np.arange(n) % q
+    away = rng.random(n) < rng.choice([0.0, 0.0, 0.02])
+    xs = np.where(away, spots[q + cls], spots[cls]) + 0.3 * rng.random(n)
+    if n > q and rng.random() < 0.5:
+        a, b = np.argsort(spots[:q])[rng.integers(q - 1) + np.arange(2)]
+        bottom = xs[cls == b].min()
+        ends = (bottom, np.nextafter(bottom, np.inf), np.nextafter(bottom, -np.inf))
+        xs[np.flatnonzero(cls == a)[xs[cls == a].argmax()]] = ends[int(rng.integers(3))]
+    return _tail(xs)
+
+
+@functools.cache
+def _sweep_rows():
+    return [row["xs"] for a in (0.4, 0.6)
+            for row in sim.bifurcation_scan(a, 0.8, -7.0, -1.2, 40, steps=3000,
+                                            transient=1000, x0=0.3)
+            if not row["diverged"]]
+
+
+def _sweep_tail(rng):
+    rows = _sweep_rows()
+    return _tail(rows[int(rng.integers(len(rows)))])
+
+
+def _m3_tail(rng):
+    """An m = 3 orbit, whose x_values is a strided view of its states:
+    mostly a stable cycle, else chaos."""
+    a = float(rng.uniform(0.2, 0.7))
+    d = float(rng.uniform(-0.9 / a**2, -1.0) if rng.random() < 0.6
+              else rng.uniform(-8.0, -1.0))
+    sys = cs.CanonicalSystem(a, d, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
+                             np.diag(rng.uniform(-0.7, 0.7, 3)), rng.uniform(-1, 1, 3),
+                             float(rng.uniform(0.5, 1.5)))
+    steps = int(rng.integers(600, 3000))
+    return sim.trajectory(sys, steps=steps, transient=500)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hs.sampled_from([_periodic_tail, _periodic_tail, _banded_tail, _sweep_tail, _m3_tail]),
+       hs.integers(0, 2**32 - 1))
+def test_band_count_matches_sorted_oracle(draw_tail, seed):
+    orbit = draw_tail(np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _count_or_error(sim.band_count, orbit)
+    assert got == _count_or_error(_sorted_band_count, orbit)
+
+
+def test_period_route_answers_stable_cycle_tail():
+    orbit = sim.trajectory(tent_system(0.4, -4.0), steps=2000, transient=1000, z0=[0.3])
+    assert sim._period_band_count(orbit.x_values) == 3 == _sorted_band_count(orbit)
+
+
+def _shortened(xs):
+    return xs[:5]  # L = 2p - 1
+
+
+def _equal_pair(xs):
+    xs[1::3] = xs[0::3][: len(xs[1::3])]
+    return xs
+
+
+def _perturbed(xs):
+    xs[50] += 1e-12
+    return xs
+
+
+def _signed_zeros(xs):
+    xs[0::3], xs[1::3] = 0.0, -0.0
+    return xs
+
+
+@pytest.mark.parametrize("edit", [_shortened, _equal_pair, _perturbed, _signed_zeros])
+def test_period_route_declines_and_sort_route_answers(edit):
+    # a 100-value tail of the stable 3-cycle, edited
+    xs = sim.trajectory(tent_system(0.4, -4.0), steps=1100, transient=1000,
+                        z0=[0.3]).x_values.copy()
+    orbit = _tail(edit(xs))
+    assert sim._period_band_count(orbit.x_values) is None
+    assert sim.band_count(orbit) == _sorted_band_count(orbit)
+
+
+@pytest.mark.parametrize("period, n, bands", [
+    # the step 1 equals the mean spacing, 5 / 5, so it is a near neighbour
+    ([0.0, 1.0, 5.0], 6, 1),
+    # the mean of the gaps rounds by where in the sorted tail they sit
+    ([0.0, 0.3, 0.1, 0.8], 9, 4),
+    ([0.01, 0.71, 0.12, 0.19], 11, 1),
+])
+def test_period_route_reads_the_sort_routes_spacing(period, n, bands):
+    orbit = _tail(np.resize(period, n))
+    assert sim._period_band_count(orbit.x_values) == bands == _sorted_band_count(orbit)
 
 
 def test_cobweb_data_structure():
